@@ -54,10 +54,11 @@ from .tables import (
     MalformedTableError,
     Permutation,
     _search_morphisms,
-    automorphism_group,
+    automorphisms,
     cyclic_group,
     dicyclic_group,
     homomorphisms,
+    is_morphism,
     isomorphisms,
     semidirect_group,
 )
@@ -113,10 +114,9 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
         if k < 2:
             continue
         for hg in small_groups(h):
-            aut = automorphism_group(hg)
+            aut = automorphisms(hg)
             for kg in small_groups(k):
-                for hom in homomorphisms(kg, aut.group):
-                    action = [aut.perms[hom.apply(c)] for c in range(k)]
+                for action in homomorphisms(kg, aut):
                     candidates.append(semidirect_group(hg, kg, action))
     kept: list[FiniteGroup] = []
     for cand in candidates:
@@ -272,11 +272,8 @@ def _iso_search(
     pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
     if any(not pool for pool in pools):
         return None
-    add1 = b1.add.table
-    add2 = b2.add.table
-
     def keeps_add(f: np.ndarray) -> bool:
-        return bool(np.array_equal(f[add1], add2[f[:, None], f[None, :]]))
+        return is_morphism(f, b1.add.table, b2.add.table)
 
     found = _search_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
@@ -500,13 +497,17 @@ def _eval_word(assigned: Sequence[np.ndarray], word: tuple[int, ...], n: int) ->
 
 
 def _generator_image_sets(
-    circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = 512
+    circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = 128
 ) -> list[np.ndarray]:
     """Candidate image tuples for the generators, one (C, n) array per
     generator.  The tuples form a superset of the generator images of every
     homomorphism from (B, o) into Sym(n): the pruned path keeps only tuples
     consistent with element orders and with power/conjugation relations that
-    land in the prefix subgroup, all of which any homomorphism satisfies."""
+    land in the prefix subgroup, all of which any homomorphism satisfies.
+
+    Each chunk of prefix rows builds (chunk, |pool|, n) temporaries, about
+    10 MB apiece at n = 8.  They set the process's peak memory, and larger
+    ones leave a peak that shifts with heap layout, so chunks stay small."""
     n = circ.n
     if pruned:
         pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
@@ -710,7 +711,6 @@ def enumerate_structural(
     n: int,
     emin: int = 2,
     esylow: bool = False,
-    jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> list[CensusEntry]:
     """Census by structure: full-trivial semi-braces plus semidirect products
@@ -718,7 +718,6 @@ def enumerate_structural(
     action homomorphism.  Supported shapes are n = pq with |E| > 1 and
     n = 2p^2 (odd prime p) with |E| a Sylow size; those are the shapes where
     every semi-brace decomposes this way."""
-    del jobs  # accepted for interface symmetry; the sweep is cheap
     if esylow:
         if _2p2_shape(n) is None:
             raise ParameterError(
@@ -747,15 +746,13 @@ def enumerate_structural(
             gaut = brace_automorphism_group(gbrace)
             for ei, egroup in enumerate(small_groups(e)):
                 etriv = trivial_semibrace(egroup)
-                for hi, hom in enumerate(homomorphisms(egroup, gaut.group)):
-                    alpha = [gaut.perms[hom.apply(c)] for c in range(e)]
+                for hi, alpha in enumerate(homomorphisms(egroup, gaut)):
                     dedup.add(
                         semidirect(gbrace, etriv, alpha),
                         f"structural:n={n}:e{e}:G{bi}xE{ei}:hom{hi}",
                     )
-                eaut = automorphism_group(egroup)
-                for hi, hom in enumerate(homomorphisms(gbrace.circ, eaut.group)):
-                    alpha = [eaut.perms[hom.apply(c)] for c in range(g_size)]
+                eaut = automorphisms(egroup)
+                for hi, alpha in enumerate(homomorphisms(gbrace.circ, eaut)):
                     dedup.add(
                         semidirect(etriv, gbrace, alpha),
                         f"structural:n={n}:e{e}:E{ei}xG{bi}:hom{hi}",

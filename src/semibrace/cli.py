@@ -248,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="directory for JSON artifacts")
     common.add_argument("--cache", metavar="DIR",
                         help="census cache directory (SEMIBRACE_CACHE overrides)")
-    common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for enumeration")
     common.add_argument("--format", choices=("json", "text"), default="text")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--jobs", type=int, default=1, metavar="K",
+                       help="worker processes for the generic sweep")
 
     parser = argparse.ArgumentParser(
         prog="semibrace",
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.set_defaults(func=cmd_families)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common, sweep],
                        help="census of all semi-braces of order n up to isomorphism")
     p.add_argument("--n", type=int)
     p.add_argument("--emin", type=int, default=1,
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only |E| equal to a Sylow subgroup size")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, sweep],
                        help="check a classification statement against the censuses")
     p.add_argument("--theorem", help="pq-noncongruent | pq-congruent | "
                                      "2p2-E2-cyclic | 2p2-E2-noncyclic | 2p2-Ep2 | 2p2")

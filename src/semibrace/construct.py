@@ -15,7 +15,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import InternalInvariantError, SemiBrace, semidirect_tables, verify
-from .tables import FiniteGroup, Permutation, cyclic_group, direct_product, is_normal_subset
+from .tables import (
+    FiniteGroup,
+    Permutation,
+    cyclic_group,
+    direct_product,
+    is_action,
+    is_morphism,
+    is_normal_subset,
+)
 
 
 class ParameterError(ValueError):
@@ -78,14 +86,10 @@ def semidirect(
         f = images[c]
         if np.unique(f).size != b1.n:
             raise ParameterError(f"alpha[{c}] is not a bijection")
-        if not np.array_equal(f[add1], add1[f[:, None], f[None, :]]) or not np.array_equal(
-            f[circ1], circ1[f[:, None], f[None, :]]
-        ):
+        if not (is_morphism(f, add1, add1) and is_morphism(f, circ1, circ1)):
             raise ParameterError(f"alpha[{c}] is not a semi-brace automorphism of B1")
-    for c1 in range(b2.n):
-        for c2 in range(b2.n):
-            if not np.array_equal(images[b2.circ_of(c1, c2)], images[c1][images[c2]]):
-                raise ParameterError("alpha is not a homomorphism from (B2, o)")
+    if not is_action(images, b2.circ.table):
+        raise ParameterError("alpha is not a homomorphism from (B2, o)")
     add, circ = semidirect_tables(add1, circ1, b2.add.table, b2.circ.table, images)
     return verify(add, circ)
 

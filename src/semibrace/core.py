@@ -21,15 +21,15 @@ import numpy as np
 from .tables import (
     CayleyTable,
     FiniteGroup,
-    GroupHom,
     MalformedTableError,
-    PermGroup,
     Permutation,
+    _freeze,
     automorphisms,
     check_group,
     check_left_cancellative_semigroup,
+    is_action,
+    is_morphism,
     is_normal_subset,
-    perm_group,
 )
 
 
@@ -142,14 +142,8 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     e_elements = tuple(int(i) for i in np.flatnonzero(np.diagonal(add) == np.arange(n)))
     g_elements = tuple(int(i) for i in np.unique(add[:, 0]))
     return SemiBrace(
-        add=add_t, circ=circ, lam=_frozen(lam), e_elements=e_elements, g_elements=g_elements
+        add=add_t, circ=circ, lam=_freeze(lam), e_elements=e_elements, g_elements=g_elements
     )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
 
 
 def semibrace_from_json(obj) -> SemiBrace:
@@ -256,8 +250,7 @@ def lambda_map(b: SemiBrace) -> LambdaMap:
             raise InternalInvariantError("lambda_a is not a bijection")
     # additive automorphism: lambda_a(x + y) = lambda_a(x) + lambda_a(y)
     for a in range(n):
-        la = lam[a]
-        if not np.array_equal(la[add], add[la[:, None], la[None, :]]):
+        if not is_morphism(lam[a], add, add):
             raise InternalInvariantError("lambda_a does not preserve +")
     # homomorphism from (B, o): lambda_(a o b) = lambda_a . lambda_b
     tab = b.circ.table
@@ -446,35 +439,48 @@ class SemidirectData:
     by brace automorphisms (conjugation by idempotents).
     direction "trivial-by-skew": product = E x| G, alpha: (G, o) -> Aut(E, o)
     (conjugation by skew part elements; available when E is an ideal).
+
+    `alpha` is the action as the tuple of automorphisms of the acted-on
+    factor, one per element of the acting factor in its local labels.
     """
 
     direction: str
     brace: SemiBrace  # the skew brace factor G, relabeled
     trivial_group: FiniteGroup  # the circle group of the trivial factor E
-    alpha: GroupHom  # into the automorphism group below
-    aut: PermGroup  # automorphisms of the acted-on factor
+    alpha: tuple[Permutation, ...]
     witness: Permutation  # isomorphism from the original B onto `product`
     product: SemiBrace
 
 
-def brace_automorphism_group(b: SemiBrace) -> PermGroup:
-    """Bijections preserving both operations, as a permutation group."""
-    keep = [p for p in automorphisms(b.circ) if _preserves(p.images, b.add.table)]
-    return perm_group(keep)
+def brace_automorphism_group(b: SemiBrace) -> tuple[Permutation, ...]:
+    """Bijections preserving both operations, sorted lexicographically by
+    image array (the identity first)."""
+    add = b.add.table
+    return tuple(p for p in automorphisms(b.circ) if is_morphism(p.images, add, add))
 
 
-def _preserves(f: np.ndarray, table: np.ndarray) -> bool:
-    return bool(np.array_equal(f[table], table[f[:, None], f[None, :]]))
+def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
+    if not (
+        np.unique(f).size == b.n
+        and is_morphism(f, b.add.table, product.add.table)
+        and is_morphism(f, b.circ.table, product.circ.table)
+    ):
+        raise InternalInvariantError("semidirect witness is not an isomorphism")
 
 
-def _check_iso(src: SemiBrace, dst: SemiBrace, f: np.ndarray) -> bool:
-    return _preserves_pair(f, src.add.table, dst.add.table) and _preserves_pair(
-        f, src.circ.table, dst.circ.table
-    )
-
-
-def _preserves_pair(f: np.ndarray, src_t: np.ndarray, dst_t: np.ndarray) -> bool:
-    return bool(np.array_equal(f[src_t], dst_t[f[:, None], f[None, :]]))
+def _checked_action(
+    images: np.ndarray, acting: np.ndarray, add: np.ndarray, circ: np.ndarray
+) -> tuple[Permutation, ...]:
+    """The rows of `images` as permutations, after checking that each one
+    preserves both tables (add, circ) of the acted-on factor and that
+    x -> images[x] is a homomorphism from the group table `acting`."""
+    alpha = tuple(Permutation.of(img) for img in images)
+    for p in alpha:
+        if not (is_morphism(p.images, add, add) and is_morphism(p.images, circ, circ)):
+            raise InternalInvariantError("conjugation is not an automorphism of its factor")
+    if not is_action(images, acting):
+        raise InternalInvariantError("conjugation action is not a homomorphism")
+    return alpha
 
 
 def decompose(b: SemiBrace) -> Optional[SemidirectData]:
@@ -493,40 +499,30 @@ def decompose(b: SemiBrace) -> Optional[SemidirectData]:
     k = len(gp.elements)
     m = len(ep.elements)
 
-    aut = brace_automorphism_group(gp.semibrace)
-    alpha_perms = []
-    images = []
-    for e in ep.elements:
-        img = np.zeros(k, dtype=np.int64)
+    images = np.zeros((m, k), dtype=np.int64)
+    for ei, e in enumerate(ep.elements):
         for g in gp.elements:
             conj = b.circ_of(b.circ_of(e, g), b.inv(e))
             if conj not in gpos:
                 raise InternalInvariantError("conjugation by an idempotent escapes G")
-            img[gpos[g]] = gpos[conj]
-        p = Permutation.of(img)
-        alpha_perms.append(p)
-        images.append(aut.index_of(p))
-    hom = GroupHom.of(ep.group, aut.group, images)
+            images[ei, gpos[g]] = gpos[conj]
+    gadd, gcirc = gp.semibrace.add.table, gp.semibrace.circ.table
+    alpha = _checked_action(images, ep.group.table, gadd, gcirc)
 
-    alpha_arr = np.stack([p.images for p in alpha_perms])
     tadd = np.tile(np.arange(m), (m, 1))  # trivial factor: a + b = b
-    padd, pcirc = semidirect_tables(
-        gp.semibrace.add.table, gp.semibrace.circ.table, tadd, ep.group.table, alpha_arr
-    )
+    padd, pcirc = semidirect_tables(gadd, gcirc, tadd, ep.group.table, images)
     product = verify(padd, pcirc)
 
     f = np.zeros(b.n, dtype=np.int64)
     for x in range(b.n):
         g, e = additive_decomposition(b, x)
         f[x] = gpos[g] * m + epos[e]
-    if np.unique(f).size != b.n or not _check_iso(b, product, f):
-        raise InternalInvariantError("semidirect witness is not an isomorphism")
+    _check_witness(f, b, product)
     return SemidirectData(
         direction="skew-by-trivial",
         brace=gp.semibrace,
         trivial_group=ep.group,
-        alpha=hom,
-        aut=aut,
+        alpha=alpha,
         witness=Permutation.of(f),
         product=product,
     )
@@ -548,26 +544,19 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
     k = len(gp.elements)
     m = len(ep.elements)
 
-    aut = perm_group(automorphisms(ep.group))
-    alpha_perms = []
-    images = []
+    images = np.zeros((k, m), dtype=np.int64)
     eset = set(ep.elements)
-    for g in gp.elements:
-        img = np.zeros(m, dtype=np.int64)
+    for gi, g in enumerate(gp.elements):
         for e in ep.elements:
             conj = b.circ_of(b.circ_of(g, e), b.inv(g))
             if conj not in eset:
                 raise InternalInvariantError("conjugation by a skew element escapes E")
-            img[epos[e]] = epos[conj]
-        p = Permutation.of(img)
-        alpha_perms.append(p)
-        images.append(aut.index_of(p))
-    hom = GroupHom.of(gp.semibrace.circ, aut.group, images)
-
-    alpha_arr = np.stack([p.images for p in alpha_perms])
+            images[gi, epos[e]] = epos[conj]
     tadd = np.tile(np.arange(m), (m, 1))
+    alpha = _checked_action(images, gp.semibrace.circ.table, tadd, ep.group.table)
+
     padd, pcirc = semidirect_tables(
-        tadd, ep.group.table, gp.semibrace.add.table, gp.semibrace.circ.table, alpha_arr
+        tadd, ep.group.table, gp.semibrace.add.table, gp.semibrace.circ.table, images
     )
     product = verify(padd, pcirc)
 
@@ -583,14 +572,12 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
             raise InternalInvariantError("multiplicative E o G decomposition not unique")
         e, g = hits[0]
         f[x] = epos[e] * k + gpos[g]
-    if np.unique(f).size != b.n or not _check_iso(b, product, f):
-        raise InternalInvariantError("semidirect witness is not an isomorphism")
+    _check_witness(f, b, product)
     return SemidirectData(
         direction="trivial-by-skew",
         brace=gp.semibrace,
         trivial_group=ep.group,
-        alpha=hom,
-        aut=aut,
+        alpha=alpha,
         witness=Permutation.of(f),
         product=product,
     )

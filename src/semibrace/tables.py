@@ -8,7 +8,7 @@ that the identity sits at index 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -307,54 +307,61 @@ class FiniteGroup:
 
 
 @dataclass(frozen=True)
-class GroupHom:
-    """A verified homomorphism between finite groups, as an image array."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: np.ndarray
-
-    @classmethod
-    def of(cls, source: FiniteGroup, target: FiniteGroup, images) -> "GroupHom":
-        arr = np.asarray(images, dtype=np.int64)
-        if arr.shape != (source.n,) or arr.min() < 0 or arr.max() >= target.n:
-            raise MalformedTableError("hom image array has wrong shape or range")
-        if not np.array_equal(arr[source.table], target.table[arr[:, None], arr[None, :]]):
-            raise MalformedTableError("not a homomorphism")
-        return cls(source=source, target=target, images=_freeze(arr.copy()))
-
-    def apply(self, a: int) -> int:
-        return int(self.images[a])
-
-    def is_trivial(self) -> bool:
-        return bool((self.images == 0).all())
-
-
-@dataclass(frozen=True)
 class Subgroup:
     elements: tuple[int, ...]
     normal: bool
-
-
-@dataclass(frozen=True)
-class PermGroup:
-    """A group of permutations: abstract Cayley table plus the realization."""
-
-    group: FiniteGroup
-    perms: tuple[Permutation, ...]
-
-    def index_of(self, perm: Permutation) -> int:
-        for i, p in enumerate(self.perms):
-            if p.key() == perm.key():
-                return i
-        raise KeyError("permutation not in group")
 
 
 # ---------------------------------------------------------------------------
 # hom / iso search
 
 
-def _close_partial_map(src: FiniteGroup, assignments: list[tuple[int, int]], tgt_table: np.ndarray):
+def is_morphism(f: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
+    """f(x * y) = f(x) * f(y), with * from the table `src` on the left and
+    from `dst` on the right."""
+    return bool(np.array_equal(f[src], dst[f[:, None], f[None, :]]))
+
+
+def is_action(images: np.ndarray, table: np.ndarray) -> bool:
+    """images[x o y] = images[x] . images[y] for a group table `table`, with
+    images[x] the image array of the permutation attached to x."""
+    k = table.shape[0]
+    composed = images[np.arange(k)[:, None, None], images[None, :, :]]  # [x, y] = x . y
+    return bool(np.array_equal(images[table], composed))
+
+
+Target = Union[FiniteGroup, Sequence[Permutation]]
+
+
+def _target_ops(src: FiniteGroup, tgt: Target):
+    """(product of target labels, full check of a complete label map).
+
+    A FiniteGroup target is labelled by its elements and multiplies by table
+    lookup. A permutation target is labelled by list position (the identity
+    at 0) and multiplies by memoised composition plus a dict lookup on
+    `key()`; the full check composes the actual permutations."""
+    if isinstance(tgt, FiniteGroup):
+        table = tgt.table
+        return (lambda a, b: int(table[a, b])), (lambda f: is_morphism(f, src.table, table))
+    index = {p.key(): i for i, p in enumerate(tgt)}
+    stack = np.stack([p.images for p in tgt])
+    products: dict[tuple[int, int], int] = {}
+
+    def mul(a: int, b: int) -> int:
+        c = products.get((a, b))
+        if c is None:
+            c = index.get(stack[a][stack[b]].tobytes())
+            if c is None:
+                raise MalformedTableError("permutations not closed under composition")
+            products[a, b] = c
+        return c
+
+    return mul, (lambda f: is_action(stack[f], src.table))
+
+
+def _close_partial_map(
+    src: FiniteGroup, assignments: list[tuple[int, int]], mul: Callable[[int, int], int]
+):
     """Extend f(0)=0, f(g_i)=h_i multiplicatively over <g_1..g_k>.
 
     Returns (mapped indices in BFS order, image array with -1 for unassigned),
@@ -376,7 +383,7 @@ def _close_partial_map(src: FiniteGroup, assignments: list[tuple[int, int]], tgt
         x = order[i]
         for g in gens:
             y = src.mul(x, g)
-            fy = int(tgt_table[f[x], f[g]])
+            fy = mul(int(f[x]), int(f[g]))
             if f[y] == -1:
                 f[y] = fy
                 order.append(y)
@@ -388,23 +395,24 @@ def _close_partial_map(src: FiniteGroup, assignments: list[tuple[int, int]], tgt
 
 def _search_morphisms(
     src: FiniteGroup,
-    tgt: FiniteGroup,
+    tgt: Target,
     candidate_pools: Sequence[Sequence[int]],
     gens: Sequence[int],
     bijective: bool,
     limit: Optional[int],
     extra_check: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> list[np.ndarray]:
-    """Backtracking over generator images; every complete map is verified on
-    the full table before being accepted."""
+    """Backtracking over generator images (target labels, see _target_ops);
+    every complete map is verified on the full table of src before being
+    accepted."""
     results: list[np.ndarray] = []
-    tgt_table = tgt.table
+    mul, is_hom = _target_ops(src, tgt)
 
     def rec(i: int, assignments: list[tuple[int, int]]):
         if limit is not None and len(results) >= limit:
             return
         if i == len(gens):
-            closed = _close_partial_map(src, assignments, tgt_table)
+            closed = _close_partial_map(src, assignments, mul)
             if closed is None:
                 return
             _, f = closed
@@ -412,7 +420,7 @@ def _search_morphisms(
                 return  # generators failed to generate; caller bug
             if bijective and np.unique(f).size != src.n:
                 return
-            if not np.array_equal(f[src.table], tgt_table[f[:, None], f[None, :]]):
+            if not is_hom(f):
                 return
             if extra_check is not None and not extra_check(f):
                 return
@@ -420,7 +428,7 @@ def _search_morphisms(
             return
         for h in candidate_pools[i]:
             trial = assignments + [(gens[i], int(h))]
-            if _close_partial_map(src, trial, tgt_table) is None:
+            if _close_partial_map(src, trial, mul) is None:
                 continue
             rec(i + 1, trial)
 
@@ -428,19 +436,27 @@ def _search_morphisms(
     return results
 
 
-def homomorphisms(src: FiniteGroup, tgt: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms src -> tgt, in lexicographic order of image arrays."""
+def homomorphisms(src: FiniteGroup, perms: Sequence[Permutation]) -> list[tuple[Permutation, ...]]:
+    """All homomorphisms from src into a group of permutations, such as the
+    list `automorphisms` returns. `perms` must be closed under composition,
+    with the identity first.
+
+    Each action is the tuple of images of src's elements 0..n-1. Actions are
+    ordered lexicographically by the positions of their images in `perms`,
+    which for a sorted list is lexicographic in the image arrays."""
+    if not perms or not perms[0].is_identity():
+        raise MalformedTableError("permutation group must list the identity first")
     gens = src.generating_sequence()
     if not gens:
-        return [GroupHom.of(src, tgt, np.zeros(src.n, dtype=np.int64))]
-    tgt_orders = tgt.element_orders()
+        return [(perms[0],)]
+    orders = [p.order() for p in perms]
     pools = []
     for g in gens:
         og = src.element_order(g)
-        pools.append([h for h in range(tgt.n) if og % int(tgt_orders[h]) == 0])
-    found = _search_morphisms(src, tgt, pools, gens, bijective=False, limit=None)
+        pools.append([h for h in range(len(perms)) if og % orders[h] == 0])
+    found = _search_morphisms(src, perms, pools, gens, bijective=False, limit=None)
     found.sort(key=lambda f: tuple(f))
-    return [GroupHom.of(src, tgt, f) for f in found]
+    return [tuple(perms[i] for i in f) for f in found]
 
 
 def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None) -> list[Permutation]:
@@ -470,39 +486,10 @@ def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None
     return [Permutation.of(f) for f in found]
 
 
-def automorphisms(g: FiniteGroup) -> list[Permutation]:
-    """All automorphisms, sorted lexicographically by image array."""
-    return isomorphisms(g, g)
-
-
-def automorphism_group(g: FiniteGroup) -> PermGroup:
-    """The automorphism group as a FiniteGroup over the sorted automorphism list."""
-    return perm_group(automorphisms(g))
-
-
-def perm_group(perms: Sequence[Permutation]) -> PermGroup:
-    """Cayley table of a list of permutations closed under composition.
-
-    The identity is moved to index 0; the rest keep their given order."""
-    perms = list(perms)
-    idx = {p.key(): i for i, p in enumerate(perms)}
-    ident = Permutation.identity(perms[0].n)
-    if ident.key() not in idx:
-        raise MalformedTableError("permutation set lacks the identity")
-    i0 = idx[ident.key()]
-    if i0 != 0:
-        perms[0], perms[i0] = perms[i0], perms[0]
-        idx = {p.key(): i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.zeros((m, m), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            k = idx.get(p.compose(q).key())
-            if k is None:
-                raise MalformedTableError("permutation set not closed under composition")
-            table[i, j] = k
-    grp = FiniteGroup.from_table(CayleyTable.of(table))
-    return PermGroup(group=grp, perms=tuple(perms))
+def automorphisms(g: FiniteGroup) -> tuple[Permutation, ...]:
+    """All automorphisms, sorted lexicographically by image array; the
+    identity comes first."""
+    return tuple(isomorphisms(g, g))
 
 
 def subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -538,11 +525,6 @@ def is_normal_subset(g: FiniteGroup, elements: Iterable[int]) -> bool:
 # constructions
 
 
-def group_from_op(n: int, op: Callable[[int, int], int]) -> FiniteGroup:
-    table = np.fromfunction(np.vectorize(op, otypes=[np.int64]), (n, n), dtype=np.int64)
-    return FiniteGroup.from_table(CayleyTable.of(table))
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     a = np.arange(n)
     return FiniteGroup.from_table(CayleyTable.of((a[:, None] + a[None, :]) % n))
@@ -556,18 +538,15 @@ def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: Sequence[Permutatio
     """
     if len(action) != k.n:
         raise MalformedTableError("action must assign one automorphism per element of K")
+    acted = np.stack([p.images for p in action])  # acted[x, b]
     for x in range(k.n):
-        img = action[x].images
-        if not np.array_equal(img[h.table], h.table[img[:, None], img[None, :]]):
+        if not is_morphism(acted[x], h.table, h.table):
             raise MalformedTableError(f"action[{x}] is not an automorphism of H")
-    for x in range(k.n):
-        for y in range(k.n):
-            if action[k.mul(x, y)].key() != action[x].compose(action[y]).key():
-                raise MalformedTableError("action is not a homomorphism of K into Aut(H)")
+    if not is_action(acted, k.table):
+        raise MalformedTableError("action is not a homomorphism of K into Aut(H)")
     nh, nk = h.n, k.n
     n = nh * nk
     a, x = np.divmod(np.arange(n), nk)
-    acted = np.stack([action[int(xx)].images for xx in range(nk)])  # acted[x, b]
     bb, yy = a[None, :], x[None, :]
     first = h.table[a[:, None], acted[x[:, None], bb]]
     second = k.table[x[:, None], yy]
@@ -583,12 +562,7 @@ def dicyclic_group(m: int) -> FiniteGroup:
     """Order 4m: <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>."""
     if m < 1:
         raise MalformedTableError("dicyclic index must be >= 1")
-
-    def op(i_and_j: int, k_and_l: int) -> int:
-        i, j = divmod(i_and_j, 2)
-        kk, ll = divmod(k_and_l, 2)
-        sign = -1 if j else 1
-        first = (i + sign * kk + m * j * ll) % (2 * m)
-        return first * 2 + (j + ll) % 2
-
-    return group_from_op(4 * m, op)
+    i, j = np.divmod(np.arange(4 * m), 2)  # index 2i + j is a^i b^j
+    ii, jj, kk, ll = i[:, None], j[:, None], i[None, :], j[None, :]
+    first = (ii + (1 - 2 * jj) * kk + m * jj * ll) % (2 * m)
+    return FiniteGroup.from_table(CayleyTable.of(first * 2 + (jj + ll) % 2))

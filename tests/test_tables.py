@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibrace.classify import small_groups
 from semibrace.tables import (
     CayleyTable,
     FiniteGroup,
-    GroupHom,
     MalformedTableError,
     Permutation,
-    automorphism_group,
     automorphisms,
     check_group,
     check_left_cancellative_semigroup,
@@ -35,6 +34,12 @@ def s3_table():
     n = len(perms)
     tab = [[idx[tuple(perms[i][perms[j][k]] for k in range(3))] for j in range(n)] for i in range(n)]
     return CayleyTable.of(tab)
+
+
+def left_regular(g):
+    """L_h(x) = h o x, one permutation per element: row h of the table.
+    L_a . L_b = L_(a o b), so homomorphisms into it are those into g."""
+    return tuple(Permutation.of(row) for row in g.table)
 
 
 def test_s3_is_group_by_brute_force_agreement():
@@ -138,14 +143,79 @@ def test_homomorphism_counts_against_exhaustive_search():
                 for b in range(src.n)
             ):
                 brute += 1
-        assert len(homomorphisms(src, tgt)) == brute
+        assert len(homomorphisms(src, left_regular(tgt))) == brute
 
 
 def test_expected_hom_counts():
     z2, z3 = cyclic_group(2), cyclic_group(3)
     s3 = FiniteGroup.from_table(s3_table())
-    assert len(homomorphisms(z2, s3)) == 4  # trivial + three transpositions
-    assert len(homomorphisms(z3, z2)) == 1
+    assert len(homomorphisms(z2, left_regular(s3))) == 4  # trivial + three transpositions
+    assert len(homomorphisms(z3, left_regular(z2))) == 1
+
+
+def _actions_by_brute_force(k, auts):
+    """Every tuple of generator images drawn from `auts`, extended along
+    product words and kept when it is a homomorphism on the full table of
+    k; sorted lexicographically by the image arrays."""
+    gens = k.generating_sequence()
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                y = k.mul(x, g)
+                if y not in words:
+                    words[y] = words[x] + (gi,)
+                    nxt.append(y)
+        frontier = nxt
+    assert len(words) == k.n
+    n = auts[0].n
+    found = []
+    for choice in itertools.product(auts, repeat=len(gens)):
+        f = []
+        for x in range(k.n):
+            img = np.arange(n)
+            for gi in words[x]:
+                img = img[choice[gi].images]
+            f.append(img)
+        if all(
+            np.array_equal(f[k.mul(a, b)], f[a][f[b]]) for a in range(k.n) for b in range(k.n)
+        ):
+            found.append(tuple(tuple(img.tolist()) for img in f))
+    return sorted(found)
+
+
+def test_homomorphisms_into_automorphisms_match_brute_force():
+    # K of order <= 6 into Aut(X) for every X of order <= 8, C2^3 with
+    # Aut = GL(3, 2) of order 168 included; K = S3 is the non-abelian case,
+    # where the order of composition matters
+    for m in range(1, 9):
+        for x in small_groups(m):
+            auts = automorphisms(x)
+            for k_order in range(1, 7):
+                for k in small_groups(k_order):
+                    got = [
+                        tuple(tuple(p.images.tolist()) for p in action)
+                        for action in homomorphisms(k, auts)
+                    ]
+                    assert got == _actions_by_brute_force(k, auts)
+
+
+def test_involutions_of_gl27():
+    # Z2 -> Aut(C7 x C7) = GL(2, 7): the trivial action and the 57 involutions
+    auts = automorphisms(direct_product(cyclic_group(7), cyclic_group(7)))
+    assert len(auts) == 2016
+    actions = homomorphisms(cyclic_group(2), auts)
+    assert len(actions) == 58
+    assert all(a[0].is_identity() for a in actions)
+    assert sorted(a[1].key() for a in actions) == sorted(p.key() for p in auts if p.order() <= 2)
+
+
+def test_homomorphisms_need_identity_first():
+    z3 = cyclic_group(3)
+    with pytest.raises(MalformedTableError):
+        homomorphisms(cyclic_group(2), automorphisms(z3)[::-1])
 
 
 def test_subgroups_z4_and_s3():
@@ -177,6 +247,23 @@ def test_semidirect_group_rejects_non_action():
     not_auto = Permutation.of([1, 0, 2])  # moves the identity
     with pytest.raises(MalformedTableError):
         semidirect_group(z3, z2, [Permutation.identity(3), not_auto])
+    # both maps are automorphisms, but the identity of Z2 must act trivially
+    inversion = Permutation.of([0, 2, 1])
+    with pytest.raises(MalformedTableError, match="not a homomorphism"):
+        semidirect_group(z3, z2, [inversion, inversion])
+
+
+def test_dicyclic_table_matches_presentation():
+    # index 2i + j is a^i b^j, and b a^k = a^-k b, b^2 = a^m
+    for m in range(1, 6):
+        want = np.zeros((4 * m, 4 * m), dtype=np.int64)
+        for x in range(4 * m):
+            for y in range(4 * m):
+                i, j = divmod(x, 2)
+                k, l = divmod(y, 2)
+                first = (i + (-k if j else k) + (m if j and l else 0)) % (2 * m)
+                want[x, y] = 2 * first + (j + l) % 2
+        assert dicyclic_group(m).table.tobytes() == want.tobytes()
 
 
 def test_dicyclic_groups():
@@ -185,22 +272,6 @@ def test_dicyclic_groups():
     q16 = dicyclic_group(4)
     orders = sorted(q16.element_orders().tolist())
     assert orders.count(2) == 1  # unique involution marks generalized quaternion
-
-
-def test_automorphism_group_table_consistent():
-    pg = automorphism_group(cyclic_group(5))
-    assert pg.group.n == 4
-    for i in range(4):
-        for j in range(4):
-            k = pg.group.mul(i, j)
-            assert pg.perms[i].compose(pg.perms[j]).key() == pg.perms[k].key()
-
-
-def test_group_hom_validation():
-    z4, z2 = cyclic_group(4), cyclic_group(2)
-    GroupHom.of(z4, z2, [0, 1, 0, 1])
-    with pytest.raises(MalformedTableError):
-        GroupHom.of(z4, z2, [0, 1, 1, 0])
 
 
 @settings(max_examples=60, deadline=None)
