@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,6 +64,8 @@ from .tables import (
     semidirect_group,
 )
 
+log = logging.getLogger(__name__)
+
 GENERIC_BOUND = 10
 UNPRUNED_BOUND = 6
 
@@ -80,6 +83,11 @@ _CLASSICAL_GROUP_COUNTS = {
 }
 
 SUPPORTED_GROUP_ORDERS = frozenset(_CLASSICAL_GROUP_COUNTS)
+
+
+def _require_group_order(n: int) -> None:
+    if n not in _CLASSICAL_GROUP_COUNTS:
+        raise ParameterError(f"order {n} is outside the supported group catalog")
 
 
 def group_profile(g: FiniteGroup) -> tuple:
@@ -102,8 +110,7 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
     every proper factorization; duplicates are removed with group_isomorphic
     and the final count is asserted against the classical census.
     """
-    if n not in _CLASSICAL_GROUP_COUNTS:
-        raise ParameterError(f"order {n} is outside the supported group catalog")
+    _require_group_order(n)
     candidates: list[FiniteGroup] = [cyclic_group(n)]
     if n % 4 == 0:
         candidates.append(dicyclic_group(n // 4))
@@ -131,17 +138,19 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
     return tuple(kept)
 
 
+def _require_skew_brace_order(m: int) -> None:
+    r = math.isqrt(m)
+    if not (m == 1 or is_prime(m) or (r * r == m and is_prime(r) and r % 2 == 1)):
+        raise ParameterError(f"no skew brace catalog for order {m}")
+
+
 def skew_braces(m: int) -> list[SemiBrace]:
     """All skew left braces of order m up to isomorphism, for m equal to 1,
     a prime, or an odd prime square."""
-    if m == 1:
-        return [trivial_skewbrace(cyclic_group(1))]
-    if is_prime(m):
+    _require_skew_brace_order(m)
+    if m == 1 or is_prime(m):
         return [trivial_skewbrace(cyclic_group(m))]
-    r = math.isqrt(m)
-    if r * r == m and is_prime(r) and r % 2 == 1:
-        return [brace_p2(which, r) for which in ("G1", "G2", "G3", "G4")]
-    raise ParameterError(f"no skew brace catalog for order {m}")
+    return [brace_p2(which, math.isqrt(m)) for which in ("G1", "G2", "G3", "G4")]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +460,9 @@ def _order_divides_pool(n: int, k: int) -> np.ndarray:
 
 def _bfs_tree(circ: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
     """(element, parent, generator index) triples in BFS order from the
-    identity, where element = parent o gens[generator index]."""
+    identity, where element = parent o gens[generator index].  The elements
+    are those of the subgroup generated by `gens`, which may be proper,
+    other than the identity."""
     seen = {0}
     tree = []
     frontier = [0]
@@ -465,108 +476,154 @@ def _bfs_tree(circ: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, in
                     tree.append((y, x, gi))
                     nxt.append(y)
         frontier = nxt
-    if len(seen) != circ.n:
-        raise InternalInvariantError("generating sequence fails to generate")
     return tree
 
 
-def _word_table(circ: FiniteGroup, gens: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """A product word over `gens` (as generator indices) for each element of
-    the subgroup they generate."""
-    words: dict[int, tuple[int, ...]] = {0: ()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = circ.mul(x, g)
-                if y not in words:
-                    words[y] = words[x] + (gi,)
-                    nxt.append(y)
-        frontier = nxt
-    return words
+def _lambda_rows(
+    n: int, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray]
+) -> np.ndarray:
+    """lam[r, x] = lam_x for row r of generator images and x in the
+    subgroup the tree covers, using lam_{x o g} = lam_x o lam_g.  Rows of
+    elements outside that subgroup are left unset."""
+    lam = np.empty((images[0].shape[0], n, n), dtype=np.int8)
+    lam[:, 0] = np.arange(n, dtype=np.int8)
+    for y, x, gi in tree:
+        lam[:, y] = np.take_along_axis(lam[:, x], images[gi], axis=1)
+    return lam
 
 
-def _eval_word(assigned: Sequence[np.ndarray], word: tuple[int, ...], n: int) -> np.ndarray:
-    """Image of a product word under candidate generator images, rowwise."""
-    rows = assigned[0].shape[0] if assigned else 1
-    out = np.tile(np.arange(n, dtype=np.int8), (rows, 1))
-    for gi in word:
-        out = _compose_rows(out, assigned[gi])
-    return out
+def _add_rows(circ: FiniteGroup, lam: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """add[r, i, b] = a + b = a o lam_{a^-}(b) for a = elements[i]; each
+    a^- must lie where lam is set."""
+    tab8 = circ.table.astype(np.int8)
+    return tab8[elements[None, :, None], lam[:, circ.inverse[elements], :]]
+
+
+def _associative_rows(add: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Rows r with (a + b) + c == a + (b + c) for all a, b in `elements`
+    with a + b in `elements`, and every c; add is as `_add_rows` returns."""
+    size, h, n = add.shape
+    pos = np.full(n, -1, dtype=np.int16)
+    pos[elements] = np.arange(h, dtype=np.int16)
+    ab = pos[add[:, :, elements]]  # index of a + b in elements, or -1
+    flat = add.reshape(size, h * n)
+    bidx = np.arange(size)[:, None, None, None]
+    a16 = np.arange(h, dtype=np.int16)[None, :, None, None]
+    c16 = np.arange(n, dtype=np.int16)
+    left = flat[bidx, np.maximum(ab, 0)[:, :, :, None] * n + c16]
+    right = flat[bidx, a16 * n + add[:, None, :, :]]
+    ok = left == right
+    if h < n:
+        ok |= (ab < 0)[:, :, :, None]
+    return ok.reshape(size, -1).all(axis=1)
+
+
+def _prefix_associative(
+    circ: FiniteGroup,
+    tree: list[tuple[int, int, int]],
+    images: Sequence[np.ndarray],
+    batch: int = 8192,
+) -> np.ndarray:
+    """Rows of generator images whose addition on H, the subgroup the tree
+    covers, is associative wherever it is defined (see
+    `_generator_image_sets`)."""
+    elements = np.array(sorted({0, *(y for y, _, _ in tree)}))
+    count = images[0].shape[0]
+    keep = np.empty(count, dtype=bool)
+    for start in range(0, count, batch):
+        rows = slice(start, min(start + batch, count))
+        lam = _lambda_rows(circ.n, tree, [arr[rows] for arr in images])
+        keep[rows] = _associative_rows(_add_rows(circ, lam, elements), elements)
+    return keep
 
 
 def _generator_image_sets(
     circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = 128
 ) -> list[np.ndarray]:
     """Candidate image tuples for the generators, one (C, n) array per
-    generator.  The tuples form a superset of the generator images of every
-    homomorphism from (B, o) into Sym(n): the pruned path keeps only tuples
-    consistent with element orders and with power/conjugation relations that
-    land in the prefix subgroup, all of which any homomorphism satisfies.
+    generator.  The tuples form a superset of the generator images of the
+    lambda map of every semi-brace with this circle group.  That map is a
+    homomorphism lam from (B, o) into Sym(B), and a + b = a o lam_{a^-}(b).
+    The pruned path assigns the generators one at a time and keeps a tuple
+    only if it passes three tests, each a necessary condition:
+
+    - Element orders: lam_g has order dividing that of g, because
+      lam_g^k = lam_{g^k} = lam_0 = id for k the order of g.
+    - Relations: with H the subgroup generated by the earlier generators,
+      lam is known on H.  If g_j^t lies in H for some t below the order of
+      g_j (least such t), then lam_{g_j}^t = lam_{g_j^t}.  If
+      g_j o g_i o g_j^- lies in H, then lam_{g_j} o lam_{g_i} o lam_{g_j}^-1
+      equals lam of that element.  Both hold for any homomorphism.
+    - Prefix associativity: with H now the subgroup generated by
+      g_1 ... g_j, a + b is known for every a in H and b in B.  A tuple is
+      rejected if (a + b) + c != a + (b + c) for some a, b in H with
+      a + b in H and some c in B; every term is then known, and the
+      addition of a semi-brace is associative on every triple.  The test
+      runs only while H != B: once the prefix generates B it is exactly the
+      associativity check of `_survivor_tables`.
 
     Each chunk of prefix rows builds (chunk, |pool|, n) temporaries, about
     10 MB apiece at n = 8.  They set the process's peak memory, and larger
     ones leave a peak that shifts with heap layout, so chunks stay small."""
     n = circ.n
-    if pruned:
-        pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
-    else:
+    if not pruned:
         pools = [_all_perms(n) for _ in gens]
-    assigned = [pools[0]]
-    for j in range(1, len(gens)):
-        pool = pools[j]
-        m = pool.shape[0]
-        count = assigned[0].shape[0]
-        if not pruned:
-            assigned = [np.repeat(arr, m, axis=0) for arr in assigned]
+        assigned = [pools[0]]
+        for pool in pools[1:]:
+            count = assigned[0].shape[0]
+            assigned = [np.repeat(arr, pool.shape[0], axis=0) for arr in assigned]
             assigned.append(np.tile(pool, (count, 1)))
-            continue
-        prefix_gens = [gens[i] for i in range(j)]
-        prefix_set = set(circ.closure(prefix_gens))
-        words = _word_table(circ, prefix_gens)
-        relations = []
-        power = gens[j]
-        t = 1
-        while power not in prefix_set:
-            power = circ.mul(power, gens[j])
+        return assigned
+    assigned: list[np.ndarray] = []
+    count = 1
+    prefix_tree: list[tuple[int, int, int]] = []
+    for j, g in enumerate(gens):
+        pool = _order_divides_pool(n, circ.element_order(g))
+        m = pool.shape[0]
+        prefix = {0, *(y for y, _, _ in prefix_tree)}
+        power, t = g, 1
+        while power not in prefix:
+            power = circ.mul(power, g)
             t += 1
-        if t < circ.element_order(gens[j]):
-            relations.append(("power", t, words[power]))
-        for i in range(j):
-            conj = circ.mul(circ.mul(gens[j], gens[i]), circ.inv(gens[j]))
-            if conj in prefix_set:
-                relations.append(("conj", i, words[conj]))
-        pow_cache: dict[int, np.ndarray] = {}
+        pool_power = _row_powers(pool, t) if t < circ.element_order(g) else None
+        conjugates = [(i, circ.conjugate(gens[i], g)) for i in range(j)]
+        conjugates = [(i, w) for i, w in conjugates if w in prefix]
+        tree = _bfs_tree(circ, gens[: j + 1])
+        proper = len(tree) + 1 < n
+        marange = np.arange(m)
         kept_prev = []
         kept_pool = []
-        marange = np.arange(m)
         for start in range(0, count, chunk):
             rows = slice(start, min(start + chunk, count))
             part = [arr[rows] for arr in assigned]
-            size = part[0].shape[0]
+            size = rows.stop - rows.start
             mask = np.ones((size, m), dtype=bool)
-            for rel in relations:
-                target = _eval_word(part, rel[2], n)
-                if rel[0] == "power":
-                    t = rel[1]
-                    if t not in pow_cache:
-                        pow_cache[t] = _row_powers(pool, t)
-                    mask &= (pow_cache[t][None, :, :] == target[:, None, :]).all(axis=2)
-                else:
-                    li = part[rel[1]]
-                    # sigma o lam(g_i) o sigma^-1 = lam(conj), restated without
-                    # inverses: sigma[li[y]] == target[sigma[y]] for all y.
-                    lhs = pool[marange[None, :, None], li[:, None, :]]
-                    rhs = target[np.arange(size)[:, None, None], pool[None, :, :]]
-                    mask &= (lhs == rhs).all(axis=2)
+            lam = _lambda_rows(n, prefix_tree, part) if part else None
+            if pool_power is not None:
+                target = lam[:, power]
+                mask &= (pool_power[None, :, :] == target[:, None, :]).all(axis=2)
+            for i, w in conjugates:
+                target = lam[:, w]
+                li = part[i]
+                # sigma o lam(g_i) o sigma^-1 = lam(w), restated without
+                # inverses: sigma[li[y]] == target[sigma[y]] for all y.
+                lhs = pool[marange[None, :, None], li[:, None, :]]
+                rhs = target[np.arange(size)[:, None, None], pool[None, :, :]]
+                mask &= (lhs == rhs).all(axis=2)
             prev_idx, pool_idx = np.nonzero(mask)
+            if proper:
+                ok = _prefix_associative(
+                    circ, tree, [arr[prev_idx] for arr in part] + [pool[pool_idx]]
+                )
+                prev_idx, pool_idx = prev_idx[ok], pool_idx[ok]
             kept_prev.append(prev_idx + start)
             kept_pool.append(pool_idx)
         prev = np.concatenate(kept_prev)
         chosen = np.concatenate(kept_pool)
         assigned = [arr[prev] for arr in assigned]
         assigned.append(pool[chosen])
+        count = chosen.shape[0]
+        prefix_tree = tree
     return assigned
 
 
@@ -590,25 +647,21 @@ def _survivor_tables(
     if n == 1:
         return [np.zeros((1, 1), dtype=np.int64)] if keep(1) else []
     gens = circ.generating_sequence()
+    tree = _bfs_tree(circ, gens)
+    if len(tree) + 1 != n:
+        raise InternalInvariantError("generating sequence fails to generate")
     assigned = _generator_image_sets(circ, gens, pruned)
     count = assigned[0].shape[0]
-    tree = _bfs_tree(circ, gens)
     tab8 = circ.table.astype(np.int8)
     tab16 = circ.table.astype(np.int16)
-    inv = circ.inverse
     ident8 = np.arange(n, dtype=np.int8)
     arange_n = np.arange(n)
     sylow = _sylow_sizes(n)
     out: list[np.ndarray] = []
     for start in range(0, count, chunk):
         rows = slice(start, min(start + chunk, count))
-        part = [arr[rows] for arr in assigned]
-        size = part[0].shape[0]
-        lam = np.empty((size, n, n), dtype=np.int8)
-        lam[:, 0] = ident8
-        for y, x, gi in tree:
-            lam[:, y] = np.take_along_axis(lam[:, x], part[gi], axis=1)
-        add = tab8[arange_n[None, :, None], lam[:, inv, :]]
+        lam = _lambda_rows(n, tree, [arr[rows] for arr in assigned])
+        add = _add_rows(circ, lam, arange_n)
         esize = (add[:, arange_n, arange_n] == ident8[None, :]).sum(axis=1)
         emask = esize >= emin
         if esylow:
@@ -617,15 +670,7 @@ def _survivor_tables(
             continue
         add = add[emask]
         lam = lam[emask]
-        size = add.shape[0]
-        # associativity: add[add[x, y], z] == add[x, add[y, z]]
-        flat = add.reshape(size, n * n)
-        bidx = np.arange(size)[:, None, None, None]
-        a16 = add.astype(np.int16)
-        z16 = np.arange(n, dtype=np.int16)
-        left = flat[bidx, a16[:, :, :, None] * n + z16[None, None, None, :]]
-        right = flat[bidx, z16[None, :, None, None] * n + a16[:, None, :, :]]
-        ok = (left == right).reshape(size, -1).all(axis=1)
+        ok = _associative_rows(add, arange_n)
         if not ok.any():
             continue
         add = add[ok]
@@ -707,17 +752,10 @@ def _2p2_shape(n: int) -> Optional[int]:
     return None
 
 
-def enumerate_structural(
-    n: int,
-    emin: int = 2,
-    esylow: bool = False,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> list[CensusEntry]:
-    """Census by structure: full-trivial semi-braces plus semidirect products
-    of a skew brace part and a trivial part, in both directions, over every
-    action homomorphism.  Supported shapes are n = pq with |E| > 1 and
-    n = 2p^2 (odd prime p) with |E| a Sylow size; those are the shapes where
-    every semi-brace decomposes this way."""
+def _structural_e_sizes(n: int, emin: int, esylow: bool) -> list[int]:
+    """The |E| values `enumerate_structural` covers, after checking the
+    shape of n and that every catalogue it will read has the order it
+    needs, so that an unsupported order fails before any work."""
     if esylow:
         if _2p2_shape(n) is None:
             raise ParameterError(
@@ -730,6 +768,25 @@ def enumerate_structural(
         if emin < 2:
             raise ParameterError("structural enumeration covers |E| > 1 only")
         e_sizes = sorted(d for d in range(2, n + 1) if n % d == 0 and d >= emin)
+    for e in e_sizes:
+        if e < n:
+            _require_skew_brace_order(n // e)
+        _require_group_order(e)
+    return e_sizes
+
+
+def enumerate_structural(
+    n: int,
+    emin: int = 2,
+    esylow: bool = False,
+    cache_dir: Optional[Union[str, Path]] = None,
+) -> list[CensusEntry]:
+    """Census by structure: full-trivial semi-braces plus semidirect products
+    of a skew brace part and a trivial part, in both directions, over every
+    action homomorphism.  Supported shapes are n = pq with |E| > 1 and
+    n = 2p^2 (odd prime p) with |E| a Sylow size; those are the shapes where
+    every semi-brace decomposes this way."""
+    e_sizes = _structural_e_sizes(n, emin, esylow)
     key = _cache_key("structural", n, emin, esylow)
     cached = _cache_load(cache_dir, key)
     if cached is not None:
@@ -860,6 +917,7 @@ def verify_classification(
         n = p * q
     else:
         raise ParameterError(f"unknown classification tag: {theorem}")
+    _structural_e_sizes(n, 2, theorem not in PQ_THEOREMS)
 
     fams = []
     problems: list[str] = []
@@ -949,8 +1007,9 @@ def _cache_load(cache_dir, key: str) -> Optional[list[CensusEntry]]:
         return None
     try:
         return census_from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError, OSError):
-        return None  # treat a stale or corrupt cache file as a miss
+    except (ValueError, KeyError, TypeError, OSError) as err:
+        log.warning("ignoring unreadable census cache file %s: %s", path, err)
+        return None
 
 
 def _cache_store(cache_dir, key: str, entries: list[CensusEntry]) -> None:

@@ -1,11 +1,13 @@
 """Tests for the isomorphism machinery and the two census enumerators."""
 
 import json
+import logging
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from semibrace import classify
 from semibrace.classify import (
     CensusEntry,
     Fingerprint,
@@ -19,6 +21,10 @@ from semibrace.classify import (
     skew_braces,
     small_groups,
     verify_classification,
+    _bfs_tree,
+    _generator_image_sets,
+    _prefix_associative,
+    _survivor_tables,
 )
 from semibrace.construct import FamilyId, ParameterError, family, trivial_semibrace
 from semibrace.core import verify
@@ -170,6 +176,73 @@ def test_pruned_and_unpruned_sweeps_agree():
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _klein_four():
+    (klein,) = [g for g in small_groups(4) if max(g.element_orders()) == 2]
+    return klein
+
+
+def test_prefix_filter_rejects_nonassociative_partial_addition():
+    circ = _klein_four()
+    gens = circ.generating_sequence()
+    g1 = gens[0]
+    (x, y) = [z for z in range(4) if z not in (0, g1)]
+    # lam_{g1} swaps 0 and g1.  On H = {0, g1}, g1 + 0 = g1 o lam_{g1}(0)
+    # = g1 o g1 = 0 lies in H, and (g1 + 0) + x = 0 + x = x, while
+    # g1 + (0 + x) = g1 o lam_{g1}(x) = g1 o x != x.
+    sigma = np.arange(4, dtype=np.int8)
+    sigma[[0, g1]] = [g1, 0]
+    assert circ.mul(g1, int(sigma[x])) != x
+    identity = np.arange(4, dtype=np.int8)
+    tree = _bfs_tree(circ, gens[:1])
+    keep = _prefix_associative(circ, tree, [np.stack([sigma, identity])])
+    assert keep.tolist() == [False, True]
+    first = _generator_image_sets(circ, gens, pruned=True)[0]
+    assert not (first == sigma).all(axis=1).any()
+    assert (first == identity).all(axis=1).any()
+
+
+def test_prefix_filter_keeps_every_unpruned_survivor():
+    # The unpruned sweep checks full tables only, so its survivors are an
+    # independent list of the lambda maps the pruned candidates must cover.
+    for n in range(2, 7):
+        for circ in small_groups(n):
+            gens = circ.generating_sequence()
+            candidates = _generator_image_sets(circ, gens, pruned=True)
+            rows = {np.stack(t).tobytes() for t in zip(*candidates)}
+            survivors = _survivor_tables(circ, 1, False, pruned=False)
+            assert survivors
+            for add in survivors:
+                # a + b = a o lam_{a^-}(b), so lam_g(b) = g o (g^- + b)
+                images = [
+                    circ.table[g, add[circ.inv(g)]].astype(np.int8) for g in gens
+                ]
+                assert np.stack(images).tobytes() in rows
+
+
+_ORDER_EIGHT_NAMES = {
+    (1, 2, 4, 4, 8, 8, 8, 8): "C8",
+    (1, 2, 2, 2, 4, 4, 4, 4): "C4xC2",
+    (1, 2, 2, 2, 2, 2, 2, 2): "C2xC2xC2",
+    (1, 2, 2, 2, 2, 2, 4, 4): "D8",
+    (1, 2, 4, 4, 4, 4, 4, 4): "Q8",
+}
+
+
+def test_generic_census_order_eight(monkeypatch):
+    survivors = {}
+
+    def counting(circ, *args, **kwargs):
+        tables = _survivor_tables(circ, *args, **kwargs)
+        name = _ORDER_EIGHT_NAMES[tuple(sorted(circ.element_orders().tolist()))]
+        survivors[name] = len(tables)
+        return tables
+
+    monkeypatch.setattr(classify, "_survivor_tables", counting)
+    census = enumerate_generic(8)
+    assert len(census) == 64
+    assert survivors == {"C8": 7, "C4xC2": 39, "C2xC2xC2": 247, "D8": 55, "Q8": 23}
+
+
 # ---------------------------------------------------------------------------
 # structural enumeration
 
@@ -248,6 +321,19 @@ def test_verify_classification_2p2():
     assert data["ok"] and data["family_count"] == 13
 
 
+def test_unsupported_catalogue_order_fails_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError(f"built {args} before checking the catalogue")
+
+    monkeypatch.setattr(classify, "family", no_work)
+    monkeypatch.setattr(classify, "skew_braces", no_work)
+    message = "order 49 is outside the supported group catalog"
+    with pytest.raises(ParameterError, match=message):
+        verify_classification("2p2", 7)
+    with pytest.raises(ParameterError, match=message):
+        enumerate_structural(98, esylow=True)
+
+
 def test_verify_classification_parameter_errors():
     with pytest.raises(ParameterError):
         verify_classification("nonsense", 3)
@@ -293,6 +379,19 @@ def test_cache_round_trip(tmp_path):
     files[0].write_text("{corrupt json")
     third = enumerate_generic(4, emin=2, cache_dir=tmp_path)
     assert census_to_json(first) == census_to_json(third)
+
+
+def test_corrupt_cache_file_is_a_logged_miss(tmp_path, caplog):
+    first = enumerate_generic(4, emin=2, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("generic-*.json")
+    path.write_text("{corrupt json")
+    with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
+        again = enumerate_generic(4, emin=2, cache_dir=tmp_path)
+    assert census_to_json(again) == census_to_json(first)
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert str(path) in record.getMessage()
+    assert "Expecting" in record.getMessage()
 
 
 def test_cache_separates_filters(tmp_path):
