@@ -450,12 +450,45 @@ def _row_powers(p: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _arrangements(values: np.ndarray, r: int) -> np.ndarray:
+    """All ordered r-tuples of distinct entries of `values`, shape (count, r)."""
+    out = np.zeros((1, 0), dtype=values.dtype)
+    for _ in range(r):
+        used = (out[:, :, None] == values[None, None, :]).any(axis=1)
+        row, col = np.nonzero(~used)
+        out = np.hstack([out[row], values[col][:, None]])
+    return out
+
+
+@lru_cache(maxsize=None)
 def _order_divides_pool(n: int, k: int) -> np.ndarray:
-    """Permutations of range(n) whose order divides k."""
-    perms = _all_perms(n)
-    ident = np.arange(n, dtype=perms.dtype)
-    mask = (_row_powers(perms, k) == ident[None, :]).all(axis=1)
-    return np.ascontiguousarray(perms[mask])
+    """Permutations of range(n) whose order divides k, that is, whose cycle
+    lengths all divide k; lexicographic, shape (count, n), int8, read-only.
+
+    Each is built once, by cycle type: the cycle of 0 has some length m
+    dividing k, and its other m - 1 elements, in cycle order, are an
+    arrangement c of 1..n-1; the remaining elements R (sorted) carry a
+    smaller such permutation tau through R[i] -> R[tau[i]]."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    blocks = []
+    for length in (m for m in range(1, n + 1) if k % m == 0):
+        cyc = _arrangements(np.arange(1, n, dtype=np.int8), length - 1)
+        rest = _order_divides_pool(n - length, k)
+        t, u = cyc.shape[0], rest.shape[0]
+        out = np.empty((t, u, n), dtype=np.int8)
+        ring = np.hstack([np.zeros((t, 1), dtype=np.int8), cyc])  # 0 -> c0 -> c1 ...
+        out[np.arange(t)[:, None], :, ring] = np.roll(ring, -1, axis=1)[:, :, None]
+        free = np.ones((t, n), dtype=bool)
+        free[np.arange(t)[:, None], ring] = False
+        others = np.nonzero(free)[1].reshape(t, n - length).astype(np.int8)
+        images = others[np.arange(t)[:, None, None], rest[None, :, :]]  # R[tau[i]]
+        np.put_along_axis(out, np.broadcast_to(others[:, None, :], images.shape), images, axis=2)
+        blocks.append(out.reshape(t * u, n))
+    pool = np.vstack(blocks)
+    pool = np.ascontiguousarray(pool[np.lexsort(pool.T[::-1])])
+    pool.setflags(write=False)
+    return pool
 
 
 def _bfs_tree(circ: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:

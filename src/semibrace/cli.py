@@ -4,7 +4,7 @@ Subcommands: verify, families, enumerate, classify, nilpotency, solution,
 iso.  Every run prints a human-readable report (or the machine JSON with
 --format json) and can additionally write the JSON artifact into the
 directory named by --out.  Exit codes: 0 success, 1 failed semantic check,
-2 parameter violation, 3 malformed input, 4 I/O error.
+2 parameter violation, 3 malformed input, 4 I/O error, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -34,18 +34,36 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMETER = 2
 EXIT_MALFORMED_INPUT = 3
 EXIT_IO_ERROR = 4
+EXIT_OUT_OF_MEMORY = 5
 
 
-def _load_json(path: str):
+def _load_json(args, path: str):
+    """Parse a structure file; its declared order n, if any, is kept in
+    args.order for the out-of-memory message."""
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedTableError(f"{path}: not valid JSON ({err})") from err
+    if isinstance(obj, dict) and isinstance(obj.get("n"), int):
+        args.order = obj["n"]
+    return obj
 
 
-def _load_semibrace(path: str) -> SemiBrace:
-    return semibrace_from_json(_load_json(path))
+def _load_semibrace(args, path: str) -> SemiBrace:
+    return semibrace_from_json(_load_json(args, path))
+
+
+def _order(args) -> Optional[int]:
+    """The order n the command works at, when known."""
+    if getattr(args, "n", None) is not None:
+        return args.n
+    p, q = getattr(args, "p", None), getattr(args, "q", None)
+    if p is not None and (getattr(args, "theorem", None) or "").startswith("2p2"):
+        return 2 * p * p
+    if p is not None and q is not None:
+        return p * q
+    return getattr(args, "order", None)
 
 
 def _emit(args, payload, text_lines, artifact_name: str) -> None:
@@ -71,7 +89,7 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def cmd_verify(args) -> int:
-    obj = _load_json(args.file)
+    obj = _load_json(args, args.file)
     try:
         b = semibrace_from_json(obj)
     except SemiBraceAxiomError as err:
@@ -169,7 +187,7 @@ def _nilpotency_input(args) -> SemiBrace:
     if args.file is not None:
         if args.theorem is not None or args.item is not None:
             raise ParameterError("give either a file or family parameters, not both")
-        return _load_semibrace(args.file)
+        return _load_semibrace(args, args.file)
     if args.theorem is None or args.item is None or args.p is None:
         raise ParameterError("nilpotency needs a file, or --theorem --item --p [--q]")
     return family(FamilyId(args.theorem, args.item, args.p, args.q))
@@ -198,7 +216,7 @@ def cmd_nilpotency(args) -> int:
 
 
 def cmd_solution(args) -> int:
-    b = _load_semibrace(args.file)
+    b = _load_semibrace(args, args.file)
     s = solution_from(b)
     payload = s.to_json()
     lines = [f"solution map on {s.n} points"]
@@ -223,8 +241,8 @@ def cmd_solution(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    b1 = _load_semibrace(args.file_a)
-    b2 = _load_semibrace(args.file_b)
+    b1 = _load_semibrace(args, args.file_a)
+    b2 = _load_semibrace(args, args.file_b)
     witness = isomorphic(b1, b2)
     payload = {
         "isomorphic": witness is not None,
@@ -328,6 +346,11 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except MemoryError:
+        n = _order(args)
+        at = f" at order n = {n}" if n is not None else ""
+        print(f"out of memory: {args.command}{at}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

@@ -124,16 +124,11 @@ def brace_p2(which: str, p: int) -> SemiBrace:
     if which == "G3":
         return trivial_skewbrace(direct_product(cyclic_group(p), cyclic_group(p)))
     if which == "G4":
-        n = p * p
-        add = np.zeros((n, n), dtype=np.int64)
-        circ = np.zeros((n, n), dtype=np.int64)
-        for g1 in range(p):
-            for f1 in range(p):
-                for g2 in range(p):
-                    for f2 in range(p):
-                        i, j = g1 * p + f1, g2 * p + f2
-                        add[i, j] = ((g1 + g2) % p) * p + (f1 + f2) % p
-                        circ[i, j] = ((g1 + g2 + f1 * f2) % p) * p + (f1 + f2) % p
+        add, circ = _tables_from_coords(
+            (p, p),
+            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
+            lambda x, y: ((x[0] + y[0] + x[1] * y[1]) % p, (x[1] + y[1]) % p),
+        )
         return verify(add, circ)
     raise ParameterError(f"unknown size-p^2 brace {which!r}")
 
@@ -212,16 +207,21 @@ class FamilyId:
 
 
 def _tables_from_coords(sizes, add_fn, circ_fn):
-    """Build tables over mixed-radix coordinates, most significant first."""
-    coords = [tuple(int(v) for v in np.unravel_index(i, sizes)) for i in range(int(np.prod(sizes)))]
-    n = len(coords)
-    add = np.zeros((n, n), dtype=np.int64)
-    circ = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            add[i, j] = int(np.ravel_multi_index(add_fn(x, y), sizes))
-            circ[i, j] = int(np.ravel_multi_index(circ_fn(x, y), sizes))
-    return add, circ
+    """Build tables over mixed-radix coordinates, most significant first.
+
+    add_fn and circ_fn get x and y as tuples of coordinate arrays, x's as a
+    column and y's as a row, and return the result's coordinates as arrays
+    that broadcast to the n x n table."""
+    coords = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+    x = tuple(c[:, None] for c in coords)
+    y = tuple(c[None, :] for c in coords)
+    n = coords[0].size
+
+    def table(fn):
+        parts = tuple(np.broadcast_to(v, (n, n)) for v in fn(x, y))
+        return np.ravel_multi_index(parts, sizes)
+
+    return table(add_fn), table(circ_fn)
 
 
 def _family_pq_noncongruent(item: int, p: int, q: int) -> SemiBrace:
@@ -273,11 +273,12 @@ def _family_pq_congruent(item: int, p: int, q: int) -> SemiBrace:
     if p == q or p % q != 1:
         raise ParameterError("pq-congruent requires p congruent to 1 mod q with p != q")
     u = smallest_unit_of_order(p, q)
+    upow = np.array([pow(u, k, p) for k in range(q)])  # upow[k] = u^k mod p
     if item == 1:
         add, circ = _tables_from_coords(
             (p, q),
             lambda x, y: y,
-            lambda x, y: ((x[0] + pow(u, x[1], p) * y[0]) % p, (x[1] + y[1]) % q),
+            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
         )
         return verify(add, circ)
     if item == 2:
@@ -291,14 +292,14 @@ def _family_pq_congruent(item: int, p: int, q: int) -> SemiBrace:
         add, circ = _tables_from_coords(
             (p, q),
             lambda x, y: ((x[0] + y[0]) % p, y[1]),
-            lambda x, y: ((x[0] + pow(u, x[1], p) * y[0]) % p, (x[1] + y[1]) % q),
+            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
         )
         return verify(add, circ)
     if item == 4:
         add, circ = _tables_from_coords(
             (p, q),
             lambda x, y: (y[0], (x[1] + y[1]) % q),
-            lambda x, y: ((x[0] + pow(u, x[1], p) * y[0]) % p, (x[1] + y[1]) % q),
+            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
         )
         return verify(add, circ)
     if item == 5:
@@ -318,7 +319,7 @@ def _family_pq_congruent(item: int, p: int, q: int) -> SemiBrace:
 
 def _family_2p2_e2_cyclic(item: int, p: int) -> SemiBrace:
     p2 = p * p
-    sign = [1, p2 - 1]  # the order-2 automorphism of Z/p^2 is negation
+    sign = np.array([1, p2 - 1])  # the order-2 automorphism of Z/p^2 is negation
     if item == 1:
         add, circ = _tables_from_coords(
             (p2, 2),
@@ -344,7 +345,7 @@ def _family_2p2_e2_noncyclic(item: int, p: int) -> SemiBrace:
     def add_fn(x, y):
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, y[2])
 
-    sgn = [1, p - 1]
+    sgn = np.array([1, p - 1])
     if item == 1:
         circ_fn = lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % 2)
     elif item == 2:
@@ -377,8 +378,8 @@ def _family_2p2_e2_noncyclic(item: int, p: int) -> SemiBrace:
 
 def _family_2p2_ep2(item: int, p: int) -> SemiBrace:
     p2 = p * p
-    sgn2 = [1, p2 - 1]
-    sgn = [1, p - 1]
+    sgn2 = np.array([1, p2 - 1])
+    sgn = np.array([1, p - 1])
     if item in (1, 3, 4):
         def add_fn(x, y):
             return (y[0], y[1], (x[2] + y[2]) % 2)

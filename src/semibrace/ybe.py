@@ -57,33 +57,34 @@ def solution_from(b: SemiBrace) -> SolutionMap:
     return SolutionMap.of(np.stack([lam, rho], axis=-1))
 
 
+# Triples (x, y, z) per chunk of the braid check, so that its working
+# memory stays near 20 MB whatever n is.
+BRAID_SLAB = 1 << 18
+
+
 def check_braid(s: SolutionMap) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples;
-    returns the first failing (x, y, z) lexicographically, if any."""
+    returns the first failing (x, y, z) lexicographically, if any.
+
+    The triples are scanned in chunks of consecutive x, each at most
+    BRAID_SLAB triples (one x at least), through flat `take` indices."""
     n = s.n
-    a = s.r[:, :, 0]
-    bb = s.r[:, :, 1]
-    z_idx = np.arange(n)[None, None, :]
-    x_idx = np.arange(n)[:, None, None]
-
-    a_xy = a[:, :, None]
-    b_xy = bb[:, :, None]
-    a_bz = a[b_xy, z_idx]
-    lhs1 = a[a_xy, a_bz]
-    lhs2 = bb[a_xy, a_bz]
-    lhs3 = bb[b_xy, z_idx]
-
-    a_yz = a[None, :, :]
-    b_yz = bb[None, :, :]
-    rhs1 = a[x_idx, a_yz]
-    b_x_ayz = bb[x_idx, a_yz]
-    rhs2 = a[b_x_ayz, b_yz]
-    rhs3 = bb[b_x_ayz, b_yz]
-
-    bad = (lhs1 != rhs1) | (lhs2 != rhs2) | (lhs3 != rhs3)
-    if bad.any():
-        x, y, z = (int(i) for i in np.argwhere(bad)[0])
-        return False, (x, y, z)
+    a2, b2 = s.r[:, :, 0], s.r[:, :, 1]  # r(x, y) = (a2[x, y], b2[x, y])
+    a, bb = a2.ravel(), b2.ravel()  # flat: a[x * n + y] = a2[x, y]
+    z = np.arange(n)
+    rows = max(1, BRAID_SLAB // (n * n))
+    for start in range(0, n, rows):
+        xs = np.arange(start, min(start + rows, n))
+        # flat indices, each array indexed [x, y, z]
+        bz = b2[xs][:, :, None] * n + z  # (b(x, y), z)
+        left = a2[xs][:, :, None] * n + a.take(bz)  # (a(x, y), a(b(x, y), z))
+        x_ayz = xs[:, None, None] * n + a2[None]  # (x, a(y, z))
+        right = bb.take(x_ayz) * n + b2[None]  # (b(x, a(y, z)), b(y, z))
+        bad = (a.take(left) != a.take(x_ayz)) | (bb.take(left) != a.take(right))
+        bad |= bb.take(bz) != bb.take(right)
+        if bad.any():
+            i, y, zz = (int(v) for v in np.argwhere(bad)[0])
+            return False, (int(xs[i]), y, zz)
     return True, None
 
 
@@ -103,12 +104,18 @@ class SolutionProperties:
         }
 
 
+def _injective(table: np.ndarray, axis: int) -> bool:
+    """Whether every row (axis=1) or column (axis=0) has distinct entries."""
+    ordered = np.sort(table, axis=axis)
+    return not np.any(np.diff(ordered, axis=axis) == 0)
+
+
 def check_properties(s: SolutionMap) -> SolutionProperties:
     n = s.n
     a = s.r[:, :, 0]
     bb = s.r[:, :, 1]
-    left = all(np.unique(a[x]).size == n for x in range(n))
-    right = all(np.unique(bb[:, y]).size == n for y in range(n))
+    left = _injective(a, axis=1)
+    right = _injective(bb, axis=0)
     pairs = a.astype(np.int64) * n + bb
     bij = np.unique(pairs).size == n * n
     inv = bool(

@@ -1,0 +1,128 @@
+"""Reference checks for the tests: the original single-pass n**3 scans of
+associativity, left cancellation, compatibility and the braid relation,
+kept verbatim so that the chunked and generator-based checks can be
+compared against them witness for witness. Only use them on small n: each
+builds several n x n x n int64 arrays."""
+
+import numpy as np
+
+from semibrace.construct import FamilyId
+from semibrace.tables import CayleyTable
+
+# Families whose n**3 exceeds tables.SLAB, small enough for the full scans.
+ABOVE_SLAB = (
+    FamilyId("pq-congruent", 3, 53, 2),  # n = 106
+    FamilyId("pq-congruent", 4, 37, 3),  # n = 111
+    FamilyId("pq-noncongruent", 4, 23, 5),  # n = 115
+    FamilyId("pq-noncongruent", 6, 11, 11),  # n = 121
+)
+
+
+def check_group(t: CayleyTable):
+    """(is_group, identity, failure) as tables.check_group reports them."""
+    tab = t.table
+    n = t.n
+    ident = None
+    for e in range(n):
+        if np.array_equal(tab[e], np.arange(n)) and np.array_equal(tab[:, e], np.arange(n)):
+            ident = e
+            break
+    if ident is None:
+        for e in range(n):
+            if np.array_equal(tab[e], np.arange(n)):
+                bad = int(np.argmax(tab[:, e] != np.arange(n)))
+                return False, None, ("no-identity", (bad, e))
+        return False, None, ("no-identity", ())
+    for a in range(n):
+        hits = np.flatnonzero(tab[a] == ident)
+        if hits.size == 0 or tab[int(hits[0]), a] != ident:
+            return False, ident, ("no-inverse", (a,))
+    left = tab[tab, :]  # left[a,b,c] = tab[tab[a,b], c]
+    right = tab[:, tab]  # right[a,b,c] = tab[a, tab[b,c]]
+    diff = left != right
+    if diff.any():
+        a, b, c = (int(i) for i in np.argwhere(diff)[0])
+        return False, ident, ("not-associative", (a, b, c))
+    return True, ident, None
+
+
+def check_left_cancellative_semigroup(t: CayleyTable):
+    tab = t.table
+    left = tab[tab, :]
+    right = tab[:, tab]
+    diff = left != right
+    if diff.any():
+        a, b, c = (int(i) for i in np.argwhere(diff)[0])
+        return False, ("not-associative", (a, b, c))
+    for a in range(t.n):
+        row = tab[a]
+        if np.unique(row).size != t.n:
+            order = np.argsort(row, kind="stable")
+            dup = np.flatnonzero(row[order[1:]] == row[order[:-1]])[0]
+            b, c = sorted((int(order[dup]), int(order[dup + 1])))
+            return False, ("not-left-cancellative", (a, b, c))
+    return True, None
+
+
+def first_incompatible(add: np.ndarray, tab: np.ndarray, inv: np.ndarray):
+    n = add.shape[0]
+    lam = tab[np.arange(n)[:, None], add[inv]]  # lam[a,b] = a o (a' + b)
+    lhs = tab[:, add]  # lhs[a,b,c] = a o (b + c)
+    rhs = add[tab[:, :, None], lam[:, None, :]]
+    diff = lhs != rhs
+    if diff.any():
+        return tuple(int(i) for i in np.argwhere(diff)[0])
+    return None
+
+
+def verify_outcome(add_rows, circ_rows):
+    """(axiom, witness) that the original verify raised for a pair of
+    well-formed n x n tables, or None when it accepted them."""
+    add_t, circ_t = CayleyTable.of(add_rows), CayleyTable.of(circ_rows)
+    is_group, ident, failure = check_group(circ_t)
+    if not is_group:
+        return "circle-not-a-group", failure[1]
+    if ident != 0:
+        swap = np.arange(circ_t.n)
+        swap[[0, ident]] = swap[[ident, 0]]
+        add_t, circ_t = add_t.relabel(swap), circ_t.relabel(swap)
+    ok, witness = check_left_cancellative_semigroup(add_t)
+    if not ok:
+        return f"add-{witness[0]}", witness[1]
+    tab = circ_t.table
+    inv = np.argmax(tab == 0, axis=1)
+    triple = first_incompatible(add_t.table, tab, inv)
+    if triple is not None:
+        return "compatibility", triple
+    if add_t.table[0, 0] != 0:
+        return "zero-not-idempotent", (0,)
+    return None
+
+
+def check_braid(r: np.ndarray):
+    """(holds, first failing (x, y, z)) for a solution map array r."""
+    n = r.shape[0]
+    a = r[:, :, 0]
+    bb = r[:, :, 1]
+    z_idx = np.arange(n)[None, None, :]
+    x_idx = np.arange(n)[:, None, None]
+
+    a_xy = a[:, :, None]
+    b_xy = bb[:, :, None]
+    a_bz = a[b_xy, z_idx]
+    lhs1 = a[a_xy, a_bz]
+    lhs2 = bb[a_xy, a_bz]
+    lhs3 = bb[b_xy, z_idx]
+
+    a_yz = a[None, :, :]
+    b_yz = bb[None, :, :]
+    rhs1 = a[x_idx, a_yz]
+    b_x_ayz = bb[x_idx, a_yz]
+    rhs2 = a[b_x_ayz, b_yz]
+    rhs3 = bb[b_x_ayz, b_yz]
+
+    bad = (lhs1 != rhs1) | (lhs2 != rhs2) | (lhs3 != rhs3)
+    if bad.any():
+        x, y, z = (int(i) for i in np.argwhere(bad)[0])
+        return False, (x, y, z)
+    return True, None

@@ -398,3 +398,20 @@ def test_cache_separates_filters(tmp_path):
     enumerate_generic(4, emin=1, cache_dir=tmp_path)
     enumerate_generic(4, emin=2, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("generic-*.json"))) == 2
+
+
+def _order_divides_by_filter(n, k):
+    """The old pool: every permutation of range(n), raised to the k-th power."""
+    perms = classify._all_perms(n)
+    ident = np.arange(n, dtype=perms.dtype)
+    mask = (classify._row_powers(perms, k) == ident[None, :]).all(axis=1)
+    return np.ascontiguousarray(perms[mask])
+
+
+def test_order_divides_pool_matches_filter():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            if n % k == 0:
+                got = classify._order_divides_pool(n, k)
+                want = _order_divides_by_filter(n, k)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)

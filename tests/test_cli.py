@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from semibrace import cli, core
 from semibrace.cli import main
 from semibrace.construct import trivial_semibrace
 from semibrace.tables import cyclic_group
@@ -233,6 +234,30 @@ def test_iso_self_and_distinct(triv2, tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+
+def test_out_of_memory_exits_5(triv2, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(core, "verify", exhausted)
+    rc, _, err = run(capsys, ["verify", str(triv2)])
+    assert rc == 5
+    assert err.strip() == "out of memory: verify at order n = 2"
+    monkeypatch.setattr(cli, "family", exhausted)
+    rc, _, err = run(capsys, ["families", "--theorem", "2p2-Ep2", "--p", "3"])
+    assert rc == 5
+    assert err.strip() == "out of memory: families at order n = 18"
+    rc, _, err = run(capsys, ["iso", str(triv2), str(triv2)])
+    assert (rc, err.strip()) == (5, "out of memory: iso at order n = 2")
+    monkeypatch.setattr(cli, "enumerate_generic", exhausted)
+    rc, _, err = run(capsys, ["enumerate", "--n", "6"])
+    assert (rc, err.strip()) == (5, "out of memory: enumerate at order n = 6")
+    # an order the file does not declare as an integer is left out
+    undeclared = tmp_path / "undeclared.json"
+    undeclared.write_text(json.dumps({**json.loads(triv2.read_text()), "n": "two"}))
+    rc, _, err = run(capsys, ["verify", str(undeclared)])
+    assert (rc, err.strip()) == (5, "out of memory: verify")
 
 
 def test_console_script_is_wired(triv2):

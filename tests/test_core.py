@@ -1,14 +1,21 @@
 """Semi-brace verification, parts, ideals, and semidirect decompositions."""
 
+import itertools
+import tracemalloc
+
+import full_scans
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibrace import core, tables
+from semibrace.construct import FamilyId, family
 from semibrace.core import (
     InternalInvariantError,
     SemiBraceAxiomError,
     _checked_action,
+    _induced_table,
     additive_decomposition,
     brace_automorphism_group,
     decompose,
@@ -167,6 +174,98 @@ def test_compatibility_diagnostic():
     assert exc.value.witness == (0, 0, 0)
 
 
+def _outcome(add, circ):
+    """(axiom, witness) raised by verify, or None when it accepts."""
+    try:
+        verify(add, circ)
+    except SemiBraceAxiomError as err:
+        return err.axiom, err.witness
+    return None
+
+
+def _swapped(table, i, j):
+    """The table relabeled by the transposition of i and j."""
+    perm = np.arange(table.shape[0])
+    perm[[i, j]] = perm[[j, i]]
+    return perm[table[np.ix_(perm, perm)]]
+
+
+def _corruptions(add, circ, i, j, shift, kind, which):
+    n = add.shape[0]
+    add, circ = add.copy(), circ.copy()
+    target = add if which == "add" else circ
+    if kind == "cell":
+        target[i, j] = (target[i, j] + shift) % n
+        return add, circ
+    # two nonzero labels swapped in one table: both stay valid on their
+    # own, so this reaches the compatibility check
+    i, j = 1 + i % (n - 1), 1 + j % (n - 1)
+    swapped = _swapped(target, i, j)
+    return (swapped, circ) if which == "add" else (add, swapped)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(full_scans.ABOVE_SLAB),
+    st.sampled_from(["cell", "swap"]),
+    st.sampled_from(["add", "circ"]),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=1, max_value=10 ** 6),
+)
+def test_verify_above_slab_matches_full_scan(fid, kind, which, i, j, shift):
+    b = family(fid)
+    n = b.n
+    assert not tables.single_slab(n)
+    add, circ = b.add.table, b.circ.table
+    assert full_scans.verify_outcome(add, circ) is None
+    assert verify(add, circ).key() == b.key()
+    bad = _corruptions(add, circ, i % n, j % n, 1 + shift % (n - 1), kind, which)
+    assert _outcome(*bad) == full_scans.verify_outcome(*bad)
+
+
+def test_every_small_corruption_matches_full_scan(monkeypatch):
+    # a slab of one triple sends verify down the generator paths at every n;
+    # a transposition keeps each table valid on its own, so those cases end
+    # at the compatibility check
+    monkeypatch.setattr(tables, "SLAB", 1)
+    compat = 0
+    for b in POOL:
+        add, circ = b.add.table, b.circ.table
+        n = b.n
+        assert _outcome(add, circ) is None
+        cases = [("swap", which, i, j, 1)
+                 for which in ("add", "circ")
+                 for i, j in itertools.combinations(range(n - 1), 2)]
+        if n <= 8:
+            cases += [("cell", which, i, j, shift)
+                      for which in ("add", "circ")
+                      for i, j, shift in itertools.product(range(n), range(n), range(1, n))]
+        for kind, which, i, j, shift in cases:
+            bad = _corruptions(add, circ, i, j, shift, kind, which)
+            want = full_scans.verify_outcome(*bad)
+            assert _outcome(*bad) == want, (b.n, kind, which, i, j, shift)
+            compat += want is not None and want[0] == "compatibility"
+    assert compat > 0
+
+
+def test_verify_at_578_is_small():
+    # 2p2 at p = 17: the full scans would hold several 578**3 int64 arrays,
+    # 1.5 GB each; numpy reports its buffers to tracemalloc
+    b = family(FamilyId("2p2-E2-noncyclic", 5, 17))
+    rng = np.random.default_rng(17)
+    perm = np.concatenate(([0], 1 + rng.permutation(b.n - 1)))
+    add, circ = b.add.relabel(perm).table, b.circ.op.relabel(perm).table
+    tracemalloc.start()
+    try:
+        again = verify(add, circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    assert (again.n, len(again.e_elements), len(again.g_elements)) == (578, 2, 289)
+
+
 def test_malformed_table_diagnostic():
     with pytest.raises(SemiBraceAxiomError) as exc:
         verify([[0, 1]], [[0, 1], [1, 0]])
@@ -184,6 +283,25 @@ def test_json_round_trip(kernel_example):
 
 # ---------------------------------------------------------------------------
 # parts and factorization
+
+
+def test_induced_table_relabels_and_rejects_open_subsets():
+    g = cyclic_group(6)
+    sub = [0, 2, 4]
+    want = [[sub.index(g.mul(x, y)) for y in sub] for x in sub]
+    assert _induced_table(g.table, sub).tolist() == want
+    with pytest.raises(InternalInvariantError, match="not closed"):
+        _induced_table(g.table, [0, 1])
+
+
+def test_skew_part_reports_a_failed_law(kernel_example, monkeypatch):
+    def reject(add, circ):
+        raise SemiBraceAxiomError("compatibility", (0, 0, 0))
+
+    monkeypatch.setattr(core, "verify", reject)
+    with pytest.raises(InternalInvariantError, match="skew brace law fails on G"):
+        skew_part(kernel_example)
+
 
 
 def test_kernel_example_parts(kernel_example):

@@ -3,12 +3,15 @@
 import itertools
 import math
 
+import full_scans
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibrace import tables
 from semibrace.classify import small_groups
+from semibrace.construct import family
 from semibrace.tables import (
     CayleyTable,
     FiniteGroup,
@@ -22,6 +25,7 @@ from semibrace.tables import (
     direct_product,
     homomorphisms,
     isomorphisms,
+    left_nested_generators,
     semidirect_group,
     subgroups,
 )
@@ -299,3 +303,106 @@ def test_relabel_transports_structure():
     for a in range(6):
         for b in range(6):
             assert relabeled.apply(int(perm[a]), int(perm[b])) == int(perm[g.mul(a, b)])
+
+
+# ---------------------------------------------------------------------------
+# chunked and generator-based checks against the single-pass full scans
+
+ABOVE_SLAB = full_scans.ABOVE_SLAB
+
+
+def _group_outcome(t):
+    rep = check_group(t)
+    return rep.is_group, rep.identity, rep.failure
+
+
+def _corrupted(table, i, j, shift):
+    out = table.copy()
+    out[i, j] = (out[i, j] + shift) % table.shape[0]
+    return CayleyTable.of(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(ABOVE_SLAB),
+    st.sampled_from(["add", "circ"]),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=1, max_value=10 ** 6),
+)
+def test_checks_above_slab_match_full_scan(fid, which, i, j, shift):
+    b = family(fid)
+    table = b.add.table if which == "add" else b.circ.table
+    n = b.n
+    assert not tables.single_slab(n)
+    # the valid tables pass
+    assert check_left_cancellative_semigroup(b.add) == (True, None)
+    assert check_group(b.circ).is_group
+    bad = _corrupted(table, i % n, j % n, 1 + shift % (n - 1))
+    assert _group_outcome(bad) == full_scans.check_group(bad)
+    assert check_left_cancellative_semigroup(bad) == full_scans.check_left_cancellative_semigroup(bad)
+
+
+def _small_tables():
+    """Group and left cancellative semigroup tables of orders 3 to 8. In the
+    right-zero one every element is a generator, and some corruptions break
+    associativity only at the first of them, 0."""
+    s3 = FiniteGroup.from_table(s3_table())
+    q8 = dicyclic_group(2)
+    add = np.array([[(x // 2 + y // 2) % 3 * 2 + y % 2 for y in range(6)] for x in range(6)])
+    right_zero = np.tile(np.arange(3), (3, 1))
+    return [s3.table, q8.table, cyclic_group(6).table, add, right_zero]
+
+
+def test_every_small_corruption_matches_full_scan(monkeypatch):
+    # a slab of one triple sends every n >= 2 down the generator path, and
+    # every full scan through one-row chunks
+    monkeypatch.setattr(tables, "SLAB", 1)
+    for table in _small_tables():
+        n = table.shape[0]
+        for i, j, shift in itertools.product(range(n), range(n), range(1, n)):
+            bad = _corrupted(table, i, j, shift)
+            assert _group_outcome(bad) == full_scans.check_group(bad), (i, j, shift)
+            assert check_left_cancellative_semigroup(bad) == (
+                full_scans.check_left_cancellative_semigroup(bad)
+            ), (i, j, shift)
+
+
+def _left_nested_closure(table, gens):
+    """Every (..(s1.s2)...).sk with all s_i in gens, by a plain search."""
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        frontier = list({int(table[x, s]) for x in frontier for s in gens} - reached)
+        reached.update(frontier)
+    return reached
+
+
+def test_left_nested_generators_are_greedy_and_generate():
+    for table in _small_tables() + [family(fid).add.table for fid in ABOVE_SLAB[:2]]:
+        gens = left_nested_generators(table)
+        assert _left_nested_closure(table, gens) == set(range(table.shape[0]))
+        for k, s in enumerate(gens):
+            earlier = _left_nested_closure(table, gens[:k])
+            # s is new, and every smaller index was already reached or chosen
+            assert s not in earlier
+            assert all(x in earlier or x in gens for x in range(s))
+    # a group needs at most 1 + log2(n) of them, the identity first
+    for fid in ABOVE_SLAB:
+        circ = family(fid).circ.table
+        gens = left_nested_generators(circ)
+        assert gens[0] == 0 and len(gens) <= 1 + math.log2(circ.shape[0])
+    # a right-zero operation x.y = y is generated by nothing less than everything
+    assert left_nested_generators(np.tile(np.arange(5), (5, 1))) == [0, 1, 2, 3, 4]
+
+
+def test_group_from_table_moves_inverses_with_identity():
+    # from_report relabels without a second check; the inverses must follow
+    g = dicyclic_group(2)
+    moved = g.op.relabel(np.array([3, 1, 2, 0, 4, 5, 6, 7]))
+    rep = check_group(moved)
+    assert rep.identity == 3
+    canon = FiniteGroup.from_table(moved)
+    assert canon.identity == 0
+    for a in range(canon.n):
+        assert canon.mul(a, canon.inv(a)) == 0 and canon.mul(canon.inv(a), a) == 0

@@ -1,8 +1,14 @@
 """Yang-Baxter solutions induced by semi-braces."""
 
+import itertools
+
+import full_scans
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semibrace import ybe
 from semibrace.construct import (
     FamilyId,
     applicable_items,
@@ -121,3 +127,59 @@ def test_solution_json_round_trip():
         SolutionMap.of(np.zeros((2, 2, 3), dtype=int))
     with pytest.raises(MalformedTableError):
         SolutionMap.from_json({"n": 5, "r": s.r.tolist()})
+
+
+# ---------------------------------------------------------------------------
+# the chunked braid check against the single-pass full scan
+
+# n = 74: 74**3 triples are two chunks of ybe.BRAID_SLAB
+BRAID_FAMILIES = tuple(applicable_items("pq-congruent", 37, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(BRAID_FAMILIES),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=1, max_value=10 ** 6),
+)
+def test_braid_above_slab_matches_full_scan(fid, x, y, k, shift):
+    s = solution_from(family(fid))
+    n = s.n
+    assert n ** 3 > ybe.BRAID_SLAB
+    assert check_braid(s) == full_scans.check_braid(s.r) == (True, None)
+    r = s.r.copy()
+    r[x % n, y % n, k] = (r[x % n, y % n, k] + 1 + shift % (n - 1)) % n
+    assert check_braid(SolutionMap.of(r)) == full_scans.check_braid(r)
+
+
+def test_braid_every_small_corruption_matches_full_scan(monkeypatch):
+    # one x per chunk, so a witness can come from any chunk
+    monkeypatch.setattr(ybe, "BRAID_SLAB", 1)
+    s = solution_from(family(FamilyId("pq-congruent", 3, 3, 2)))
+    n = s.n
+    for x, y, k, shift in itertools.product(range(n), range(n), range(2), range(1, n)):
+        r = s.r.copy()
+        r[x, y, k] = (r[x, y, k] + shift) % n
+        assert check_braid(SolutionMap.of(r)) == full_scans.check_braid(r), (x, y, k, shift)
+
+
+def test_nondegeneracy_matches_row_and_column_loops():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in (1, 2, 3, 5):
+        for _ in range(60):
+            # rows of a and columns of bb are permutations, each table spoilt at
+            # one cell half the time
+            a = np.stack([rng.permutation(n) for _ in range(n)])
+            bb = np.stack([rng.permutation(n) for _ in range(n)]).T.copy()
+            for t in (a, bb):
+                if rng.random() < 0.5:
+                    t[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            props = check_properties(SolutionMap.of(np.stack([a, bb], axis=-1)))
+            left = all(np.unique(a[x]).size == n for x in range(n))
+            right = all(np.unique(bb[:, y]).size == n for y in range(n))
+            assert (props.left_nondegenerate, props.nondegenerate) == (left, left and right)
+            seen.add((left, right))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
