@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -53,7 +52,13 @@ from .tables import (
     CayleyTable,
     FiniteGroup,
     MalformedTableError,
+    PREFIX_CHUNK,
     Permutation,
+    _bfs_tree,
+    _compose_rows,
+    _first_morphisms,
+    _homomorphic_rows,
+    _lambda_rows,
     _search_morphisms,
     automorphisms,
     cyclic_group,
@@ -269,8 +274,9 @@ def _iso_search(
     sigs1: Optional[list] = None,
     sigs2: Optional[list] = None,
 ) -> Optional[Permutation]:
-    """Backtracking over circle-group generator images, with per-element
-    invariant pools; assumes size and fingerprint checks already passed."""
+    """The first circle-group isomorphism, in generator-image order, that
+    also preserves +, with generator images drawn from elements of equal
+    signature; assumes size and fingerprint checks already passed."""
     if sigs1 is None:
         sigs1 = _element_signatures(b1)
     if sigs2 is None:
@@ -284,7 +290,7 @@ def _iso_search(
     def keeps_add(f: np.ndarray) -> bool:
         return is_morphism(f, b1.add.table, b2.add.table)
 
-    found = _search_morphisms(
+    found = _first_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
     )
     if not found:
@@ -432,24 +438,6 @@ def _all_perms(n: int) -> np.ndarray:
     return out
 
 
-def _compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise composition of permutations: out[i] = a[i] applied after b[i]."""
-    return np.take_along_axis(a, b, axis=1)
-
-
-def _row_powers(p: np.ndarray, k: int) -> np.ndarray:
-    """Rowwise k-th power; powers of one permutation commute, so the order
-    of accumulation does not matter."""
-    out = np.tile(np.arange(p.shape[1], dtype=p.dtype), (p.shape[0], 1))
-    base = p
-    while k:
-        if k & 1:
-            out = _compose_rows(out, base)
-        base = _compose_rows(base, base)
-        k >>= 1
-    return out
-
-
 def _arrangements(values: np.ndarray, r: int) -> np.ndarray:
     """All ordered r-tuples of distinct entries of `values`, shape (count, r)."""
     out = np.zeros((1, 0), dtype=values.dtype)
@@ -491,40 +479,6 @@ def _order_divides_pool(n: int, k: int) -> np.ndarray:
     return pool
 
 
-def _bfs_tree(circ: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(element, parent, generator index) triples in BFS order from the
-    identity, where element = parent o gens[generator index].  The elements
-    are those of the subgroup generated by `gens`, which may be proper,
-    other than the identity."""
-    seen = {0}
-    tree = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = circ.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    tree.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
-    return tree
-
-
-def _lambda_rows(
-    n: int, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray]
-) -> np.ndarray:
-    """lam[r, x] = lam_x for row r of generator images and x in the
-    subgroup the tree covers, using lam_{x o g} = lam_x o lam_g.  Rows of
-    elements outside that subgroup are left unset."""
-    lam = np.empty((images[0].shape[0], n, n), dtype=np.int8)
-    lam[:, 0] = np.arange(n, dtype=np.int8)
-    for y, x, gi in tree:
-        lam[:, y] = np.take_along_axis(lam[:, x], images[gi], axis=1)
-    return lam
-
-
 def _add_rows(circ: FiniteGroup, lam: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """add[r, i, b] = a + b = a o lam_{a^-}(b) for a = elements[i]; each
     a^- must lie where lam is set."""
@@ -552,52 +506,42 @@ def _associative_rows(add: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _prefix_associative(
-    circ: FiniteGroup,
-    tree: list[tuple[int, int, int]],
-    images: Sequence[np.ndarray],
-    batch: int = 8192,
+    circ: FiniteGroup, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Rows of generator images whose addition on H, the subgroup the tree
     covers, is associative wherever it is defined (see
     `_generator_image_sets`)."""
     elements = np.array(sorted({0, *(y for y, _, _ in tree)}))
-    count = images[0].shape[0]
-    keep = np.empty(count, dtype=bool)
-    for start in range(0, count, batch):
-        rows = slice(start, min(start + batch, count))
-        lam = _lambda_rows(circ.n, tree, [arr[rows] for arr in images])
-        keep[rows] = _associative_rows(_add_rows(circ, lam, elements), elements)
-    return keep
+    lam = _lambda_rows(circ.n, tree, images, _compose_rows)
+    return _associative_rows(_add_rows(circ, lam, elements), elements)
 
 
 def _generator_image_sets(
-    circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = 128
+    circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = PREFIX_CHUNK
 ) -> list[np.ndarray]:
     """Candidate image tuples for the generators, one (C, n) array per
     generator.  The tuples form a superset of the generator images of the
     lambda map of every semi-brace with this circle group.  That map is a
     homomorphism lam from (B, o) into Sym(B), and a + b = a o lam_{a^-}(b).
-    The pruned path assigns the generators one at a time and keeps a tuple
-    only if it passes three tests, each a necessary condition:
+    The pruned path is `tables._search_morphisms` into Sym(B), so it keeps
+    exactly the homomorphisms, and prunes on the way with three tests, each
+    a necessary condition:
 
     - Element orders: lam_g has order dividing that of g, because
-      lam_g^k = lam_{g^k} = lam_0 = id for k the order of g.
-    - Relations: with H the subgroup generated by the earlier generators,
-      lam is known on H.  If g_j^t lies in H for some t below the order of
-      g_j (least such t), then lam_{g_j}^t = lam_{g_j^t}.  If
-      g_j o g_i o g_j^- lies in H, then lam_{g_j} o lam_{g_i} o lam_{g_j}^-1
-      equals lam of that element.  Both hold for any homomorphism.
-    - Prefix associativity: with H now the subgroup generated by
-      g_1 ... g_j, a + b is known for every a in H and b in B.  A tuple is
-      rejected if (a + b) + c != a + (b + c) for some a, b in H with
-      a + b in H and some c in B; every term is then known, and the
-      addition of a semi-brace is associative on every triple.  The test
-      runs only while H != B: once the prefix generates B it is exactly the
-      associativity check of `_survivor_tables`.
+      lam_g^k = lam_{g^k} = lam_0 = id for k the order of g.  The pools hold
+      only such permutations.
+    - Relations: the power and conjugation relations of the search, which
+      hold for any homomorphism.
+    - Prefix associativity: with H the subgroup generated by g_1 ... g_j,
+      a + b is known for every a in H and b in B.  A tuple is rejected if
+      (a + b) + c != a + (b + c) for some a, b in H with a + b in H and
+      some c in B; every term is then known, and the addition of a
+      semi-brace is associative on every triple.  The test runs only while
+      H != B: once the prefix generates B it is exactly the associativity
+      check of `_survivor_tables`.
 
-    Each chunk of prefix rows builds (chunk, |pool|, n) temporaries, about
-    10 MB apiece at n = 8.  They set the process's peak memory, and larger
-    ones leave a peak that shifts with heap layout, so chunks stay small."""
+    Each chunk of prefix rows builds (chunk, |pool|, n) temporaries (see
+    `tables.PREFIX_CHUNK`)."""
     n = circ.n
     if not pruned:
         pools = [_all_perms(n) for _ in gens]
@@ -607,57 +551,16 @@ def _generator_image_sets(
             assigned = [np.repeat(arr, pool.shape[0], axis=0) for arr in assigned]
             assigned.append(np.tile(pool, (count, 1)))
         return assigned
-    assigned: list[np.ndarray] = []
-    count = 1
-    prefix_tree: list[tuple[int, int, int]] = []
-    for j, g in enumerate(gens):
-        pool = _order_divides_pool(n, circ.element_order(g))
-        m = pool.shape[0]
-        prefix = {0, *(y for y, _, _ in prefix_tree)}
-        power, t = g, 1
-        while power not in prefix:
-            power = circ.mul(power, g)
-            t += 1
-        pool_power = _row_powers(pool, t) if t < circ.element_order(g) else None
-        conjugates = [(i, circ.conjugate(gens[i], g)) for i in range(j)]
-        conjugates = [(i, w) for i, w in conjugates if w in prefix]
-        tree = _bfs_tree(circ, gens[: j + 1])
-        proper = len(tree) + 1 < n
-        marange = np.arange(m)
-        kept_prev = []
-        kept_pool = []
-        for start in range(0, count, chunk):
-            rows = slice(start, min(start + chunk, count))
-            part = [arr[rows] for arr in assigned]
-            size = rows.stop - rows.start
-            mask = np.ones((size, m), dtype=bool)
-            lam = _lambda_rows(n, prefix_tree, part) if part else None
-            if pool_power is not None:
-                target = lam[:, power]
-                mask &= (pool_power[None, :, :] == target[:, None, :]).all(axis=2)
-            for i, w in conjugates:
-                target = lam[:, w]
-                li = part[i]
-                # sigma o lam(g_i) o sigma^-1 = lam(w), restated without
-                # inverses: sigma[li[y]] == target[sigma[y]] for all y.
-                lhs = pool[marange[None, :, None], li[:, None, :]]
-                rhs = target[np.arange(size)[:, None, None], pool[None, :, :]]
-                mask &= (lhs == rhs).all(axis=2)
-            prev_idx, pool_idx = np.nonzero(mask)
-            if proper:
-                ok = _prefix_associative(
-                    circ, tree, [arr[prev_idx] for arr in part] + [pool[pool_idx]]
-                )
-                prev_idx, pool_idx = prev_idx[ok], pool_idx[ok]
-            kept_prev.append(prev_idx + start)
-            kept_pool.append(pool_idx)
-        prev = np.concatenate(kept_prev)
-        chosen = np.concatenate(kept_pool)
-        assigned = [arr[prev] for arr in assigned]
-        assigned.append(pool[chosen])
-        count = chosen.shape[0]
-        prefix_tree = tree
-    return assigned
+    pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
+
+    def keep_prefix(tree, images):
+        return _prefix_associative(circ, tree, images)
+
+    found = [
+        f[:, gens] for f in _search_morphisms(circ, gens, pools, _compose_rows, keep_prefix, chunk)
+    ]
+    images = np.concatenate(found) if found else np.empty((0, len(gens), n), dtype=np.int8)
+    return [np.ascontiguousarray(images[:, i]) for i in range(len(gens))]
 
 
 def _survivor_tables(
@@ -671,10 +574,20 @@ def _survivor_tables(
     idempotent count passes the filter.
 
     Exhaustiveness: the addition of any semi-brace with this circle group is
-    a + b = a o lam(a^-)(b) for its lambda map, which is a homomorphism into
-    Sym(n) and hence determined by generator images; all such image tuples
-    are covered.  Soundness: each candidate table must pass associativity
-    and the compatibility law here, and full verification afterwards."""
+    a + b = a o lam_{a^-}(b) for its lambda map lam_a(b) = a o (a^- + b),
+    which is a homomorphism into Sym(n) and hence determined by generator
+    images; all such image tuples are covered.  Soundness: with lam built
+    along the BFS tree, each candidate table must pass associativity and
+    `_homomorphic_rows` here, and full verification afterwards.
+
+    These two tests keep the same rows as associativity plus the
+    compatibility law a o (b + c) = (a o b) + lam_a(c).  If lam is a
+    homomorphism, compatibility holds, because (a o b)^- = b^- o a^-:
+        (a o b) + lam_a(c) = a o b o lam_{b^-} lam_{a^-} lam_a(c)
+                           = a o b o lam_{b^-}(c) = a o (b + c).
+    Conversely, a row that passes associativity and compatibility is a
+    semi-brace, whose lambda map a o (a^- + b) = a o a^- o lam_a(b) is this
+    lam, and the lambda map of a semi-brace is a homomorphism."""
     n = circ.n
     keep = _e_size_predicate(n, emin, esylow)
     if n == 1:
@@ -685,15 +598,13 @@ def _survivor_tables(
         raise InternalInvariantError("generating sequence fails to generate")
     assigned = _generator_image_sets(circ, gens, pruned)
     count = assigned[0].shape[0]
-    tab8 = circ.table.astype(np.int8)
-    tab16 = circ.table.astype(np.int16)
     ident8 = np.arange(n, dtype=np.int8)
     arange_n = np.arange(n)
     sylow = _sylow_sizes(n)
     out: list[np.ndarray] = []
     for start in range(0, count, chunk):
         rows = slice(start, min(start + chunk, count))
-        lam = _lambda_rows(n, tree, [arr[rows] for arr in assigned])
+        lam = _lambda_rows(n, tree, [arr[rows] for arr in assigned], _compose_rows)
         add = _add_rows(circ, lam, arange_n)
         esize = (add[:, arange_n, arange_n] == ident8[None, :]).sum(axis=1)
         emask = esize >= emin
@@ -701,22 +612,11 @@ def _survivor_tables(
             emask &= np.isin(esize, list(sylow))
         if not emask.any():
             continue
-        add = add[emask]
-        lam = lam[emask]
+        add, lam = add[emask], lam[emask]
         ok = _associative_rows(add, arange_n)
-        if not ok.any():
-            continue
-        add = add[ok]
-        lam = lam[ok]
-        size = add.shape[0]
-        # compatibility: a o (b + c) == (a o b) + lam_a(c)
-        flat = add.reshape(size, n * n)
-        bidx = np.arange(size)[:, None, None, None]
-        lhs = tab8[arange_n[None, :, None, None], add[:, None, :, :]]
-        rhs = flat[bidx, tab16[None, :, :, None] * n + lam[:, :, None, :]]
-        ok = (lhs == rhs).reshape(size, -1).all(axis=1)
-        for idx in np.nonzero(ok)[0]:
-            out.append(add[idx].astype(np.int64))
+        add, lam = add[ok], lam[ok]
+        ok = _homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)
+        out.extend(table.astype(np.int64) for table in add[ok])
     return out
 
 
@@ -749,6 +649,8 @@ def enumerate_generic(
     groups = small_groups(n)
     tasks = [(g, emin, esylow, pruned) for g in groups]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_generic_worker, tasks))
     else:

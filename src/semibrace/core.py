@@ -269,7 +269,6 @@ class LambdaMap:
     """The lambda action of (B, o) by additive automorphisms."""
 
     owner: SemiBrace
-    perms: tuple[Permutation, ...]
 
     def apply(self, a: int, x: int) -> int:
         return int(self.owner.lam[a, x])
@@ -300,22 +299,13 @@ def lambda_map(b: SemiBrace) -> LambdaMap:
             raise InternalInvariantError("lambda_a does not preserve E")
         if (int(lam[a, 0]) == 0) != (a in gset):
             raise InternalInvariantError("lambda_a fixes 0 exactly on G")
-    return LambdaMap(owner=b, perms=tuple(Permutation.of(lam[a]) for a in range(n)))
-
-
-def rho(b: SemiBrace, y: int, x: int) -> int:
-    """rho_y(x) = (x' + y)' o y."""
-    t = b.add_of(b.inv(x), y)
-    return b.circ_of(b.inv(t), y)
+    return LambdaMap(owner=b)
 
 
 def factorize(b: SemiBrace, x: int) -> tuple[int, int]:
     """The unique pair (g, e) in G x E with x = g o e."""
-    g = b.add_of(x, 0)
-    cands = [e for e in b.e_elements if b.add_of(g, e) == x]
-    if len(cands) != 1:
-        raise InternalInvariantError("additive decomposition not unique")
-    e = b.lam_of(b.inv(g), cands[0])
+    g, e_add = additive_decomposition(b, x)
+    e = b.lam_of(b.inv(g), e_add)
     if b.circ_of(g, e) != x:
         raise InternalInvariantError("multiplicative factorization failed")
     return g, e

@@ -8,7 +8,7 @@ that the identity sits at index 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -326,14 +326,6 @@ class FiniteGroup:
         """by o a o by^-1."""
         return self.mul(self.mul(by, a), self.inv(by))
 
-    def power(self, a: int, k: int) -> int:
-        x = 0
-        if k < 0:
-            a, k = self.inv(a), -k
-        for _ in range(k):
-            x = self.mul(x, a)
-        return x
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
@@ -424,70 +416,189 @@ def is_action(images: np.ndarray, table: np.ndarray) -> bool:
     return bool(np.array_equal(images[table], composed))
 
 
+# A search target stores each element along a last axis of width w. A
+# FiniteGroup target stores its label (w = 1) and multiplies by table
+# lookup; a permutation target stores image arrays (w = degree) and
+# composes them. Either way np.arange(w) is the identity.
 Target = Union[FiniteGroup, Sequence[Permutation]]
 
-
-def _target_ops(src: FiniteGroup, tgt: Target):
-    """(product of target labels, full check of a complete label map).
-
-    A FiniteGroup target is labelled by its elements and multiplies by table
-    lookup. A permutation target is labelled by list position (the identity
-    at 0) and multiplies by memoised composition plus a dict lookup on
-    `key()`; the full check composes the actual permutations."""
-    if isinstance(tgt, FiniteGroup):
-        table = tgt.table
-        return (lambda a, b: int(table[a, b])), (lambda f: is_morphism(f, src.table, table))
-    index = {p.key(): i for i, p in enumerate(tgt)}
-    stack = np.stack([p.images for p in tgt])
-    products: dict[tuple[int, int], int] = {}
-
-    def mul(a: int, b: int) -> int:
-        c = products.get((a, b))
-        if c is None:
-            c = index.get(stack[a][stack[b]].tobytes())
-            if c is None:
-                raise MalformedTableError("permutations not closed under composition")
-            products[a, b] = c
-        return c
-
-    return mul, (lambda f: is_action(stack[f], src.table))
+# Prefix rows whose extensions by a whole pool are tested at once; each
+# builds (chunk, |pool|, w) temporaries, about 10 MB apiece for the order-8
+# sweep, and larger ones leave a peak memory that shifts with heap layout.
+PREFIX_CHUNK = 128
+# Extended rows closed over the tree at once.
+ROW_BATCH = 8192
 
 
-def _close_partial_map(
-    src: FiniteGroup, assignments: list[tuple[int, int]], mul: Callable[[int, int], int]
-):
-    """Extend f(0)=0, f(g_i)=h_i multiplicatively over <g_1..g_k>.
+def _compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Composition of image arrays along the last axis, a after b:
+    out[..., y] = a[..., b[..., y]]; the other axes broadcast."""
+    return np.take_along_axis(a, b, axis=-1)
 
-    Returns (mapped indices in BFS order, image array with -1 for unassigned),
-    or None on conflict. Extension is forced: f(x o g) = f(x) o f(g).
-    """
-    f = np.full(src.n, -1, dtype=np.int64)
-    f[0] = 0
-    order = [0]
-    gens = []
-    for g, h in assignments:
-        if f[g] == -1:
-            f[g] = h
-            order.append(g)
-        elif f[g] != h:
-            return None
-        gens.append(g)
-    i = 0
-    while i < len(order):
-        x = order[i]
-        for g in gens:
-            y = src.mul(x, g)
-            fy = mul(int(f[x]), int(f[g]))
-            if f[y] == -1:
-                f[y] = fy
-                order.append(y)
-            elif f[y] != fy:
-                return None
-        i += 1
-    return order, f
+
+def _table_product(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Elementwise product of label arrays by lookup in a group table."""
+    return lambda a, b: table[a, b]
+
+
+def _row_powers(p: np.ndarray, k: int, mul) -> np.ndarray:
+    """Rowwise k-th power under `mul`; powers of one element commute, so the
+    order of accumulation does not matter."""
+    out = np.broadcast_to(np.arange(p.shape[-1], dtype=p.dtype), p.shape)
+    base = p
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        k >>= 1
+    return out
+
+
+def _bfs_tree(g: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(element, parent, generator index) triples in BFS order from the
+    identity, where element = parent o gens[generator index].  The elements
+    are those of the subgroup generated by `gens`, which may be proper,
+    other than the identity."""
+    seen = {0}
+    tree = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, s in enumerate(gens):
+                y = g.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    tree.append((y, x, gi))
+                    nxt.append(y)
+        frontier = nxt
+    return tree
+
+
+def _lambda_rows(
+    n: int, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray], mul
+) -> np.ndarray:
+    """f[r, x] for row r of generator images (one (rows, w) array per
+    generator) and x in the subgroup the tree covers, with f(0) the identity
+    and f(x o g) = f(x) . f(g) along the tree.  Rows of elements outside
+    that subgroup are left unset."""
+    rows, w = images[0].shape
+    f = np.empty((rows, n, w), dtype=images[0].dtype)
+    f[:, 0] = np.arange(w)
+    for y, x, gi in tree:
+        f[:, y] = mul(f[:, x], images[gi])
+    return f
+
+
+def _homomorphic_rows(
+    f: np.ndarray, table: np.ndarray, gens: Sequence[int], tree: list[tuple[int, int, int]], mul
+) -> np.ndarray:
+    """Rows r of maps f (rows, n, w), built by `_lambda_rows` over `tree`,
+    for which f(x o g) = f(x) . f(g) for every x and every g in `gens`.  The
+    tree edges hold by construction, so only the other pairs are compared.
+
+    When `gens` generate the source this is the whole homomorphism law: every
+    y is a word in the generators, and by induction on its length
+    f(x o y o g) = f(x o y) . f(g) = f(x) . f(y) . f(g) = f(x) . f(y o g)."""
+    built = {(x, gi) for _, x, gi in tree}
+    ok = np.ones(f.shape[0], dtype=bool)
+    for gi, g in enumerate(gens):
+        xs = [x for x in range(table.shape[0]) if (x, gi) not in built]
+        ok &= (f[:, table[xs, g]] == mul(f[:, xs], f[:, g:g + 1])).all(axis=(1, 2))
+    return ok
 
 
 def _search_morphisms(
+    src: FiniteGroup,
+    gens: Sequence[int],
+    pools: Sequence[np.ndarray],
+    mul,
+    keep_prefix: Optional[Callable[[list, list], np.ndarray]],
+    chunk: int,
+) -> Iterator[np.ndarray]:
+    """The homomorphisms f from src whose generator images f(gens[j]) are
+    drawn from pools[j] ((m_j, w) arrays of target elements), as blocks of
+    complete maps f (rows, src.n, w).  Maps come in lexicographic order of
+    their pool positions, the order a depth-first search visits them in.
+    `gens` must generate src.
+
+    The generators are assigned one at a time.  With H the subgroup the
+    earlier ones generate, f is known on H, and each chunk of (prefix row,
+    pool entry) pairs is tested at once against two relations that every
+    homomorphism satisfies: if g_j^t lies in H for some t below the order of
+    g_j (least such t), f(g_j)^t = f(g_j^t); and if g_j o g_i o g_j^-
+    lies in H, f(g_j) . f(g_i) = f(g_j o g_i o g_j^-) . f(g_j).  A caller may
+    drop further extended rows with `keep_prefix(tree, images)` while the
+    generators assigned so far are a proper prefix.  Each complete row is
+    closed over the BFS tree of src and kept only if `_homomorphic_rows`
+    holds, which is complete, so the relations and `keep_prefix` only prune
+    and need only be necessary."""
+    levels = []
+    prefix_tree: list[tuple[int, int, int]] = []
+    for j, g in enumerate(gens):
+        prefix = {0, *(y for y, _, _ in prefix_tree)}
+        power, t = g, 1
+        while power not in prefix:
+            power = src.mul(power, g)
+            t += 1
+        pool_power = _row_powers(pools[j], t, mul) if t < src.element_order(g) else None
+        conjugates = [(i, src.conjugate(gens[i], g)) for i in range(j)]
+        conjugates = [(i, w) for i, w in conjugates if w in prefix]
+        tree = _bfs_tree(src, gens[: j + 1])
+        levels.append((prefix_tree, power, pool_power, conjugates, tree))
+        prefix_tree = tree
+
+    def extend(j: int, images: list[np.ndarray]) -> Iterator[np.ndarray]:
+        prefix_tree, power, pool_power, conjugates, tree = levels[j]
+        pool = pools[j]
+        count = images[0].shape[0] if images else 1
+        for start in range(0, count, chunk):
+            part = [arr[start:start + chunk] for arr in images]
+            size = part[0].shape[0] if part else 1
+            mask = np.ones((size, pool.shape[0]), dtype=bool)
+            f = _lambda_rows(src.n, prefix_tree, part, mul) if part else None
+            if pool_power is not None:
+                mask &= (pool_power[None] == f[:, power][:, None]).all(axis=2)
+            for i, w in conjugates:
+                lhs = mul(pool[None], part[i][:, None])  # f(g_j) . f(g_i)
+                rhs = mul(f[:, w][:, None], pool[None])  # f(w) . f(g_j)
+                mask &= (lhs == rhs).all(axis=2)
+            prev, chosen = np.nonzero(mask)
+            for lo in range(0, prev.shape[0], ROW_BATCH):
+                rows = [arr[prev[lo:lo + ROW_BATCH]] for arr in part]
+                rows.append(pool[chosen[lo:lo + ROW_BATCH]])
+                if j + 1 < len(gens):
+                    if keep_prefix is not None:
+                        ok = keep_prefix(tree, rows)
+                        rows = [arr[ok] for arr in rows]
+                    yield from extend(j + 1, rows)
+                else:
+                    f = _lambda_rows(src.n, tree, rows, mul)
+                    yield f[_homomorphic_rows(f, src.table, gens, tree, mul)]
+
+    return extend(0, [])
+
+
+def _positions(perms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A map from image arrays (along the last axis) to their row indices in
+    `perms`, in any order, by one search over its sorted row bytes.  An image
+    that is not a row raises MalformedTableError."""
+    void = np.dtype((np.void, perms.shape[1] * perms.itemsize))
+    keys = np.ascontiguousarray(perms).view(void).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    def find(f: np.ndarray) -> np.ndarray:
+        query = np.ascontiguousarray(f).reshape(-1, f.shape[-1]).view(void).ravel()
+        at = np.minimum(np.searchsorted(ordered, query), ordered.shape[0] - 1)
+        if not (ordered[at] == query).all():
+            raise MalformedTableError("permutations not closed under composition")
+        return order[at].reshape(f.shape[:-1])
+
+    return find
+
+
+def _first_morphisms(
     src: FiniteGroup,
     tgt: Target,
     candidate_pools: Sequence[Sequence[int]],
@@ -496,37 +607,29 @@ def _search_morphisms(
     limit: Optional[int],
     extra_check: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> list[np.ndarray]:
-    """Backtracking over generator images (target labels, see _target_ops);
-    every complete map is verified on the full table of src before being
-    accepted."""
+    """The first `limit` (or all) homomorphisms src -> tgt, as label arrays,
+    with generator images from the label pools, in `_search_morphisms`
+    order, that are bijective when asked and pass `extra_check`.  Labels are
+    elements of a FiniteGroup target and list positions in a permutation
+    target."""
+    if isinstance(tgt, FiniteGroup):
+        elements, mul = np.arange(tgt.n)[:, None], _table_product(tgt.table)
+        labels = lambda f: f[:, :, 0]
+    else:
+        elements, mul = np.stack([p.images for p in tgt]), _compose_rows
+        labels = _positions(elements)
+    pools = [elements[np.asarray(pool, dtype=np.int64)] for pool in candidate_pools]
     results: list[np.ndarray] = []
-    mul, is_hom = _target_ops(src, tgt)
-
-    def rec(i: int, assignments: list[tuple[int, int]]):
-        if limit is not None and len(results) >= limit:
-            return
-        if i == len(gens):
-            closed = _close_partial_map(src, assignments, mul)
-            if closed is None:
-                return
-            _, f = closed
-            if (f == -1).any():
-                return  # generators failed to generate; caller bug
-            if bijective and np.unique(f).size != src.n:
-                return
-            if not is_hom(f):
-                return
-            if extra_check is not None and not extra_check(f):
-                return
-            results.append(f)
-            return
-        for h in candidate_pools[i]:
-            trial = assignments + [(gens[i], int(h))]
-            if _close_partial_map(src, trial, mul) is None:
-                continue
-            rec(i + 1, trial)
-
-    rec(0, [])
+    for f in _search_morphisms(src, gens, pools, mul, None, PREFIX_CHUNK):
+        found = labels(f)
+        if bijective:
+            ordered = np.sort(found, axis=1)
+            found = found[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        for row in found:
+            if extra_check is None or extra_check(row):
+                results.append(row)
+                if limit is not None and len(results) >= limit:
+                    return results
     return results
 
 
@@ -548,7 +651,7 @@ def homomorphisms(src: FiniteGroup, perms: Sequence[Permutation]) -> list[tuple[
     for g in gens:
         og = src.element_order(g)
         pools.append([h for h in range(len(perms)) if og % orders[h] == 0])
-    found = _search_morphisms(src, perms, pools, gens, bijective=False, limit=None)
+    found = _first_morphisms(src, perms, pools, gens, bijective=False, limit=None)
     found.sort(key=lambda f: tuple(f))
     return [tuple(perms[i] for i in f) for f in found]
 
@@ -575,7 +678,7 @@ def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None
         pools.append(
             [h for h in range(tgt.n) if int(tgt_orders[h]) == og and ((h in tgt_center) == gc)]
         )
-    found = _search_morphisms(src, tgt, pools, gens, bijective=True, limit=limit)
+    found = _first_morphisms(src, tgt, pools, gens, bijective=True, limit=limit)
     found.sort(key=lambda f: tuple(f))
     return [Permutation.of(f) for f in found]
 

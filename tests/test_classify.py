@@ -1,11 +1,14 @@
 """Tests for the isomorphism machinery and the two census enumerators."""
 
+import itertools
 import json
 import logging
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semibrace import classify
 from semibrace.classify import (
@@ -21,14 +24,28 @@ from semibrace.classify import (
     skew_braces,
     small_groups,
     verify_classification,
-    _bfs_tree,
     _generator_image_sets,
     _prefix_associative,
     _survivor_tables,
 )
-from semibrace.construct import FamilyId, ParameterError, family, trivial_semibrace
+from semibrace.construct import (
+    TWO_P2_THEOREMS,
+    FamilyId,
+    ParameterError,
+    applicable_items,
+    family,
+    theorems_for_order_pq,
+    trivial_semibrace,
+)
 from semibrace.core import verify
-from semibrace.tables import MalformedTableError, cyclic_group
+from semibrace.tables import (
+    MalformedTableError,
+    _bfs_tree,
+    _compose_rows,
+    _row_powers,
+    cyclic_group,
+    is_morphism,
+)
 from semibrace.ybe import check_braid, solution_from
 
 
@@ -122,6 +139,66 @@ def test_fingerprint_is_relabeling_invariant():
     perm[1:] = np.roll(perm[1:], 3)
     relabeled = b.relabel(perm)
     assert fingerprint(b) == fingerprint(relabeled)
+
+
+def _least_isomorphism(b1, b2):
+    """The isomorphism b1 -> b2 with the lexicographically least images of
+    b1's circle generators, by brute force over every bijection fixing 0."""
+    rest = np.array(list(itertools.permutations(range(1, b1.n))), dtype=np.int64)
+    maps = np.hstack([np.zeros((rest.shape[0], 1), dtype=np.int64), rest.reshape(-1, b1.n - 1)])
+    ok = np.ones(maps.shape[0], dtype=bool)
+    for t1, t2 in ((b1.add.table, b2.add.table), (b1.circ.table, b2.circ.table)):
+        ok &= (maps[:, t1] == t2[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+    found = maps[ok]
+    gens = b1.circ.generating_sequence()
+    return found[np.lexsort(found[:, gens].T[::-1])[0]]
+
+
+def _small_structures():
+    """Every census class of order 4, 6 and 8 and every family of order
+    at most 8."""
+    out = [e.semibrace for n in (4, 6, 8) for e in generic(n)]
+    for theorem, p, q in (("pq-noncongruent", 2, 2), ("pq-congruent", 3, 2)):
+        out.extend(family(fid) for fid in applicable_items(theorem, p, q))
+    return out
+
+
+def test_isomorphic_returns_the_least_isomorphism():
+    # the witness is the first isomorphism in generator-image order, which
+    # a search that visits generator images lexicographically must find
+    rng = np.random.default_rng(7)
+    for b in _small_structures():
+        perm = np.concatenate([[0], 1 + rng.permutation(b.n - 1)])
+        relabeled = b.relabel(perm)
+        witness = isomorphic(b, relabeled)
+        if b.key() == relabeled.key():
+            assert witness.is_identity()
+        else:
+            assert witness.images.tolist() == _least_isomorphism(b, relabeled).tolist()
+
+
+def _families_up_to_fifty():
+    fids = []
+    for p, q in ((2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 5),
+                 (7, 7), (11, 2), (11, 3), (13, 2), (13, 3), (17, 2), (19, 2), (23, 2)):
+        fids.extend(applicable_items(theorems_for_order_pq(p, q), p, q))
+    for p in (3, 5):
+        for theorem in TWO_P2_THEOREMS:
+            fids.extend(applicable_items(theorem, p))
+    return fids
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_relabeled_family_is_isomorphic_with_a_genuine_witness(data):
+    b = family(data.draw(st.sampled_from(_families_up_to_fifty())))
+    rest = data.draw(st.permutations(range(1, b.n)))
+    relabeled = b.relabel([0, *rest])
+    witness = isomorphic(b, relabeled)
+    assert witness is not None
+    f = witness.images
+    assert is_morphism(f, b.add.table, relabeled.add.table)
+    assert is_morphism(f, b.circ.table, relabeled.circ.table)
 
 
 def test_size_mismatch_is_not_isomorphic():
@@ -404,7 +481,7 @@ def _order_divides_by_filter(n, k):
     """The old pool: every permutation of range(n), raised to the k-th power."""
     perms = classify._all_perms(n)
     ident = np.arange(n, dtype=perms.dtype)
-    mask = (classify._row_powers(perms, k) == ident[None, :]).all(axis=1)
+    mask = (_row_powers(perms, k, _compose_rows) == ident[None, :]).all(axis=1)
     return np.ascontiguousarray(perms[mask])
 
 

@@ -25,13 +25,13 @@ from semibrace.core import (
     is_ideal,
     kernel_lambda_on_E,
     lambda_map,
-    rho,
     semibrace_from_json,
     semidirect_tables,
     skew_part,
     verify,
 )
 from semibrace.tables import cyclic_group, dicyclic_group
+from semibrace.ybe import solution_from
 
 
 def is_trivial_action(alpha):
@@ -350,15 +350,18 @@ def test_lambda_rho_product_identity(data):
     b = data.draw(st.sampled_from(POOL))
     x = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     y = data.draw(st.integers(min_value=0, max_value=b.n - 1))
-    # x o y = lambda_x(y) o rho_y(x)
-    assert b.circ_of(x, y) == b.circ_of(b.lam_of(x, y), rho(b, y, x))
+    # x o y = lambda_x(y) o rho_y(x), with r(x, y) = (lambda_x(y), rho_y(x))
+    lam_xy, rho_yx = solution_from(b).apply(x, y)
+    assert lam_xy == b.lam_of(x, y)
+    assert b.circ_of(x, y) == b.circ_of(lam_xy, rho_yx)
 
 
 @pytest.mark.parametrize("b", POOL, ids=lambda b: f"n{b.n}e{len(b.e_elements)}")
 def test_lambda_map_validates(b):
     lm = lambda_map(b)
-    assert len(lm.perms) == b.n
-    assert lm.perms[0].is_identity()
+    assert lm.owner is b
+    assert b.lam.shape == (b.n, b.n)
+    assert np.array_equal(b.lam[0], np.arange(b.n))
 
 
 def test_sizes_multiply():

@@ -206,6 +206,39 @@ def test_homomorphisms_into_automorphisms_match_brute_force():
                     assert got == _actions_by_brute_force(k, auts)
 
 
+def test_homomorphisms_from_order_twelve_match_brute_force():
+    # A4 is generated by two elements of order 3, neither of which
+    # normalises the subgroup of the other, so the power and conjugation
+    # relations the search prunes with are not a presentation of it; only
+    # the final homomorphism check rejects the other maps
+    (a4,) = [k for k in small_groups(12) if k.element_orders().tolist().count(3) == 8]
+    assert len(automorphisms(a4)) == 24
+    for k in small_groups(12):
+        for m in range(1, 7):
+            for x in small_groups(m):
+                target = left_regular(x)
+                got = [
+                    tuple(tuple(p.images.tolist()) for p in action)
+                    for action in homomorphisms(k, target)
+                ]
+                assert got == _actions_by_brute_force(k, target)
+
+
+def test_homomorphic_rows_match_the_full_table_check():
+    # every tuple of generator images in Sym(3), closed over the BFS tree:
+    # the row check keeps exactly the maps that are actions on the full table
+    sym3 = np.array(list(itertools.permutations(range(3))))
+    for m in range(2, 9):
+        for k in small_groups(m):
+            gens = k.generating_sequence()
+            tree = tables._bfs_tree(k, gens)
+            choice = np.array(list(itertools.product(range(6), repeat=len(gens))))
+            images = [sym3[choice[:, i]] for i in range(len(gens))]
+            f = tables._lambda_rows(k.n, tree, images, tables._compose_rows)
+            got = tables._homomorphic_rows(f, k.table, gens, tree, tables._compose_rows)
+            assert got.tolist() == [tables.is_action(row, k.table) for row in f]
+
+
 def test_involutions_of_gl27():
     # Z2 -> Aut(C7 x C7) = GL(2, 7): the trivial action and the 57 involutions
     auts = automorphisms(direct_product(cyclic_group(7), cyclic_group(7)))
@@ -220,6 +253,26 @@ def test_homomorphisms_need_identity_first():
     z3 = cyclic_group(3)
     with pytest.raises(MalformedTableError):
         homomorphisms(cyclic_group(2), automorphisms(z3)[::-1])
+
+
+def test_homomorphisms_reject_an_unclosed_list():
+    # C3 -> <(0 1 2)> sends 1 to the 3-cycle and 2 to its square, which the
+    # list lacks
+    perms = [Permutation.identity(3), Permutation.of([1, 2, 0])]
+    with pytest.raises(MalformedTableError, match="not closed"):
+        homomorphisms(cyclic_group(3), perms)
+
+
+def test_homomorphisms_accept_any_list_order():
+    # GL(2, 3) with the identity first and the rest reversed: the same
+    # actions, ordered by the positions of their images in the given list
+    auts = automorphisms(direct_product(cyclic_group(3), cyclic_group(3)))
+    shuffled = (auts[0], *reversed(auts[1:]))
+    pos = {p.key(): i for i, p in enumerate(shuffled)}
+    for k in (*small_groups(2), *small_groups(3), *small_groups(4)):
+        got = [tuple(p.key() for p in action) for action in homomorphisms(k, shuffled)]
+        want = [tuple(p.key() for p in action) for action in homomorphisms(k, auts)]
+        assert got == sorted(want, key=lambda action: [pos[key] for key in action])
 
 
 def test_subgroups_z4_and_s3():
