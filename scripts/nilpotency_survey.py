@@ -6,8 +6,10 @@ and right ideal series together with the element-wise nil data.  The summary
 at the end counts the classes that are right nil without being right
 nilpotent, the combination that separates the two notions.
 
-    python3 scripts/nilpotency_survey.py
-    python3 scripts/nilpotency_survey.py --orders 4 6 9 --emin 1
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/nilpotency_survey.py
+    PYTHONPATH=src python3 scripts/nilpotency_survey.py --orders 4 6 9 --emin 1
 """
 
 import argparse

@@ -7,11 +7,12 @@ up to order 10, also by sweeping the generator images of the lambda maps of
 every group of that order), reduces the survivors to isomorphism classes,
 and checks that the lists match one to one.
 
-Run from the repository root after installing the package:
+Run from the repository root (or drop PYTHONPATH after installing the
+package):
 
-    python3 scripts/reproduce_classifications.py
-    python3 scripts/reproduce_classifications.py --fast
-    python3 scripts/reproduce_classifications.py --jobs 4 --cache .cache
+    PYTHONPATH=src python3 scripts/reproduce_classifications.py
+    PYTHONPATH=src python3 scripts/reproduce_classifications.py --fast
+    PYTHONPATH=src python3 scripts/reproduce_classifications.py --jobs 4 --cache .cache
 
 The --fast flag drops the order 10 case, whose exhaustive sweep dominates
 the runtime.  Exit status is 0 when every classification verifies.

@@ -1,5 +1,5 @@
-"""Isomorphism testing, invariant fingerprints, and two independent
-enumerators for finite left cancellative left semi-braces.
+"""Isomorphism testing and two independent enumerators for finite left
+cancellative left semi-braces.
 
 The generic enumerator walks every lambda representation of every circle
 group of order n and keeps the table pairs that satisfy the axioms.  The
@@ -41,15 +41,10 @@ from .core import (
     InternalInvariantError,
     SemiBrace,
     brace_automorphism_group,
-    is_ideal,
-    kernel_lambda_on_E,
     semibrace_from_json,
-    skew_part,
     verify,
 )
-from .nilpotency import is_right_nil
 from .tables import (
-    CayleyTable,
     FiniteGroup,
     MalformedTableError,
     PREFIX_CHUNK,
@@ -66,6 +61,7 @@ from .tables import (
     homomorphisms,
     is_morphism,
     isomorphisms,
+    orbit_lengths,
     semidirect_group,
 )
 
@@ -95,15 +91,7 @@ def _require_group_order(n: int) -> None:
         raise ParameterError(f"order {n} is outside the supported group catalog")
 
 
-def group_profile(g: FiniteGroup) -> tuple:
-    """Cheap invariants; equal profiles are necessary for group isomorphism."""
-    orders = tuple(int(x) for x in sorted(g.element_orders().tolist()))
-    return (g.n, orders, g.is_abelian(), len(g.center()), len(g.derived_subgroup()))
-
-
 def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    if group_profile(g1) != group_profile(g2):
-        return False
     return bool(isomorphisms(g1, g2, limit=1))
 
 
@@ -159,128 +147,35 @@ def skew_braces(m: int) -> list[SemiBrace]:
 
 
 # ---------------------------------------------------------------------------
-# fingerprints
-
-
-def _deep_list(x):
-    if isinstance(x, tuple):
-        return [_deep_list(v) for v in x]
-    return x
-
-
-def _deep_tuple(x):
-    if isinstance(x, list):
-        return tuple(_deep_tuple(v) for v in x)
-    return x
-
-
-def _element_signatures(b: SemiBrace) -> list[tuple]:
-    """Per-element invariants preserved by any semi-brace isomorphism."""
-    orders = b.circ.element_orders()
-    sigs = []
-    for x in range(b.n):
-        sigs.append(
-            (
-                int(orders[x]),
-                bool(b.is_idempotent(x)),
-                int(b.lam[x, 0]) == 0,
-                Permutation.of(b.lam[x]).cycle_type(),
-            )
-        )
-    return sigs
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Isomorphism invariants of a semi-brace; equality is necessary (not
-    sufficient) for isomorphism, so unequal fingerprints prune the search."""
-
-    n: int
-    e_size: int
-    circ_profile: tuple
-    g_circ_profile: tuple
-    g_add_profile: tuple
-    nil_orders: tuple
-    e_ideal: bool
-    kernel_is_g: bool
-    lambda_profile: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "e_size": self.e_size,
-            "circ_profile": _deep_list(self.circ_profile),
-            "g_circ_profile": _deep_list(self.g_circ_profile),
-            "g_add_profile": _deep_list(self.g_add_profile),
-            "nil_orders": _deep_list(self.nil_orders),
-            "e_ideal": self.e_ideal,
-            "kernel_is_g": self.kernel_is_g,
-            "lambda_profile": _deep_list(self.lambda_profile),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Fingerprint":
-        if not isinstance(obj, dict):
-            raise MalformedTableError("fingerprint JSON must be an object")
-        try:
-            return cls(
-                n=int(obj["n"]),
-                e_size=int(obj["e_size"]),
-                circ_profile=_deep_tuple(obj["circ_profile"]),
-                g_circ_profile=_deep_tuple(obj["g_circ_profile"]),
-                g_add_profile=_deep_tuple(obj["g_add_profile"]),
-                nil_orders=_deep_tuple(obj["nil_orders"]),
-                e_ideal=bool(obj["e_ideal"]),
-                kernel_is_g=bool(obj["kernel_is_g"]),
-                lambda_profile=_deep_tuple(obj["lambda_profile"]),
-            )
-        except KeyError as err:
-            raise MalformedTableError(f"fingerprint JSON lacks {err}") from err
-
-
-_FP_CACHE: dict[bytes, Fingerprint] = {}
-
-
-def fingerprint(b: SemiBrace) -> Fingerprint:
-    key = b.key()
-    hit = _FP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gp = skew_part(b)
-    g_add = FiniteGroup.from_table(CayleyTable.of(gp.semibrace.add.table))
-    nil = tuple(sorted(0 if k is None else int(k) for k in is_right_nil(b)[1]))
-    fp = Fingerprint(
-        n=b.n,
-        e_size=len(b.e_elements),
-        circ_profile=group_profile(b.circ),
-        g_circ_profile=group_profile(gp.semibrace.circ),
-        g_add_profile=group_profile(g_add),
-        nil_orders=nil,
-        e_ideal=is_ideal(b, b.e_elements).is_ideal,
-        kernel_is_g=set(kernel_lambda_on_E(b)) == set(b.g_elements),
-        lambda_profile=tuple(sorted(_element_signatures(b))),
-    )
-    _FP_CACHE[key] = fp
-    return fp
-
-
-# ---------------------------------------------------------------------------
 # isomorphism testing
 
 
+def _element_signatures(b: SemiBrace) -> list[tuple]:
+    """Per-element invariants preserved by any semi-brace isomorphism: the
+    circle order of x, whether x is idempotent, whether lam_x(0) = 0, and
+    the sorted cycle lengths of the points under lam_x (equivalent to the
+    cycle type of lam_x)."""
+    orders = b.circ.element_orders().tolist()
+    idempotent = (np.diagonal(b.add.table) == np.arange(b.n)).tolist()
+    fixes_zero = (b.lam[:, 0] == 0).tolist()
+    cycles = np.sort(orbit_lengths(b.lam), axis=1).tolist()
+    return [
+        (orders[x], idempotent[x], fixes_zero[x], tuple(cycles[x])) for x in range(b.n)
+    ]
+
+
+def _signature_key(b: SemiBrace) -> tuple:
+    """The multiset of element signatures, sorted: equal for isomorphic
+    semi-braces, so unequal keys rule an isomorphism out."""
+    return tuple(sorted(_element_signatures(b)))
+
+
 def _iso_search(
-    b1: SemiBrace,
-    b2: SemiBrace,
-    sigs1: Optional[list] = None,
-    sigs2: Optional[list] = None,
+    b1: SemiBrace, b2: SemiBrace, sigs1: list, sigs2: list
 ) -> Optional[Permutation]:
     """The first circle-group isomorphism, in generator-image order, that
     also preserves +, with generator images drawn from elements of equal
-    signature; assumes size and fingerprint checks already passed."""
-    if sigs1 is None:
-        sigs1 = _element_signatures(b1)
-    if sigs2 is None:
-        sigs2 = _element_signatures(b2)
+    signature; assumes equal sizes and equal signature multisets."""
     gens = b1.circ.generating_sequence()
     if not gens:
         return Permutation.identity(1)
@@ -305,9 +200,10 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
         return None
     if b1.key() == b2.key():
         return Permutation.identity(b1.n)
-    if fingerprint(b1) != fingerprint(b2):
+    sigs1, sigs2 = _element_signatures(b1), _element_signatures(b2)
+    if sorted(sigs1) != sorted(sigs2):
         return None
-    return _iso_search(b1, b2)
+    return _iso_search(b1, b2, sigs1, sigs2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +213,10 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
 @dataclass(frozen=True)
 class CensusEntry:
     semibrace: SemiBrace
-    fingerprint: Fingerprint
     provenance: str
 
     def to_json(self) -> dict:
-        return {
-            "semibrace": self.semibrace.to_json(),
-            "fingerprint": self.fingerprint.to_json(),
-            "provenance": self.provenance,
-        }
+        return {"semibrace": self.semibrace.to_json(), "provenance": self.provenance}
 
 
 def census_to_json(entries: Sequence[CensusEntry]) -> list:
@@ -333,58 +224,48 @@ def census_to_json(entries: Sequence[CensusEntry]) -> list:
 
 
 def census_from_json(obj) -> list[CensusEntry]:
-    """Rebuild a census from JSON; every entry is re-verified from scratch
-    and its stored fingerprint compared against a recomputed one."""
+    """Rebuild a census from JSON; every entry's tables are re-verified from
+    scratch."""
     if not isinstance(obj, list):
         raise MalformedTableError("census JSON must be a list")
     out = []
     for item in obj:
-        if not isinstance(item, dict) or not {
-            "semibrace",
-            "fingerprint",
-            "provenance",
-        } <= set(item):
-            raise MalformedTableError(
-                "census entry needs semibrace, fingerprint, and provenance"
-            )
+        if not isinstance(item, dict) or not {"semibrace", "provenance"} <= set(item):
+            raise MalformedTableError("census entry needs semibrace and provenance")
         b = semibrace_from_json(item["semibrace"])
-        fp = Fingerprint.from_json(item["fingerprint"])
-        if fp != fingerprint(b):
-            raise MalformedTableError("census fingerprint does not match its tables")
-        out.append(CensusEntry(semibrace=b, fingerprint=fp, provenance=str(item["provenance"])))
+        out.append(CensusEntry(semibrace=b, provenance=str(item["provenance"])))
     return out
 
 
 class _Dedup:
-    """Merge candidates into isomorphism classes.  The representative kept
-    for a class is the lexicographically least (add, circ) pair seen."""
+    """Merge candidates into isomorphism classes.  Candidates are compared
+    only within a bucket of equal signature multisets, and there by
+    `_iso_search`.  The representative kept for a class is the
+    lexicographically least (add, circ) pair seen."""
 
     def __init__(self, keep_e_size: Callable[[int], bool]):
         self.keep_e_size = keep_e_size
         self.classes: list[dict] = []
-        self.buckets: dict[Fingerprint, list[int]] = {}
+        self.buckets: dict[tuple, list[int]] = {}
 
     def add(self, b: SemiBrace, provenance: str) -> None:
         if not self.keep_e_size(len(b.e_elements)):
             return
-        fp = fingerprint(b)
         sigs = _element_signatures(b)
+        bucket = self.buckets.setdefault(tuple(sorted(sigs)), [])
         key = (b.add.key(), b.circ.op.key())
-        for idx in self.buckets.get(fp, []):
+        for idx in bucket:
             cls = self.classes[idx]
             if key == cls["key"] or _iso_search(b, cls["sb"], sigs, cls["sigs"]) is not None:
                 if key < cls["key"]:
                     cls.update(sb=b, key=key, sigs=sigs, prov=provenance)
                 return
-        self.buckets.setdefault(fp, []).append(len(self.classes))
-        self.classes.append({"sb": b, "fp": fp, "sigs": sigs, "key": key, "prov": provenance})
+        bucket.append(len(self.classes))
+        self.classes.append({"sb": b, "sigs": sigs, "key": key, "prov": provenance})
 
     def entries(self) -> list[CensusEntry]:
-        out = [
-            CensusEntry(semibrace=c["sb"], fingerprint=c["fp"], provenance=c["prov"])
-            for c in self.classes
-        ]
-        out.sort(key=lambda e: (e.fingerprint.e_size, e.semibrace.key()))
+        out = [CensusEntry(semibrace=c["sb"], provenance=c["prov"]) for c in self.classes]
+        out.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
         return out
 
 
@@ -758,9 +639,10 @@ def enumerate_structural(
 # classification verification
 
 
-def _is_cyclic_profile(profile: tuple) -> bool:
-    size, orders = profile[0], profile[1]
-    return bool(orders) and orders[-1] == size
+def _g_is_cyclic(b: SemiBrace) -> bool:
+    """Whether G is cyclic; G is a subgroup of (B, o), so this is whether
+    some element of G has circle order |G|."""
+    return int(b.circ.element_orders()[list(b.g_elements)].max()) == len(b.g_elements)
 
 
 @dataclass
@@ -796,19 +678,21 @@ class ClassificationReport:
 
 
 def _match_census(
-    fams: list[tuple[str, SemiBrace]],
+    fams: list[tuple[str, SemiBrace, tuple]],
     census: list[CensusEntry],
     label: str,
     problems: list[str],
 ) -> list[tuple[str, int]]:
-    """Require a bijection families <-> census classes via isomorphic."""
+    """Require a bijection families <-> census classes via isomorphic, tried
+    only where the signature keys agree.  Each family comes with its key."""
+    census_keys = [_signature_key(entry.semibrace) for entry in census]
     matching = []
     hit_by: dict[int, str] = {}
-    for name, b in fams:
+    for name, b, key in fams:
         hits = [
             k
             for k, entry in enumerate(census)
-            if isomorphic(b, entry.semibrace) is not None
+            if census_keys[k] == key and isomorphic(b, entry.semibrace) is not None
         ]
         if len(hits) != 1:
             problems.append(f"{name} matches {len(hits)} classes in the {label} census")
@@ -864,31 +748,25 @@ def verify_classification(
             problems.append(f"{name} has |E| = {len(b.e_elements)}, stated {want_e}")
         if len(b.e_elements) * len(b.g_elements) != n:
             problems.append(f"{name} breaks |B| = |G| * |E|")
-        fams.append((name, b))
-    for i in range(len(fams)):
-        for j in range(i + 1, len(fams)):
-            if isomorphic(fams[i][1], fams[j][1]) is not None:
-                problems.append(f"{fams[i][0]} and {fams[j][0]} are isomorphic")
+        fams.append((name, b, _signature_key(b)))
+    for i, (name_i, b_i, key_i) in enumerate(fams):
+        for name_j, b_j, key_j in fams[i + 1:]:
+            if key_i == key_j and isomorphic(b_i, b_j) is not None:
+                problems.append(f"{name_i} and {name_j} are isomorphic")
 
     if theorem in PQ_THEOREMS:
         census = enumerate_structural(n, emin=2, cache_dir=cache_dir)
     else:
         census = enumerate_structural(n, esylow=True, cache_dir=cache_dir)
-        if theorem == "2p2-E2-cyclic":
+        if theorem in ("2p2-E2-cyclic", "2p2-E2-noncyclic"):
+            cyclic = theorem == "2p2-E2-cyclic"
             census = [
                 e
                 for e in census
-                if e.fingerprint.e_size == 2 and _is_cyclic_profile(e.fingerprint.g_circ_profile)
-            ]
-        elif theorem == "2p2-E2-noncyclic":
-            census = [
-                e
-                for e in census
-                if e.fingerprint.e_size == 2
-                and not _is_cyclic_profile(e.fingerprint.g_circ_profile)
+                if len(e.semibrace.e_elements) == 2 and _g_is_cyclic(e.semibrace) == cyclic
             ]
         elif theorem == "2p2-Ep2":
-            census = [e for e in census if e.fingerprint.e_size == p * p]
+            census = [e for e in census if len(e.semibrace.e_elements) == p * p]
     matching = _match_census(fams, census, "structural", problems)
 
     generic_checked = False
@@ -902,7 +780,7 @@ def verify_classification(
         p=p,
         q=q,
         n=n,
-        family_labels=[name for name, _ in fams],
+        family_labels=[name for name, _, _ in fams],
         census_count=len(census),
         generic_checked=generic_checked,
         matching=matching,

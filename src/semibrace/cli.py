@@ -162,7 +162,7 @@ def cmd_enumerate(args) -> int:
     lines = [f"census for n = {args.n}: {len(census)} isomorphism classes"]
     for k, entry in enumerate(census):
         lines.append(
-            f"  class {k}: |E| = {entry.fingerprint.e_size}, from {entry.provenance}"
+            f"  class {k}: |E| = {len(entry.semibrace.e_elements)}, from {entry.provenance}"
         )
     _emit(args, payload, lines, "census.json")
     return EXIT_OK

@@ -111,20 +111,6 @@ class Permutation:
             k += 1
         return k
 
-    def cycle_type(self) -> tuple:
-        seen = np.zeros(self.n, dtype=bool)
-        lengths = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            ln, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                x = int(self.images[x])
-                ln += 1
-            lengths.append(ln)
-        return tuple(sorted(lengths))
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.n)))
 
@@ -334,7 +320,17 @@ class FiniteGroup:
         return k
 
     def element_orders(self) -> np.ndarray:
-        return np.array([self.element_order(a) for a in range(self.n)], dtype=np.int64)
+        """The order of every element, by one power loop over all of them:
+        power[a] = a^k at step k."""
+        arange = np.arange(self.n)
+        orders = np.zeros(self.n, dtype=np.int64)
+        power, k = arange, 1
+        while True:
+            orders[(orders == 0) & (power == 0)] = k
+            if orders.all():
+                return orders
+            power = self.table[power, arange]
+            k += 1
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -362,14 +358,6 @@ class FiniteGroup:
                             nxt.append(z)
             frontier = nxt
         return tuple(sorted(members))
-
-    def derived_subgroup(self) -> tuple[int, ...]:
-        comms = {
-            self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
-            for a in range(self.n)
-            for b in range(self.n)
-        }
-        return self.closure(comms)
 
     def generating_sequence(self) -> list[int]:
         """Greedy generating sequence, highest element order first."""
@@ -434,6 +422,21 @@ def _compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Composition of image arrays along the last axis, a after b:
     out[..., y] = a[..., b[..., y]]; the other axes broadcast."""
     return np.take_along_axis(a, b, axis=-1)
+
+
+def orbit_lengths(perms: np.ndarray) -> np.ndarray:
+    """out[r, x] = the length of the cycle through x of the permutation whose
+    image array is row r of `perms`, by one power loop over every row.  The
+    sorted row is the cycle type with each length l repeated l times."""
+    lengths = np.zeros(perms.shape, dtype=np.int64)
+    start = np.arange(perms.shape[-1])
+    power, k = perms, 1
+    while True:
+        lengths[(lengths == 0) & (power == start)] = k
+        if lengths.all():
+            return lengths
+        power = _compose_rows(perms, power)
+        k += 1
 
 
 def _table_product(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

@@ -2,7 +2,8 @@
 associativity, left cancellation, compatibility and the braid relation,
 kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
-builds several n x n x n int64 arrays."""
+builds several n x n x n int64 arrays. Also a cycle walk, the reference
+for the vectorised `tables.orbit_lengths`."""
 
 import numpy as np
 
@@ -126,3 +127,22 @@ def check_braid(r: np.ndarray):
         x, y, z = (int(i) for i in np.argwhere(bad)[0])
         return False, (x, y, z)
     return True, None
+
+
+def cycle_lengths(images) -> list[int]:
+    """The length of the cycle through each point of a permutation, by
+    walking every cycle once."""
+    n = len(images)
+    seen = np.zeros(n, dtype=bool)
+    lengths = [0] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = int(images[x])
+        for y in cycle:
+            lengths[y] = len(cycle)
+    return lengths

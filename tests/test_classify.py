@@ -5,6 +5,7 @@ import json
 import logging
 from functools import lru_cache
 
+import full_scans
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,19 +14,19 @@ from hypothesis import strategies as st
 from semibrace import classify
 from semibrace.classify import (
     CensusEntry,
-    Fingerprint,
     census_from_json,
     census_to_json,
     enumerate_generic,
     enumerate_structural,
-    fingerprint,
     group_isomorphic,
     isomorphic,
     skew_braces,
     small_groups,
     verify_classification,
     _generator_image_sets,
+    _Dedup,
     _prefix_associative,
+    _signature_key,
     _survivor_tables,
 )
 from semibrace.construct import (
@@ -34,10 +35,11 @@ from semibrace.construct import (
     ParameterError,
     applicable_items,
     family,
+    semidirect,
     theorems_for_order_pq,
     trivial_semibrace,
 )
-from semibrace.core import verify
+from semibrace.core import SemiBraceAxiomError, verify
 from semibrace.tables import (
     MalformedTableError,
     _bfs_tree,
@@ -45,6 +47,7 @@ from semibrace.tables import (
     _row_powers,
     cyclic_group,
     is_morphism,
+    orbit_lengths,
 )
 from semibrace.ybe import check_braid, solution_from
 
@@ -133,12 +136,44 @@ def test_isomorphic_separates_known_distinct_families():
     assert isomorphic(c2, c3) is None
 
 
-def test_fingerprint_is_relabeling_invariant():
+def test_signature_key_is_relabeling_invariant():
     b = family(FamilyId("2p2-Ep2", 4, 3))
     perm = np.arange(b.n)
     perm[1:] = np.roll(perm[1:], 3)
     relabeled = b.relabel(perm)
-    assert fingerprint(b) == fingerprint(relabeled)
+    assert _signature_key(b) == _signature_key(relabeled)
+
+
+def test_orbit_lengths_of_census_lambda_maps():
+    for n in range(1, 9):
+        for entry in generic(n):
+            lam = entry.semibrace.lam
+            assert orbit_lengths(lam).tolist() == [full_scans.cycle_lengths(row) for row in lam]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_dedup_keeps_the_least_representative_of_relabelled_copies(n):
+    census = generic(n)
+    dedup = _Dedup(lambda e: True)
+    for entry in census:
+        dedup.add(entry.semibrace, entry.provenance)
+    rng = np.random.default_rng(n)
+    want = []
+    for entry in census:
+        b = entry.semibrace
+        copy = b.relabel(np.concatenate([[0], 1 + rng.permutation(n - 1)]))
+        dedup.add(copy, "copy")
+        # the least (add, circ) pair wins; on a tie the class keeps the first
+        _, _, key, prov = min(
+            ((c.add.key(), c.circ.op.key()), rank, c.key(), prov)
+            for rank, (c, prov) in enumerate(((b, entry.provenance), (copy, "copy")))
+        )
+        want.append((key, prov))
+    got = [(e.semibrace.key(), e.provenance) for e in dedup.entries()]
+    assert len(got) == len(census)
+    assert sorted(got) == sorted(want)
+    assert any(prov == "copy" for _, prov in got)
+    assert any(prov != "copy" for _, prov in got)
 
 
 def _least_isomorphism(b1, b2):
@@ -218,7 +253,7 @@ def test_generic_census_counts_small():
 def test_generic_census_count_nine():
     census = generic(9, emin=2)
     assert len(census) == 3
-    assert sorted(e.fingerprint.e_size for e in census) == [3, 9, 9]
+    assert sorted(len(e.semibrace.e_elements) for e in census) == [3, 9, 9]
 
 
 def test_generic_entries_are_valid_and_pairwise_distinct():
@@ -337,7 +372,7 @@ def test_structural_census_order_eighteen():
     assert len(census) == 13
     by_e = {}
     for entry in census:
-        by_e.setdefault(entry.fingerprint.e_size, []).append(entry)
+        by_e.setdefault(len(entry.semibrace.e_elements), []).append(entry)
     assert {k: len(v) for k, v in by_e.items()} == {2: 8, 9: 5}
 
 
@@ -347,10 +382,28 @@ def test_structural_merges_distinct_actions():
     census = structural(18, esylow=True)
     noncyclic_e = [
         e for e in census
-        if e.fingerprint.e_size == 9 and e.fingerprint.circ_profile[1][-1] != 18
-        and 9 not in e.fingerprint.circ_profile[1]
+        if len(e.semibrace.e_elements) == 9
+        and max(e.semibrace.circ.element_orders()) != 18
+        and 9 not in e.semibrace.circ.element_orders()
     ]
     assert len(noncyclic_e) == 3
+
+
+@pytest.mark.parametrize("n, esylow", [(4, False), (6, False), (10, False), (14, False),
+                                       (15, False), (18, True)])
+def test_braid_holds_on_every_structural_product(monkeypatch, n, esylow):
+    products = []
+
+    def recording(*args):
+        products.append(semidirect(*args))
+        return products[-1]
+
+    monkeypatch.setattr(classify, "semidirect", recording)
+    enumerate_structural(n, esylow=esylow)
+    assert products
+    for b in products:
+        holds, witness = check_braid(solution_from(b))
+        assert holds, witness
 
 
 def test_structural_parameter_errors():
@@ -429,8 +482,8 @@ def test_census_json_round_trip():
     assert len(back) == len(census)
     for a, b in zip(census, back):
         assert a.semibrace.key() == b.semibrace.key()
-        assert a.fingerprint == b.fingerprint
         assert a.provenance == b.provenance
+    assert all(set(item) == {"semibrace", "provenance"} for item in data)
 
 
 def test_census_json_rejects_corruption():
@@ -438,12 +491,13 @@ def test_census_json_rejects_corruption():
     with pytest.raises(MalformedTableError):
         census_from_json({"not": "a list"})
     broken = json.loads(json.dumps(data))
-    del broken[0]["fingerprint"]
+    del broken[0]["semibrace"]
     with pytest.raises(MalformedTableError):
         census_from_json(broken)
     tampered = json.loads(json.dumps(data))
-    tampered[0]["fingerprint"]["e_size"] += 1
-    with pytest.raises(MalformedTableError):
+    add = tampered[0]["semibrace"]["add"]
+    add[1][1] = (add[1][1] + 1) % len(add)
+    with pytest.raises(SemiBraceAxiomError):
         census_from_json(tampered)
 
 

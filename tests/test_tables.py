@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semibrace import tables
-from semibrace.classify import small_groups
+from semibrace.classify import SUPPORTED_GROUP_ORDERS, small_groups
 from semibrace.construct import family
 from semibrace.tables import (
     CayleyTable,
@@ -26,6 +26,7 @@ from semibrace.tables import (
     homomorphisms,
     isomorphisms,
     left_nested_generators,
+    orbit_lengths,
     semidirect_group,
     subgroups,
 )
@@ -337,6 +338,23 @@ def test_cyclic_group_element_orders(n, a):
     g = cyclic_group(n)
     a %= n
     assert g.element_order(a) == n // math.gcd(a, n)
+
+
+def test_element_orders_match_element_order():
+    for n in sorted(SUPPORTED_GROUP_ORDERS):
+        for g in small_groups(n):
+            assert g.element_orders().tolist() == [g.element_order(a) for a in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=4)
+    )
+)
+def test_orbit_lengths_match_a_cycle_walk(perms):
+    got = orbit_lengths(np.array(perms))
+    assert got.tolist() == [full_scans.cycle_lengths(p) for p in perms]
 
 
 @settings(max_examples=40, deadline=None)
