@@ -1,0 +1,101 @@
+"""Print, as one JSON object, hashes of the outputs that a change to the
+checking, search or deduplication code must leave unchanged.
+
+Each hash is the first 16 hex digits of the sha256 of
+`json.dumps(value, sort_keys=True)`:
+
+* censuses: value `[[entry.semibrace.to_json(), entry.provenance], ...]`;
+* `verify_classification` reports for the benchmark's six classify cases:
+  value `report.to_json()`;
+* the `isomorphic` witness between the benchmark's two seeded relabellings
+  (seed 1) of `2p2-E2-cyclic`[3] at p = 7, n = 98: value the image list.
+
+The `small_groups` hash is taken over the concatenated `key()` bytes of the
+catalogue groups of every supported order instead.  The order-8 funnel
+gives the counts of the generic sweep: candidate generator images, survivor
+tables and census classes, summed over the five circle groups.
+
+Run from the repository root; it takes 10-20 s:
+
+    PYTHONPATH=src python3 scripts/output_hashes.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (the benchmark's cases and relabellings)
+
+from semibrace.classify import (  # noqa: E402
+    SUPPORTED_GROUP_ORDERS,
+    _generator_image_sets,
+    _survivor_tables,
+    enumerate_generic,
+    enumerate_structural,
+    isomorphic,
+    small_groups,
+    verify_classification,
+)
+from semibrace.construct import FamilyId, family  # noqa: E402
+from semibrace.core import semibrace_from_json  # noqa: E402
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def json_hash(value) -> str:
+    return digest(json.dumps(value, sort_keys=True).encode())
+
+
+def census_hash(entries) -> str:
+    return json_hash([[e.semibrace.to_json(), e.provenance] for e in entries])
+
+
+def iso_witness_hash(seed: int = 1) -> str:
+    files = []
+    for name in ("iso98a.json", "iso98b.json"):
+        theorem, item, p = workloads.CLI_FILES[name]
+        tables = family(FamilyId(theorem, item, p)).to_json()
+        perm = workloads.relabel_perm(seed, name, tables["n"])
+        files.append(semibrace_from_json(workloads.relabel_tables(tables, perm)))
+    return json_hash(isomorphic(*files).images.tolist())
+
+
+def funnel(n: int = 8) -> list[int]:
+    candidates = survivors = 0
+    for circ in small_groups(n):
+        candidates += _generator_image_sets(circ, circ.generating_sequence(), pruned=True)[0].shape[0]
+        survivors += len(_survivor_tables(circ, 1, False, pruned=True))
+    return [candidates, survivors, len(enumerate_generic(n))]
+
+
+def main() -> int:
+    out = {
+        "enumerate_generic": {
+            **{f"n={n}": census_hash(enumerate_generic(n)) for n in (4, 6, 8)},
+            **{f"n={n} emin=2": census_hash(enumerate_generic(n, emin=2)) for n in (9, 10)},
+        },
+        "enumerate_structural": {
+            **{f"n={n}": census_hash(enumerate_structural(n)) for n in (4, 6, 14, 15)},
+            **{f"n={n} esylow": census_hash(enumerate_structural(n, esylow=True))
+               for n in (18, 50)},
+        },
+        "verify_classification": {
+            f"{t} p={p} q={q}": json_hash(verify_classification(t, p, q=q).to_json())
+            for t, p, q, _ in workloads.CLASSIFY_CASES
+        },
+        "small_groups": digest(b"".join(
+            g.key() for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n))),
+        "iso_witness_n98_seed1": iso_witness_hash(),
+        "funnel_n8": funnel(),
+    }
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

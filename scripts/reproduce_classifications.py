@@ -36,7 +36,7 @@ DEFAULT_CASES = [
 ]
 
 # Order 10 triggers the generic cross-check, which sweeps the generator
-# images of the lambda maps of both groups of order 10, about 10 s on one
+# images of the lambda maps of both groups of order 10, about 4 s on one
 # core.
 SLOW_CASES = {("pq-congruent", 5, 2)}
 

@@ -41,6 +41,7 @@ from .core import (
     InternalInvariantError,
     SemiBrace,
     brace_automorphism_group,
+    endomorphic_rows,
     semibrace_from_json,
     verify,
 )
@@ -418,8 +419,7 @@ def _generator_image_sets(
       (a + b) + c != a + (b + c) for some a, b in H with a + b in H and
       some c in B; every term is then known, and the addition of a
       semi-brace is associative on every triple.  The test runs only while
-      H != B: once the prefix generates B it is exactly the associativity
-      check of `_survivor_tables`.
+      H != B; complete tuples are decided by `_survivor_tables`.
 
     Each chunk of prefix rows builds (chunk, |pool|, n) temporaries (see
     `tables.PREFIX_CHUNK`)."""
@@ -458,17 +458,10 @@ def _survivor_tables(
     a + b = a o lam_{a^-}(b) for its lambda map lam_a(b) = a o (a^- + b),
     which is a homomorphism into Sym(n) and hence determined by generator
     images; all such image tuples are covered.  Soundness: with lam built
-    along the BFS tree, each candidate table must pass associativity and
-    `_homomorphic_rows` here, and full verification afterwards.
-
-    These two tests keep the same rows as associativity plus the
-    compatibility law a o (b + c) = (a o b) + lam_a(c).  If lam is a
-    homomorphism, compatibility holds, because (a o b)^- = b^- o a^-:
-        (a o b) + lam_a(c) = a o b o lam_{b^-} lam_{a^-} lam_a(c)
-                           = a o b o lam_{b^-}(c) = a o (b + c).
-    Conversely, a row that passes associativity and compatibility is a
-    semi-brace, whose lambda map a o (a^- + b) = a o a^- o lam_a(b) is this
-    lam, and the lambda map of a semi-brace is a homomorphism."""
+    along the BFS tree (so lam_0 = id), a row is kept iff `endomorphic_rows`
+    and `_homomorphic_rows` pass on the generators, which by the lemma of
+    `core.endomorphic_rows` is exactly when it is a semi-brace; the census
+    verifies every kept table again."""
     n = circ.n
     keep = _e_size_predicate(n, emin, esylow)
     if n == 1:
@@ -494,7 +487,7 @@ def _survivor_tables(
         if not emask.any():
             continue
         add, lam = add[emask], lam[emask]
-        ok = _associative_rows(add, arange_n)
+        ok = endomorphic_rows(lam, add, gens)
         add, lam = add[ok], lam[ok]
         ok = _homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)
         out.extend(table.astype(np.int64) for table in add[ok])

@@ -127,13 +127,14 @@ class GroupReport:
 
 
 # Largest number of (x, y, z) triples scanned in one numpy pass. A table
-# with n**3 <= SLAB (n <= 101) is checked in a single pass, a few int64
-# temporaries of at most 8 MB each; above it, associativity is checked over
-# a generating set and every full scan runs in chunks of at most SLAB
-# triples, so working memory stays O(n**2). Measured on a 2-core Xeon VM,
-# single pass against generator path: 0.017 against 0.17 ms at n = 8 (the
-# generic census checks thousands of such tables), 0.39 against 0.35-1.5 ms
-# at n = 50, 7 against 0.4-3.7 ms at n = 98, 16 against 0.5 ms at n = 121.
+# with n**3 <= SLAB (n <= 101) is checked for associativity in a single
+# pass, a few int64 temporaries of at most 8 MB each; above it,
+# `first_nonassociative` checks over a generating set and every full scan
+# runs in chunks of at most SLAB triples, so working memory stays O(n**2).
+# Measured on a 2-core Xeon VM, single pass against generator path: 0.017
+# against 0.17 ms at n = 8 (`check_group` runs on the circle table of every
+# structure a census verifies), 0.39 against 0.35-1.5 ms at n = 50, 7
+# against 0.4-3.7 ms at n = 98, 16 against 0.5 ms at n = 121.
 SLAB = 1 << 20
 
 
@@ -240,25 +241,6 @@ def check_group(t: CayleyTable) -> GroupReport:
     return GroupReport(True, ident, _freeze(inv), None)
 
 
-def check_left_cancellative_semigroup(t: CayleyTable) -> tuple[bool, Optional[tuple]]:
-    """Associativity plus left cancellation; the witness is the first bad
-    triple (a, b, c), meaning a+(b+c) != (a+b)+c or a+b = a+c with b != c."""
-    tab = t.table
-    triple = first_nonassociative(tab)
-    if triple is not None:
-        return False, ("not-associative", triple)
-    ordered = np.sort(tab, axis=1)
-    bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    if bad.size:
-        a = int(bad[0])
-        row = tab[a]
-        order = np.argsort(row, kind="stable")
-        dup = np.flatnonzero(row[order[1:]] == row[order[:-1]])[0]
-        b, c = sorted((int(order[dup]), int(order[dup + 1])))
-        return False, ("not-left-cancellative", (a, b, c))
-    return True, None
-
-
 def identity_swap(n: int, identity: int) -> np.ndarray:
     """The transposition of 0 and `identity`, as an image array."""
     swap = np.arange(n)
@@ -340,24 +322,19 @@ class FiniteGroup:
         return tuple(int(i) for i in np.flatnonzero(mask))
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Subgroup generated by the seed, as a sorted tuple."""
-        members = {0}
-        frontier = [0]
-        for s in seed:
-            if s not in members:
-                members.add(int(s))
-                frontier.append(int(s))
-        while frontier:
-            nxt = []
-            cur = sorted(members)
-            for x in frontier:
-                for y in cur:
-                    for z in (self.mul(x, y), self.mul(y, x)):
-                        if z not in members:
-                            members.add(z)
-                            nxt.append(z)
-            frontier = nxt
-        return tuple(sorted(members))
+        """Subgroup generated by the seed, as a sorted tuple: the products of
+        seed elements, reached by a BFS from the identity that multiplies on
+        the right by the seed (in a finite group the monoid the seed
+        generates is a subgroup)."""
+        gens = np.fromiter(seed, dtype=np.int64)
+        reached = np.zeros(self.n, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            new = np.unique(self.table[np.ix_(frontier, gens)])
+            frontier = new[~reached[new]]
+            reached[frontier] = True
+        return tuple(int(x) for x in np.flatnonzero(reached))
 
     def generating_sequence(self) -> list[int]:
         """Greedy generating sequence, highest element order first."""

@@ -23,6 +23,8 @@ from semibrace.classify import (
     skew_braces,
     small_groups,
     verify_classification,
+    _add_rows,
+    _associative_rows,
     _generator_image_sets,
     _Dedup,
     _prefix_associative,
@@ -39,11 +41,13 @@ from semibrace.construct import (
     theorems_for_order_pq,
     trivial_semibrace,
 )
-from semibrace.core import SemiBraceAxiomError, verify
+from semibrace.core import SemiBraceAxiomError, endomorphic_rows, verify
 from semibrace.tables import (
     MalformedTableError,
     _bfs_tree,
     _compose_rows,
+    _homomorphic_rows,
+    _lambda_rows,
     _row_powers,
     cyclic_group,
     is_morphism,
@@ -329,6 +333,29 @@ def test_prefix_filter_keeps_every_unpruned_survivor():
                     circ.table[g, add[circ.inv(g)]].astype(np.int8) for g in gens
                 ]
                 assert np.stack(images).tobytes() in rows
+
+
+def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
+    # The lemma of core.endomorphic_rows over every unpruned candidate up to
+    # order 6: among maps built along the BFS tree, the endomorphism test on
+    # the generators and the homomorphism test select exactly the rows that
+    # full associativity and the homomorphism test select.
+    rejected = 0
+    for n in range(2, 7):
+        for circ in small_groups(n):
+            gens = circ.generating_sequence()
+            tree = _bfs_tree(circ, gens)
+            assigned = _generator_image_sets(circ, gens, pruned=False)
+            arange = np.arange(n)
+            for start in range(0, assigned[0].shape[0], 8192):
+                images = [arr[start:start + 8192] for arr in assigned]
+                lam = _lambda_rows(n, tree, images, _compose_rows)
+                add = _add_rows(circ, lam, arange)
+                hom = _homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)
+                endo = endomorphic_rows(lam, add, gens)
+                assert ((endo & hom) == (_associative_rows(add, arange) & hom)).all()
+                rejected += int((hom & ~endo).sum())
+    assert rejected > 0
 
 
 _ORDER_EIGHT_NAMES = {

@@ -139,6 +139,12 @@ def test_identity_relabeled_to_zero():
     assert b.circ_of(0, 2) == 2 and b.circ_of(0, 0) == 0
 
 
+def test_order_one_pair_verifies():
+    # no circle generator besides the identity: the test is lambda_0 = id
+    b = verify([[0]], [[0]])
+    assert (b.e_elements, b.g_elements) == ((0,), (0,))
+
+
 def test_circle_not_a_group_diagnostic():
     n = 3
     right_zero = np.tile(np.arange(n), (n, 1))
@@ -225,8 +231,9 @@ def test_verify_above_slab_matches_full_scan(fid, kind, which, i, j, shift):
 
 
 def test_every_small_corruption_matches_full_scan(monkeypatch):
-    # a slab of one triple sends verify down the generator paths at every n;
-    # a transposition keeps each table valid on its own, so those cases end
+    # verify decides on the circle generators at every n; a slab of one
+    # triple makes the failure path's full scans run one row at a time.  A
+    # transposition keeps each table valid on its own, so those cases end
     # at the compatibility check
     monkeypatch.setattr(tables, "SLAB", 1)
     compat = 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from semibrace import tables
 from semibrace.classify import SUPPORTED_GROUP_ORDERS, small_groups
 from semibrace.construct import family
+from semibrace.core import SemiBraceAxiomError, verify
 from semibrace.tables import (
     CayleyTable,
     FiniteGroup,
@@ -19,10 +20,10 @@ from semibrace.tables import (
     Permutation,
     automorphisms,
     check_group,
-    check_left_cancellative_semigroup,
     cyclic_group,
     dicyclic_group,
     direct_product,
+    first_nonassociative,
     homomorphisms,
     isomorphisms,
     left_nested_generators,
@@ -76,20 +77,20 @@ def test_malformed_table_rejected():
 
 
 def test_left_cancellative_right_zero_and_constant():
+    # over C3, the right-zero addition a + b = b makes a semi-brace; the
+    # constant one is associative but not left cancellative
     n = 3
-    right_zero = CayleyTable.of([[b for b in range(n)] for _ in range(n)])
-    ok, witness = check_left_cancellative_semigroup(right_zero)
-    assert ok and witness is None
-    constant = CayleyTable.of([[0] * n for _ in range(n)])
-    ok, witness = check_left_cancellative_semigroup(constant)
-    assert not ok
-    assert witness == ("not-left-cancellative", (0, 0, 1))
+    circ = cyclic_group(n).table
+    verify([[b for b in range(n)] for _ in range(n)], circ)
+    with pytest.raises(SemiBraceAxiomError) as exc:
+        verify([[0] * n for _ in range(n)], circ)
+    assert (exc.value.axiom, exc.value.witness) == ("add-not-left-cancellative", (0, 0, 1))
 
 
 def test_groups_are_left_cancellative():
+    # a group as both operations is a trivial skew brace
     for g in (cyclic_group(5), FiniteGroup.from_table(s3_table()), dicyclic_group(2)):
-        ok, _ = check_left_cancellative_semigroup(g.op)
-        assert ok
+        verify(g.table, g.table)
 
 
 def test_identity_relabeled_to_zero():
@@ -286,6 +287,25 @@ def test_subgroups_z4_and_s3():
     assert len(order2) == 3 and not any(s.normal for s in order2)
 
 
+def _two_sided_closure(g, seed):
+    """The subgroup generated by seed, by closing under products on both
+    sides until nothing new appears."""
+    members = {0, *seed}
+    while True:
+        more = members | {g.mul(x, y) for x in members for y in members}
+        if more == members:
+            return tuple(sorted(members))
+        members = more
+
+
+def test_closure_matches_a_two_sided_search():
+    for n in (6, 8, 12):
+        for g in small_groups(n):
+            seeds = [()] + [(x,) for x in range(n)] + list(itertools.combinations(range(n), 2))
+            for seed in seeds:
+                assert g.closure(seed) == _two_sided_closure(g, seed), seed
+
+
 def test_isomorphisms_distinguish_z4_from_v4():
     z4 = cyclic_group(4)
     v4 = direct_product(cyclic_group(2), cyclic_group(2))
@@ -387,6 +407,12 @@ def _group_outcome(t):
     return rep.is_group, rep.identity, rep.failure
 
 
+def _associativity_triple(t):
+    """The associativity witness of the single-pass reference scan, or None."""
+    _, witness = full_scans.check_left_cancellative_semigroup(t)
+    return witness[1] if witness is not None and witness[0] == "not-associative" else None
+
+
 def _corrupted(table, i, j, shift):
     out = table.copy()
     out[i, j] = (out[i, j] + shift) % table.shape[0]
@@ -407,11 +433,11 @@ def test_checks_above_slab_match_full_scan(fid, which, i, j, shift):
     n = b.n
     assert not tables.single_slab(n)
     # the valid tables pass
-    assert check_left_cancellative_semigroup(b.add) == (True, None)
+    assert first_nonassociative(b.add.table) is None
     assert check_group(b.circ).is_group
     bad = _corrupted(table, i % n, j % n, 1 + shift % (n - 1))
     assert _group_outcome(bad) == full_scans.check_group(bad)
-    assert check_left_cancellative_semigroup(bad) == full_scans.check_left_cancellative_semigroup(bad)
+    assert first_nonassociative(bad.table) == _associativity_triple(bad)
 
 
 def _small_tables():
@@ -434,9 +460,7 @@ def test_every_small_corruption_matches_full_scan(monkeypatch):
         for i, j, shift in itertools.product(range(n), range(n), range(1, n)):
             bad = _corrupted(table, i, j, shift)
             assert _group_outcome(bad) == full_scans.check_group(bad), (i, j, shift)
-            assert check_left_cancellative_semigroup(bad) == (
-                full_scans.check_left_cancellative_semigroup(bad)
-            ), (i, j, shift)
+            assert first_nonassociative(bad.table) == _associativity_triple(bad), (i, j, shift)
 
 
 def _left_nested_closure(table, gens):
