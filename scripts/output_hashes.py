@@ -12,8 +12,8 @@ Each hash is the first 16 hex digits of the sha256 of
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of every supported order instead.  The order-8 funnel
-gives the counts of the generic sweep: candidate generator images, survivor
-tables and census classes, summed over the five circle groups.
+gives the counts of the generic sweep, summed over the five circle groups:
+lambda maps the morphism search yields, survivor tables and census classes.
 
 Run from the repository root; it takes 10-20 s:
 
@@ -31,7 +31,7 @@ import workloads  # noqa: E402  (the benchmark's cases and relabellings)
 
 from semibrace.classify import (  # noqa: E402
     SUPPORTED_GROUP_ORDERS,
-    _generator_image_sets,
+    _lambda_maps,
     _survivor_tables,
     enumerate_generic,
     enumerate_structural,
@@ -68,7 +68,7 @@ def iso_witness_hash(seed: int = 1) -> str:
 def funnel(n: int = 8) -> list[int]:
     candidates = survivors = 0
     for circ in small_groups(n):
-        candidates += _generator_image_sets(circ, circ.generating_sequence(), pruned=True)[0].shape[0]
+        candidates += sum(lam.shape[0] for lam in _lambda_maps(circ, circ.generating_sequence(), True))
         survivors += len(_survivor_tables(circ, 1, False, pruned=True))
     return [candidates, survivors, len(enumerate_generic(n))]
 

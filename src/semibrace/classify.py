@@ -18,8 +18,9 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .tables import (
     MalformedTableError,
     PREFIX_CHUNK,
     Permutation,
+    ROW_BATCH,
     _bfs_tree,
     _compose_rows,
     _first_morphisms,
@@ -384,119 +386,80 @@ def _associative_rows(add: np.ndarray, elements: np.ndarray) -> np.ndarray:
     ok = left == right
     if h < n:
         ok |= (ab < 0)[:, :, :, None]
-    return ok.reshape(size, -1).all(axis=1)
+    return ok.reshape(size, h * h * n).all(axis=1)
 
 
 def _prefix_associative(
     circ: FiniteGroup, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Rows of generator images whose addition on H, the subgroup the tree
-    covers, is associative wherever it is defined (see
-    `_generator_image_sets`)."""
+    covers, is associative wherever it is defined (see `_survivor_tables`)."""
     elements = np.array(sorted({0, *(y for y, _, _ in tree)}))
     lam = _lambda_rows(circ.n, tree, images, _compose_rows)
     return _associative_rows(_add_rows(circ, lam, elements), elements)
 
 
-def _generator_image_sets(
-    circ: FiniteGroup, gens: list[int], pruned: bool, chunk: int = PREFIX_CHUNK
-) -> list[np.ndarray]:
-    """Candidate image tuples for the generators, one (C, n) array per
-    generator.  The tuples form a superset of the generator images of the
-    lambda map of every semi-brace with this circle group.  That map is a
-    homomorphism lam from (B, o) into Sym(B), and a + b = a o lam_{a^-}(b).
-    The pruned path is `tables._search_morphisms` into Sym(B), so it keeps
-    exactly the homomorphisms, and prunes on the way with three tests, each
-    a necessary condition:
-
-    - Element orders: lam_g has order dividing that of g, because
-      lam_g^k = lam_{g^k} = lam_0 = id for k the order of g.  The pools hold
-      only such permutations.
-    - Relations: the power and conjugation relations of the search, which
-      hold for any homomorphism.
-    - Prefix associativity: with H the subgroup generated by g_1 ... g_j,
-      a + b is known for every a in H and b in B.  A tuple is rejected if
-      (a + b) + c != a + (b + c) for some a, b in H with a + b in H and
-      some c in B; every term is then known, and the addition of a
-      semi-brace is associative on every triple.  The test runs only while
-      H != B; complete tuples are decided by `_survivor_tables`.
-
-    Each chunk of prefix rows builds (chunk, |pool|, n) temporaries (see
-    `tables.PREFIX_CHUNK`)."""
+def _lambda_maps(circ: FiniteGroup, gens: list[int], pruned: bool) -> Iterator[np.ndarray]:
+    """Blocks (rows, n, n) of homomorphisms lam: (B, o) -> Sym(B), closed
+    along the BFS tree of `gens`, which must generate B; they cover the
+    lambda map of every semi-brace with this circle group (see
+    `_survivor_tables`).  Unpruned, every tuple of generator images is
+    tried, ROW_BATCH tuples at a time."""
     n = circ.n
-    if not pruned:
-        pools = [_all_perms(n) for _ in gens]
-        assigned = [pools[0]]
-        for pool in pools[1:]:
-            count = assigned[0].shape[0]
-            assigned = [np.repeat(arr, pool.shape[0], axis=0) for arr in assigned]
-            assigned.append(np.tile(pool, (count, 1)))
-        return assigned
-    pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
-
-    def keep_prefix(tree, images):
-        return _prefix_associative(circ, tree, images)
-
-    found = [
-        f[:, gens] for f in _search_morphisms(circ, gens, pools, _compose_rows, keep_prefix, chunk)
-    ]
-    images = np.concatenate(found) if found else np.empty((0, len(gens), n), dtype=np.int8)
-    return [np.ascontiguousarray(images[:, i]) for i in range(len(gens))]
+    if pruned:
+        pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
+        keep_prefix = lambda tree, images: _prefix_associative(circ, tree, images)
+        yield from _search_morphisms(circ, gens, pools, _compose_rows, keep_prefix, PREFIX_CHUNK)
+        return
+    perms = _all_perms(n)
+    tree = _bfs_tree(circ, gens)
+    shape = (perms.shape[0],) * len(gens)
+    total = math.prod(shape)
+    for start in range(0, total, ROW_BATCH):
+        picks = np.unravel_index(np.arange(start, min(start + ROW_BATCH, total)), shape)
+        lam = _lambda_rows(n, tree, [perms[p] for p in picks], _compose_rows)
+        yield lam[_homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)]
 
 
-def _survivor_tables(
-    circ: FiniteGroup,
-    emin: int,
-    esylow: bool,
-    pruned: bool,
-    chunk: int = 8192,
-) -> list[np.ndarray]:
+def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -> list[np.ndarray]:
     """Addition tables of every valid semi-brace over this circle group whose
-    idempotent count passes the filter.
+    idempotent count passes the filter, in the order `_lambda_maps` yields.
 
-    Exhaustiveness: the addition of any semi-brace with this circle group is
-    a + b = a o lam_{a^-}(b) for its lambda map lam_a(b) = a o (a^- + b),
-    which is a homomorphism into Sym(n) and hence determined by generator
-    images; all such image tuples are covered.  Soundness: with lam built
-    along the BFS tree (so lam_0 = id), a row is kept iff `endomorphic_rows`
-    and `_homomorphic_rows` pass on the generators, which by the lemma of
-    `core.endomorphic_rows` is exactly when it is a semi-brace; the census
-    verifies every kept table again."""
+    Exhaustiveness: the addition of a semi-brace with this circle group is
+    a + b = a o lam_{a^-}(b) for its lambda map lam_a(b) = a o (a^- + b), a
+    homomorphism into Sym(B), so fixed by its generator images.  Unpruned,
+    every image tuple is tried; pruned, `tables._search_morphisms` drops
+    only tuples that fail a necessary condition:
+
+    - Element orders: lam_g^k = lam_{g^k} = id for k the order of g, so
+      the pools hold only permutations of order dividing k.
+    - Relations: the power and conjugation relations of the search hold
+      for any homomorphism.
+    - Prefix associativity: with H = <g_1 ... g_j> != B, a + b is known for
+      a in H and every b, and a tuple is dropped if (a + b) + c !=
+      a + (b + c) for some a, b in H with a + b in H and some c, which
+      a semi-brace's associative addition never allows.
+
+    Soundness: every yielded lam is a homomorphism with lam_0 = id, so by
+    the lemma of `core.endomorphic_rows` it gives a semi-brace exactly when
+    each lam_g, g in `gens`, is an endomorphism of +; the census verifies
+    every kept table again."""
     n = circ.n
     keep = _e_size_predicate(n, emin, esylow)
     if n == 1:
         return [np.zeros((1, 1), dtype=np.int64)] if keep(1) else []
     gens = circ.generating_sequence()
-    tree = _bfs_tree(circ, gens)
-    if len(tree) + 1 != n:
+    if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
-    assigned = _generator_image_sets(circ, gens, pruned)
-    count = assigned[0].shape[0]
-    ident8 = np.arange(n, dtype=np.int8)
+    allowed = np.array([keep(e) for e in range(n + 1)])
     arange_n = np.arange(n)
-    sylow = _sylow_sizes(n)
     out: list[np.ndarray] = []
-    for start in range(0, count, chunk):
-        rows = slice(start, min(start + chunk, count))
-        lam = _lambda_rows(n, tree, [arr[rows] for arr in assigned], _compose_rows)
+    for lam in _lambda_maps(circ, gens, pruned):
         add = _add_rows(circ, lam, arange_n)
-        esize = (add[:, arange_n, arange_n] == ident8[None, :]).sum(axis=1)
-        emask = esize >= emin
-        if esylow:
-            emask &= np.isin(esize, list(sylow))
-        if not emask.any():
-            continue
+        emask = allowed[(add[:, arange_n, arange_n] == arange_n).sum(axis=1)]
         add, lam = add[emask], lam[emask]
-        ok = endomorphic_rows(lam, add, gens)
-        add, lam = add[ok], lam[ok]
-        ok = _homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)
-        out.extend(table.astype(np.int64) for table in add[ok])
+        out.extend(table.astype(np.int64) for table in add[endomorphic_rows(lam, add, gens)])
     return out
-
-
-def _generic_worker(args) -> list[np.ndarray]:
-    circ, emin, esylow, pruned = args
-    return _survivor_tables(circ, emin, esylow, pruned)
 
 
 def enumerate_generic(
@@ -521,14 +484,14 @@ def enumerate_generic(
     if cached is not None:
         return cached
     groups = small_groups(n)
-    tasks = [(g, emin, esylow, pruned) for g in groups]
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_generic_worker, tasks))
+            results = list(pool.map(
+                _survivor_tables, groups, repeat(emin), repeat(esylow), repeat(pruned)))
     else:
-        results = [_generic_worker(task) for task in tasks]
+        results = [_survivor_tables(g, emin, esylow, pruned) for g in groups]
     dedup = _Dedup(_e_size_predicate(n, emin, esylow))
     for gi, (group, tables) in enumerate(zip(groups, results)):
         for table in tables:

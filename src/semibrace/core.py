@@ -128,7 +128,7 @@ def endomorphic_rows(lam: np.ndarray, add: np.ndarray, gens) -> np.ndarray:
     for g in gens:
         lg = lam[:, g].astype(np.intp)
         lhs = np.take_along_axis(lg, flat, axis=1)  # lam_g(b + c)
-        rhs = np.take_along_axis(flat, (lg[:, :, None] * n + lg[:, None, :]).reshape(rows, -1), axis=1)
+        rhs = np.take_along_axis(flat, (lg[:, :, None] * n + lg[:, None, :]).reshape(rows, n * n), axis=1)
         ok &= (lhs == rhs).all(axis=1)
     return ok
 

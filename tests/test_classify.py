@@ -25,8 +25,8 @@ from semibrace.classify import (
     verify_classification,
     _add_rows,
     _associative_rows,
-    _generator_image_sets,
     _Dedup,
+    _lambda_maps,
     _prefix_associative,
     _signature_key,
     _survivor_tables,
@@ -46,8 +46,6 @@ from semibrace.tables import (
     MalformedTableError,
     _bfs_tree,
     _compose_rows,
-    _homomorphic_rows,
-    _lambda_rows,
     _row_powers,
     cyclic_group,
     is_morphism,
@@ -312,7 +310,7 @@ def test_prefix_filter_rejects_nonassociative_partial_addition():
     tree = _bfs_tree(circ, gens[:1])
     keep = _prefix_associative(circ, tree, [np.stack([sigma, identity])])
     assert keep.tolist() == [False, True]
-    first = _generator_image_sets(circ, gens, pruned=True)[0]
+    first = np.concatenate([lam[:, gens[0]] for lam in _lambda_maps(circ, gens, pruned=True)])
     assert not (first == sigma).all(axis=1).any()
     assert (first == identity).all(axis=1).any()
 
@@ -323,8 +321,11 @@ def test_prefix_filter_keeps_every_unpruned_survivor():
     for n in range(2, 7):
         for circ in small_groups(n):
             gens = circ.generating_sequence()
-            candidates = _generator_image_sets(circ, gens, pruned=True)
-            rows = {np.stack(t).tobytes() for t in zip(*candidates)}
+            rows = {
+                images.tobytes()
+                for lam in _lambda_maps(circ, gens, pruned=True)
+                for images in lam[:, gens]
+            }
             survivors = _survivor_tables(circ, 1, False, pruned=False)
             assert survivors
             for add in survivors:
@@ -336,25 +337,20 @@ def test_prefix_filter_keeps_every_unpruned_survivor():
 
 
 def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
-    # The lemma of core.endomorphic_rows over every unpruned candidate up to
-    # order 6: among maps built along the BFS tree, the endomorphism test on
-    # the generators and the homomorphism test select exactly the rows that
-    # full associativity and the homomorphism test select.
+    # The lemma of core.endomorphic_rows over every unpruned lambda map up to
+    # order 6: among homomorphisms built along the BFS tree, the endomorphism
+    # test on the generators selects exactly the rows that full
+    # associativity selects.
     rejected = 0
     for n in range(2, 7):
+        arange = np.arange(n)
         for circ in small_groups(n):
             gens = circ.generating_sequence()
-            tree = _bfs_tree(circ, gens)
-            assigned = _generator_image_sets(circ, gens, pruned=False)
-            arange = np.arange(n)
-            for start in range(0, assigned[0].shape[0], 8192):
-                images = [arr[start:start + 8192] for arr in assigned]
-                lam = _lambda_rows(n, tree, images, _compose_rows)
+            for lam in _lambda_maps(circ, gens, pruned=False):
                 add = _add_rows(circ, lam, arange)
-                hom = _homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)
                 endo = endomorphic_rows(lam, add, gens)
-                assert ((endo & hom) == (_associative_rows(add, arange) & hom)).all()
-                rejected += int((hom & ~endo).sum())
+                assert (endo == _associative_rows(add, arange)).all()
+                rejected += int((~endo).sum())
     assert rejected > 0
 
 

@@ -20,6 +20,7 @@ from semibrace.core import (
     brace_automorphism_group,
     decompose,
     decompose_E_ideal,
+    endomorphic_rows,
     factorize,
     idempotents,
     is_ideal,
@@ -271,6 +272,12 @@ def test_verify_at_578_is_small():
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert (again.n, len(again.e_elements), len(again.g_elements)) == (578, 2, 289)
+
+
+def test_endomorphic_rows_accepts_an_empty_block():
+    empty = np.zeros((0, 4, 4), dtype=np.int8)
+    ok = endomorphic_rows(empty, empty, [1, 2])
+    assert ok.dtype == bool and ok.shape == (0,)
 
 
 def test_malformed_table_diagnostic():
