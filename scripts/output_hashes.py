@@ -12,10 +12,10 @@ Each hash is the first 16 hex digits of the sha256 of
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of every supported order instead.  The order-8 funnel
-gives the counts of the generic sweep, summed over the five circle groups:
-lambda maps the morphism search yields, survivor tables and census classes.
+gives the counts of the generic sweep: survivor tables, summed over the
+five circle groups, and census classes.
 
-Run from the repository root; it takes 10-20 s:
+Run from the repository root; it takes about 10 s:
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
@@ -31,7 +31,6 @@ import workloads  # noqa: E402  (the benchmark's cases and relabellings)
 
 from semibrace.classify import (  # noqa: E402
     SUPPORTED_GROUP_ORDERS,
-    _lambda_maps,
     _survivor_tables,
     enumerate_generic,
     enumerate_structural,
@@ -66,17 +65,14 @@ def iso_witness_hash(seed: int = 1) -> str:
 
 
 def funnel(n: int = 8) -> list[int]:
-    candidates = survivors = 0
-    for circ in small_groups(n):
-        candidates += sum(lam.shape[0] for lam in _lambda_maps(circ, circ.generating_sequence(), True))
-        survivors += len(_survivor_tables(circ, 1, False, pruned=True))
-    return [candidates, survivors, len(enumerate_generic(n))]
+    survivors = sum(len(_survivor_tables(circ, 1, False, pruned=True)) for circ in small_groups(n))
+    return [survivors, len(enumerate_generic(n))]
 
 
 def main() -> int:
     out = {
         "enumerate_generic": {
-            **{f"n={n}": census_hash(enumerate_generic(n)) for n in (4, 6, 8)},
+            **{f"n={n}": census_hash(enumerate_generic(n)) for n in (4, 6, 8, 9, 10)},
             **{f"n={n} emin=2": census_hash(enumerate_generic(n, emin=2)) for n in (9, 10)},
         },
         "enumerate_structural": {

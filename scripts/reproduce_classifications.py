@@ -3,19 +3,18 @@
 For each supported parameter set this script builds the explicit family
 representatives, enumerates every left cancellative left semi-brace of the
 matching order as semidirect products over every action homomorphism (and,
-up to order 10, also by sweeping the generator images of the lambda maps of
-every group of that order), reduces the survivors to isomorphism classes,
-and checks that the lists match one to one.
+up to order 10, also from the regular embeddings of every group of that
+order into the holomorphs of its possible additive right groups), reduces
+the survivors to isomorphism classes, and checks that the lists match one
+to one.
 
 Run from the repository root (or drop PYTHONPATH after installing the
 package):
 
     PYTHONPATH=src python3 scripts/reproduce_classifications.py
-    PYTHONPATH=src python3 scripts/reproduce_classifications.py --fast
-    PYTHONPATH=src python3 scripts/reproduce_classifications.py --jobs 4 --cache .cache
+    PYTHONPATH=src python3 scripts/reproduce_classifications.py --cache .cache
 
-The --fast flag drops the order 10 case, whose exhaustive sweep dominates
-the runtime.  Exit status is 0 when every classification verifies.
+Exit status is 0 when every classification verifies.
 """
 
 import argparse
@@ -35,17 +34,12 @@ DEFAULT_CASES = [
     ("2p2", 5, None),
 ]
 
-# Order 10 triggers the generic cross-check, which sweeps the generator
-# images of the lambda maps of both groups of order 10, about 4 s on one
-# core.
-SLOW_CASES = {("pq-congruent", 5, 2)}
 
-
-def run_case(theorem, p, q, jobs, cache_dir):
+def run_case(theorem, p, q, cache_dir):
     label = f"{theorem} p={p}" + (f" q={q}" if q is not None else "")
     start = time.time()
     try:
-        report = verify_classification(theorem, p, q=q, jobs=jobs, cache_dir=cache_dir)
+        report = verify_classification(theorem, p, q=q, cache_dir=cache_dir)
     except Exception as err:
         print(f"{label:30s} ERROR {err}")
         return False
@@ -64,14 +58,11 @@ def run_case(theorem, p, q, jobs, cache_dir):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fast", action="store_true", help="skip the slow order 10 sweep")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the sweeps")
     parser.add_argument("--cache", default=None, help="directory for cached census files")
     args = parser.parse_args(argv)
 
-    cases = [c for c in DEFAULT_CASES if not (args.fast and c in SLOW_CASES)]
-    print(f"verifying {len(cases)} classification cases")
-    results = [run_case(t, p, q, args.jobs, args.cache) for t, p, q in cases]
+    print(f"verifying {len(DEFAULT_CASES)} classification cases")
+    results = [run_case(t, p, q, args.cache) for t, p, q in DEFAULT_CASES]
     failed = results.count(False)
     if failed:
         print(f"{failed} case(s) FAILED")

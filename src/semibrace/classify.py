@@ -1,8 +1,9 @@
 """Isomorphism testing and two independent enumerators for finite left
 cancellative left semi-braces.
 
-The generic enumerator walks every lambda representation of every circle
-group of order n and keeps the table pairs that satisfy the axioms.  The
+The generic enumerator builds, for every circle group of order n, the
+addition tables of its regular embeddings into Hol(G) x Sym(E), one for
+each right group G x E of order n that (B, +) can be.  The
 structural enumerator builds semidirect products of a skew brace part and a
 trivial part, in both directions, over the shapes n = pq and n = 2p^2 where
 those products exhaust the classification.  Both produce censuses of
@@ -18,7 +19,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -49,7 +49,6 @@ from .core import (
 from .tables import (
     FiniteGroup,
     MalformedTableError,
-    PREFIX_CHUNK,
     Permutation,
     ROW_BATCH,
     _bfs_tree,
@@ -370,47 +369,11 @@ def _add_rows(circ: FiniteGroup, lam: np.ndarray, elements: np.ndarray) -> np.nd
     return tab8[elements[None, :, None], lam[:, circ.inverse[elements], :]]
 
 
-def _associative_rows(add: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Rows r with (a + b) + c == a + (b + c) for all a, b in `elements`
-    with a + b in `elements`, and every c; add is as `_add_rows` returns."""
-    size, h, n = add.shape
-    pos = np.full(n, -1, dtype=np.int16)
-    pos[elements] = np.arange(h, dtype=np.int16)
-    ab = pos[add[:, :, elements]]  # index of a + b in elements, or -1
-    flat = add.reshape(size, h * n)
-    bidx = np.arange(size)[:, None, None, None]
-    a16 = np.arange(h, dtype=np.int16)[None, :, None, None]
-    c16 = np.arange(n, dtype=np.int16)
-    left = flat[bidx, np.maximum(ab, 0)[:, :, :, None] * n + c16]
-    right = flat[bidx, a16 * n + add[:, None, :, :]]
-    ok = left == right
-    if h < n:
-        ok |= (ab < 0)[:, :, :, None]
-    return ok.reshape(size, h * h * n).all(axis=1)
-
-
-def _prefix_associative(
-    circ: FiniteGroup, tree: list[tuple[int, int, int]], images: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Rows of generator images whose addition on H, the subgroup the tree
-    covers, is associative wherever it is defined (see `_survivor_tables`)."""
-    elements = np.array(sorted({0, *(y for y, _, _ in tree)}))
-    lam = _lambda_rows(circ.n, tree, images, _compose_rows)
-    return _associative_rows(_add_rows(circ, lam, elements), elements)
-
-
-def _lambda_maps(circ: FiniteGroup, gens: list[int], pruned: bool) -> Iterator[np.ndarray]:
-    """Blocks (rows, n, n) of homomorphisms lam: (B, o) -> Sym(B), closed
-    along the BFS tree of `gens`, which must generate B; they cover the
-    lambda map of every semi-brace with this circle group (see
-    `_survivor_tables`).  Unpruned, every tuple of generator images is
-    tried, ROW_BATCH tuples at a time."""
+def _lambda_maps(circ: FiniteGroup, gens: list[int]) -> Iterator[np.ndarray]:
+    """Blocks (rows, n, n) of every homomorphism lam: (B, o) -> Sym(B),
+    closed along the BFS tree of `gens`, which must generate B: every tuple
+    of generator images from Sym(n) is tried, ROW_BATCH tuples at a time."""
     n = circ.n
-    if pruned:
-        pools = [_order_divides_pool(n, circ.element_order(g)) for g in gens]
-        keep_prefix = lambda tree, images: _prefix_associative(circ, tree, images)
-        yield from _search_morphisms(circ, gens, pools, _compose_rows, keep_prefix, PREFIX_CHUNK)
-        return
     perms = _all_perms(n)
     tree = _bfs_tree(circ, gens)
     shape = (perms.shape[0],) * len(gens)
@@ -421,29 +384,73 @@ def _lambda_maps(circ: FiniteGroup, gens: list[int], pruned: bool) -> Iterator[n
         yield lam[_homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)]
 
 
+def _regular_tables(
+    circ: FiniteGroup, gens: list[int], group: FiniteGroup, k: int
+) -> Iterator[np.ndarray]:
+    """Blocks (rows, n, n) of int8 addition tables: the right group G x E,
+    (h, e) labelled h * k + e, pulled back along psi(c) = rho(c)(0) for each
+    homomorphism rho: (B, o) -> Hol(G) x Sym(E) that makes psi a bijection;
+    (t o alpha, pi) acts as (h, e) -> (t alpha(h), pi(e)).  See
+    `_survivor_tables`."""
+    n, m = circ.n, group.n
+    auts = np.stack([a.images for a in automorphisms(group)])
+    affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
+    pools = []
+    for c in gens:
+        order = circ.element_order(c)
+        pi = _order_divides_pool(k, order)
+        pool = (affine[:, None, :, None] * k + pi[None, :, None, :]).astype(np.int8)
+        pool = pool.reshape(affine.shape[0] * pi.shape[0], n)
+        pools.append(pool[(orbit_lengths(pool) == order).all(axis=1)])
+    x = np.arange(n)
+    right_group = group.table[x[:, None] // k, x[None, :] // k] * k + x % k
+    for rho in _search_morphisms(circ, gens, pools, _compose_rows):
+        psi = rho[:, :, 0].astype(np.intp)
+        psi = psi[(np.sort(psi, axis=1) == x).all(axis=1)]
+        rows = np.arange(psi.shape[0])[:, None, None]
+        pulled = np.argsort(psi, axis=1)[rows, right_group[psi[:, :, None], psi[:, None, :]]]
+        yield pulled.astype(np.int8)
+
+
 def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -> list[np.ndarray]:
-    """Addition tables of every valid semi-brace over this circle group whose
-    idempotent count passes the filter, in the order `_lambda_maps` yields.
+    """Addition tables of every semi-brace (B, +, o) whose circle table is
+    `circ` and whose idempotent count |E| passes the filter.  Unpruned, each
+    lambda map from `_lambda_maps` is tested by `core.endomorphic_rows`, in
+    the order they come.  Pruned, the tables are built from regular
+    embeddings and returned sorted by their bytes, on these facts:
 
-    Exhaustiveness: the addition of a semi-brace with this circle group is
-    a + b = a o lam_{a^-}(b) for its lambda map lam_a(b) = a o (a^- + b), a
-    homomorphism into Sym(B), so fixed by its generator images.  Unpruned,
-    every image tuple is tried; pruned, `tables._search_morphisms` drops
-    only tuples that fail a necessary condition:
-
-    - Element orders: lam_g^k = lam_{g^k} = id for k the order of g, so
-      the pools hold only permutations of order dividing k.
-    - Relations: the power and conjugation relations of the search hold
-      for any homomorphism.
-    - Prefix associativity: with H = <g_1 ... g_j> != B, a + b is known for
-      a in H and every b, and a tuple is dropped if (a + b) + c !=
-      a + (b + c) for some a, b in H with a + b in H and some c, which
-      a semi-brace's associative addition never allows.
-
-    Soundness: every yielded lam is a homomorphism with lam_0 = id, so by
-    the lemma of `core.endomorphic_rows` it gives a semi-brace exactly when
-    each lam_g, g in `gens`, is an endomorphism of +; the census verifies
-    every kept table again."""
+    - Right group.  A finite left cancellative (B, +) has a + B = B.  An
+      idempotent e is a left identity (e + e + x = e + x, cancel e), so E,
+      the idempotents, is right zero, G = B + 0 is a group, each b is
+      (b + 0) + e for exactly one e in E, and b -> (b + 0, e) is an
+      isomorphism onto G x E with (g, e) + (g', e') = (g g', e')
+      (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.11).  So
+      |E| = k divides n and |G| = n / k.
+    - Aut(G x E) = Aut(G) x Sym(E).  An automorphism phi permutes E by some
+      pi, and phi(g, e) = phi((g, e_0) + (1, e)) = (alpha(g), pi(e)), with
+      alpha(g) the G coordinate of phi(g, e_0), an automorphism of G since
+      that coordinate is a homomorphism.  Each such pair is an automorphism.
+    - Regular embedding.  a o x = a o lam_{a^-} lam_a(x) = a + lam_a(x).  In
+      coordinates a + _ is a translation t of G and lam_a = (alpha, pi), so
+      c -> (x -> c o x) is a homomorphism rho into Hol(G) x Sym(E) with
+      rho(c)(0) = c.  Every cycle of rho(c) has length ord(c), as x, c o x,
+      ... repeat only at c^ord(c), so the pools hold only such (t o alpha,
+      pi), with pi of order dividing ord(c).
+    - Converse.  If rho: (B, o) -> Hol(G) x Sym(E) is a homomorphism and
+      psi(c) = rho(c)(0) a bijection, pull + back along psi, and let lam_c
+      be the Aut(G) x Sym(E) part of rho(c), pulled back too: a homomorphism,
+      as the translations are normal.  psi(a o x) = rho(a)(psi(x)) = psi(a)
+      + psi(lam_a(x)), so a + b = a o lam_{a^-}(b), and as each lam_c is an
+      automorphism of +, the lemma of `core.endomorphic_rows` makes the
+      tables a semi-brace with |E| = k.  Every semi-brace arises, from psi
+      its coordinate map composed with a pi that sends 0 to (1, e_0).
+    - k = n.  Then a + b = b, which every psi keeps: one table, no search.
+    - Classes are Aut(C)-orbits.  Two semi-braces with circle table C are
+      isomorphic iff some f in Aut(C) carries one addition to the other;
+      rho o f is regular with rho and gives the f-relabelled table, so the
+      tables found are whole Aut(C)-orbits, one per class, without an
+      orbit expansion.  A table comes from every conjugate of rho by the
+      stabiliser of 0 in Aut(G x E), so the tables are deduplicated."""
     n = circ.n
     keep = _e_size_predicate(n, emin, esylow)
     if n == 1:
@@ -451,10 +458,22 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
     gens = circ.generating_sequence()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
+    if pruned:
+        found: set[bytes] = set()
+        for k in range(1, n + 1):
+            if n % k or not keep(k):
+                continue
+            if k == n:
+                found.add(np.arange(n, dtype=np.int8).tobytes() * n)
+                continue
+            for group in small_groups(n // k):
+                for block in _regular_tables(circ, gens, group, k):
+                    found.update(table.tobytes() for table in block)
+        return [np.frombuffer(key, np.int8).reshape(n, n).astype(np.int64) for key in sorted(found)]
     allowed = np.array([keep(e) for e in range(n + 1)])
     arange_n = np.arange(n)
     out: list[np.ndarray] = []
-    for lam in _lambda_maps(circ, gens, pruned):
+    for lam in _lambda_maps(circ, gens):
         add = _add_rows(circ, lam, arange_n)
         emask = allowed[(add[:, arange_n, arange_n] == arange_n).sum(axis=1)]
         add, lam = add[emask], lam[emask]
@@ -467,14 +486,13 @@ def enumerate_generic(
     emin: int = 1,
     esylow: bool = False,
     pruned: bool = True,
-    jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> list[CensusEntry]:
     """Complete census of semi-braces of order n (up to isomorphism) whose
-    idempotent count passes the filter, by exhausting lambda representations
-    over every group of order n."""
-    if n < 1 or emin < 1 or jobs < 1:
-        raise ParameterError("n, emin, and jobs must be positive")
+    idempotent count passes the filter, from the tables `_survivor_tables`
+    lists over every group of order n."""
+    if n < 1 or emin < 1:
+        raise ParameterError("n and emin must be positive")
     if n > GENERIC_BOUND:
         raise ParameterError(f"generic enumeration is bounded at n <= {GENERIC_BOUND}")
     if not pruned and n > UNPRUNED_BOUND:
@@ -483,18 +501,9 @@ def enumerate_generic(
     cached = _cache_load(cache_dir, key)
     if cached is not None:
         return cached
-    groups = small_groups(n)
-    if jobs > 1 and len(groups) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _survivor_tables, groups, repeat(emin), repeat(esylow), repeat(pruned)))
-    else:
-        results = [_survivor_tables(g, emin, esylow, pruned) for g in groups]
     dedup = _Dedup(_e_size_predicate(n, emin, esylow))
-    for gi, (group, tables) in enumerate(zip(groups, results)):
-        for table in tables:
+    for gi, group in enumerate(small_groups(n)):
+        for table in _survivor_tables(group, emin, esylow, pruned):
             dedup.add(verify(table, group.table), f"generic:n={n}:group{gi}")
     entries = dedup.entries()
     _cache_store(cache_dir, key, entries)
@@ -671,7 +680,6 @@ def verify_classification(
     theorem: str,
     p: int,
     q: Optional[int] = None,
-    jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> ClassificationReport:
     """Build the families for a classification statement, check pairwise
@@ -727,7 +735,7 @@ def verify_classification(
 
     generic_checked = False
     if theorem in PQ_THEOREMS and n <= GENERIC_BOUND:
-        gen = enumerate_generic(n, emin=2, jobs=jobs, cache_dir=cache_dir)
+        gen = enumerate_generic(n, emin=2, cache_dir=cache_dir)
         _match_census(fams, gen, "generic", problems)
         generic_checked = True
 

@@ -155,7 +155,6 @@ def cmd_enumerate(args) -> int:
         args.n,
         emin=args.emin,
         esylow=args.esylow,
-        jobs=args.jobs,
         cache_dir=_cache_dir(args),
     )
     payload = census_to_json(census)
@@ -172,7 +171,7 @@ def cmd_classify(args) -> int:
     if args.theorem is None or args.p is None:
         raise ParameterError("classify needs --theorem and --p")
     report = verify_classification(
-        args.theorem, args.p, q=args.q, jobs=args.jobs, cache_dir=_cache_dir(args)
+        args.theorem, args.p, q=args.q, cache_dir=_cache_dir(args)
     )
     if report.ok:
         lines = [f"{len(report.family_labels)} classes, census match"]
@@ -267,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", metavar="DIR",
                         help="census cache directory (SEMIBRACE_CACHE overrides)")
     common.add_argument("--format", choices=("json", "text"), default="text")
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="worker processes for the generic sweep")
 
     parser = argparse.ArgumentParser(
         prog="semibrace",
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.set_defaults(func=cmd_families)
 
-    p = sub.add_parser("enumerate", parents=[common, sweep],
+    p = sub.add_parser("enumerate", parents=[common],
                        help="census of all semi-braces of order n up to isomorphism")
     p.add_argument("--n", type=int)
     p.add_argument("--emin", type=int, default=1,
@@ -300,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only |E| equal to a Sylow subgroup size")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("classify", parents=[common, sweep],
+    p = sub.add_parser("classify", parents=[common],
                        help="check a classification statement against the censuses")
     p.add_argument("--theorem", help="pq-noncongruent | pq-congruent | "
                                      "2p2-E2-cyclic | 2p2-E2-noncyclic | 2p2-Ep2 | 2p2")

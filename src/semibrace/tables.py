@@ -388,8 +388,7 @@ def is_action(images: np.ndarray, table: np.ndarray) -> bool:
 Target = Union[FiniteGroup, Sequence[Permutation]]
 
 # Prefix rows whose extensions by a whole pool are tested at once; each
-# builds (chunk, |pool|, w) temporaries, about 10 MB apiece for the order-8
-# sweep, and larger ones leave a peak memory that shifts with heap layout.
+# chunk builds (PREFIX_CHUNK, |pool|, w) temporaries.
 PREFIX_CHUNK = 128
 # Extended rows closed over the tree at once.
 ROW_BATCH = 8192
@@ -493,8 +492,6 @@ def _search_morphisms(
     gens: Sequence[int],
     pools: Sequence[np.ndarray],
     mul,
-    keep_prefix: Optional[Callable[[list, list], np.ndarray]],
-    chunk: int,
 ) -> Iterator[np.ndarray]:
     """The homomorphisms f from src whose generator images f(gens[j]) are
     drawn from pools[j] ((m_j, w) arrays of target elements), as blocks of
@@ -507,12 +504,10 @@ def _search_morphisms(
     pool entry) pairs is tested at once against two relations that every
     homomorphism satisfies: if g_j^t lies in H for some t below the order of
     g_j (least such t), f(g_j)^t = f(g_j^t); and if g_j o g_i o g_j^-
-    lies in H, f(g_j) . f(g_i) = f(g_j o g_i o g_j^-) . f(g_j).  A caller may
-    drop further extended rows with `keep_prefix(tree, images)` while the
-    generators assigned so far are a proper prefix.  Each complete row is
-    closed over the BFS tree of src and kept only if `_homomorphic_rows`
-    holds, which is complete, so the relations and `keep_prefix` only prune
-    and need only be necessary."""
+    lies in H, f(g_j) . f(g_i) = f(g_j o g_i o g_j^-) . f(g_j).  Each
+    complete row is closed over the BFS tree of src and kept only if
+    `_homomorphic_rows` holds, which is complete, so the relations only
+    prune and need only be necessary."""
     levels = []
     prefix_tree: list[tuple[int, int, int]] = []
     for j, g in enumerate(gens):
@@ -532,8 +527,8 @@ def _search_morphisms(
         prefix_tree, power, pool_power, conjugates, tree = levels[j]
         pool = pools[j]
         count = images[0].shape[0] if images else 1
-        for start in range(0, count, chunk):
-            part = [arr[start:start + chunk] for arr in images]
+        for start in range(0, count, PREFIX_CHUNK):
+            part = [arr[start:start + PREFIX_CHUNK] for arr in images]
             size = part[0].shape[0] if part else 1
             mask = np.ones((size, pool.shape[0]), dtype=bool)
             f = _lambda_rows(src.n, prefix_tree, part, mul) if part else None
@@ -548,9 +543,6 @@ def _search_morphisms(
                 rows = [arr[prev[lo:lo + ROW_BATCH]] for arr in part]
                 rows.append(pool[chosen[lo:lo + ROW_BATCH]])
                 if j + 1 < len(gens):
-                    if keep_prefix is not None:
-                        ok = keep_prefix(tree, rows)
-                        rows = [arr[ok] for arr in rows]
                     yield from extend(j + 1, rows)
                 else:
                     f = _lambda_rows(src.n, tree, rows, mul)
@@ -600,7 +592,7 @@ def _first_morphisms(
         labels = _positions(elements)
     pools = [elements[np.asarray(pool, dtype=np.int64)] for pool in candidate_pools]
     results: list[np.ndarray] = []
-    for f in _search_morphisms(src, gens, pools, mul, None, PREFIX_CHUNK):
+    for f in _search_morphisms(src, gens, pools, mul):
         found = labels(f)
         if bijective:
             ordered = np.sort(found, axis=1)

@@ -2,8 +2,9 @@
 associativity, left cancellation, compatibility and the braid relation,
 kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
-builds several n x n x n int64 arrays. Also a cycle walk, the reference
-for the vectorised `tables.orbit_lengths`."""
+builds several n x n x n int64 arrays. Also a full associativity scan of
+a stack of tables, and a cycle walk, the reference for the vectorised
+`tables.orbit_lengths`."""
 
 import numpy as np
 
@@ -127,6 +128,16 @@ def check_braid(r: np.ndarray):
         x, y, z = (int(i) for i in np.argwhere(bad)[0])
         return False, (x, y, z)
     return True, None
+
+
+def associative_rows(add: np.ndarray) -> np.ndarray:
+    """Rows r of a stack of tables (rows, n, n) with (a + b) + c == a + (b + c)
+    for every a, b and c, by one n**3 scan per row."""
+    rows, n, _ = add.shape
+    r = np.arange(rows)[:, None, None, None]
+    left = add[r, add[:, :, :, None], np.arange(n)]
+    right = add[r, np.arange(n)[:, None, None], add[:, None, :, :]]
+    return (left == right).reshape(rows, n ** 3).all(axis=1)
 
 
 def cycle_lengths(images) -> list[int]:

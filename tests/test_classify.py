@@ -24,10 +24,8 @@ from semibrace.classify import (
     small_groups,
     verify_classification,
     _add_rows,
-    _associative_rows,
     _Dedup,
     _lambda_maps,
-    _prefix_associative,
     _signature_key,
     _survivor_tables,
 )
@@ -44,7 +42,6 @@ from semibrace.construct import (
 from semibrace.core import SemiBraceAxiomError, endomorphic_rows, verify
 from semibrace.tables import (
     MalformedTableError,
-    _bfs_tree,
     _compose_rows,
     _row_powers,
     cyclic_group,
@@ -279,8 +276,6 @@ def test_generic_parameter_errors():
         enumerate_generic(4, emin=0)
     with pytest.raises(ParameterError):
         enumerate_generic(7, pruned=False)
-    with pytest.raises(ParameterError):
-        enumerate_generic(4, jobs=0)
 
 
 def test_pruned_and_unpruned_sweeps_agree():
@@ -290,50 +285,25 @@ def test_pruned_and_unpruned_sweeps_agree():
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _klein_four():
-    (klein,) = [g for g in small_groups(4) if max(g.element_orders()) == 2]
-    return klein
-
-
-def test_prefix_filter_rejects_nonassociative_partial_addition():
-    circ = _klein_four()
-    gens = circ.generating_sequence()
-    g1 = gens[0]
-    (x, y) = [z for z in range(4) if z not in (0, g1)]
-    # lam_{g1} swaps 0 and g1.  On H = {0, g1}, g1 + 0 = g1 o lam_{g1}(0)
-    # = g1 o g1 = 0 lies in H, and (g1 + 0) + x = 0 + x = x, while
-    # g1 + (0 + x) = g1 o lam_{g1}(x) = g1 o x != x.
-    sigma = np.arange(4, dtype=np.int8)
-    sigma[[0, g1]] = [g1, 0]
-    assert circ.mul(g1, int(sigma[x])) != x
-    identity = np.arange(4, dtype=np.int8)
-    tree = _bfs_tree(circ, gens[:1])
-    keep = _prefix_associative(circ, tree, [np.stack([sigma, identity])])
-    assert keep.tolist() == [False, True]
-    first = np.concatenate([lam[:, gens[0]] for lam in _lambda_maps(circ, gens, pruned=True)])
-    assert not (first == sigma).all(axis=1).any()
-    assert (first == identity).all(axis=1).any()
-
-
-def test_prefix_filter_keeps_every_unpruned_survivor():
-    # The unpruned sweep checks full tables only, so its survivors are an
-    # independent list of the lambda maps the pruned candidates must cover.
-    for n in range(2, 7):
+def test_survivor_tables_match_the_unpruned_route():
+    # The unpruned route tests every lambda map from Sym(n), so it lists the
+    # semi-braces over a circle group independently of the regular
+    # embeddings the pruned route builds.  It runs once per group, and the
+    # |E| filters are applied to its tables here.
+    sylow = {1: set(), 2: {2}, 3: {3}, 4: {4}, 5: {5}, 6: {2, 3}}
+    for n in range(1, 7):
         for circ in small_groups(n):
-            gens = circ.generating_sequence()
-            rows = {
-                images.tobytes()
-                for lam in _lambda_maps(circ, gens, pruned=True)
-                for images in lam[:, gens]
-            }
-            survivors = _survivor_tables(circ, 1, False, pruned=False)
-            assert survivors
-            for add in survivors:
-                # a + b = a o lam_{a^-}(b), so lam_g(b) = g o (g^- + b)
-                images = [
-                    circ.table[g, add[circ.inv(g)]].astype(np.int8) for g in gens
-                ]
-                assert np.stack(images).tobytes() in rows
+            every = [
+                (t.tobytes(), int((np.diagonal(t) == np.arange(n)).sum()))
+                for t in _survivor_tables(circ, 1, False, pruned=False)
+            ]
+            assert every
+            for emin, esylow in itertools.product(sorted({1, 2, n}), (False, True)):
+                want = [key for key, e in every if e >= emin and (e in sylow[n] or not esylow)]
+                got = [t.tobytes() for t in _survivor_tables(circ, emin, esylow, pruned=True)]
+                assert len(got) == len(want)
+                assert set(got) == set(want)
+    assert _survivor_tables(small_groups(1)[0], 1, True, pruned=True) == []
 
 
 def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
@@ -346,10 +316,10 @@ def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
         arange = np.arange(n)
         for circ in small_groups(n):
             gens = circ.generating_sequence()
-            for lam in _lambda_maps(circ, gens, pruned=False):
+            for lam in _lambda_maps(circ, gens):
                 add = _add_rows(circ, lam, arange)
                 endo = endomorphic_rows(lam, add, gens)
-                assert (endo == _associative_rows(add, arange)).all()
+                assert (endo == full_scans.associative_rows(add)).all()
                 rejected += int((~endo).sum())
     assert rejected > 0
 
@@ -361,6 +331,16 @@ _ORDER_EIGHT_NAMES = {
     (1, 2, 2, 2, 2, 2, 4, 4): "D8",
     (1, 2, 4, 4, 4, 4, 4, 4): "Q8",
 }
+
+
+def test_skew_brace_slice_matches_the_guarnieri_vendramin_counts():
+    # |E| = 1 classes are the skew braces of order n; the counts are those
+    # of Guarnieri and Vendramin, Skew braces and the Yang-Baxter equation
+    # (Math. Comp. 2017), for orders 1 to 10.
+    counts = [
+        sum(len(entry.semibrace.e_elements) == 1 for entry in generic(n)) for n in range(1, 11)
+    ]
+    assert counts == [1, 1, 1, 4, 1, 6, 1, 47, 4, 6]
 
 
 def test_generic_census_order_eight(monkeypatch):

@@ -125,14 +125,6 @@ def test_enumerate_bound_exits_2(capsys):
     assert run(capsys, ["enumerate", "--n", "11"])[0] == 2
 
 
-def test_jobs_only_on_sweep_commands(triv2, capsys):
-    rc, out, _ = run(capsys, ["enumerate", "--n", "4", "--jobs", "2"])
-    assert rc == 0 and "census for n = 4" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", str(triv2), "--jobs", "2"])
-    assert exc.value.code == 2
-
-
 def test_enumerate_cache_env_overrides_flag(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "envcache"
     flag_dir = tmp_path / "flagcache"
