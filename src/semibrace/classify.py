@@ -54,6 +54,7 @@ from .tables import (
     _bfs_tree,
     _compose_rows,
     _first_morphisms,
+    _freeze,
     _homomorphic_rows,
     _lambda_rows,
     _search_morphisms,
@@ -113,8 +114,6 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
         if n % h != 0:
             continue
         k = n // h
-        if k < 2:
-            continue
         for hg in small_groups(h):
             aut = automorphisms(hg)
             for kg in small_groups(k):
@@ -131,6 +130,12 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
             f"expected {_CLASSICAL_GROUP_COUNTS[n]}"
         )
     return tuple(kept)
+
+
+@lru_cache(maxsize=None)
+def _automorphism_images(m: int) -> dict[bytes, np.ndarray]:
+    """The sorted automorphism image arrays of each group G in `small_groups(m)`, by G.key()."""
+    return {g.key(): _freeze(np.stack([a.images for a in automorphisms(g)])) for g in small_groups(m)}
 
 
 def _require_skew_brace_order(m: int) -> None:
@@ -240,10 +245,10 @@ def census_from_json(obj) -> list[CensusEntry]:
 
 
 class _Dedup:
-    """Merge candidates into isomorphism classes.  Candidates are compared
-    only within a bucket of equal signature multisets, and there by
-    `_iso_search`.  The representative kept for a class is the
-    lexicographically least (add, circ) pair seen."""
+    """Merge the structural census's candidates into isomorphism classes.
+    Candidates are compared only within a bucket of equal signature
+    multisets, and there by `_iso_search`.  The representative kept for a
+    class is the lexicographically least (add, circ) pair seen."""
 
     def __init__(self, keep_e_size: Callable[[int], bool]):
         self.keep_e_size = keep_e_size
@@ -276,27 +281,10 @@ class _Dedup:
 
 
 def _sylow_sizes(n: int) -> frozenset[int]:
-    sizes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            power = 1
-            while m % d == 0:
-                power *= d
-                m //= d
-            sizes.add(power)
-        d += 1
-    if m > 1:
-        sizes.add(m)
-    return frozenset(sizes)
-
-
-def _e_size_predicate(n: int, emin: int, esylow: bool) -> Callable[[int], bool]:
-    sylow = _sylow_sizes(n)
-    if esylow:
-        return lambda e: e >= emin and e in sylow
-    return lambda e: e >= emin
+    """The largest power of each prime p dividing n: gcd(n, p^b) for any b
+    at least the exponent, such as n.bit_length()."""
+    return frozenset(math.gcd(n, p ** n.bit_length()) for p in range(2, n + 1)
+                     if n % p == 0 and is_prime(p))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +381,7 @@ def _regular_tables(
     (t o alpha, pi) acts as (h, e) -> (t alpha(h), pi(e)).  See
     `_survivor_tables`."""
     n, m = circ.n, group.n
-    auts = np.stack([a.images for a in automorphisms(group)])
+    auts = _automorphism_images(m)[group.key()]
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
     for c in gens:
@@ -445,23 +433,20 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
       tables a semi-brace with |E| = k.  Every semi-brace arises, from psi
       its coordinate map composed with a pi that sends 0 to (1, e_0).
     - k = n.  Then a + b = b, which every psi keeps: one table, no search.
-    - Classes are Aut(C)-orbits.  Two semi-braces with circle table C are
-      isomorphic iff some f in Aut(C) carries one addition to the other;
-      rho o f is regular with rho and gives the f-relabelled table, so the
-      tables found are whole Aut(C)-orbits, one per class, without an
-      orbit expansion.  A table comes from every conjugate of rho by the
+    - Duplicates.  A table comes from every conjugate of rho by the
       stabiliser of 0 in Aut(G x E), so the tables are deduplicated."""
     n = circ.n
-    keep = _e_size_predicate(n, emin, esylow)
+    sylow = _sylow_sizes(n)
+    allowed = np.array([e >= emin and (e in sylow or not esylow) for e in range(n + 1)])
     if n == 1:
-        return [np.zeros((1, 1), dtype=np.int64)] if keep(1) else []
+        return [np.zeros((1, 1), dtype=np.int64)] if allowed[1] else []
     gens = circ.generating_sequence()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
     if pruned:
         found: set[bytes] = set()
         for k in range(1, n + 1):
-            if n % k or not keep(k):
+            if n % k or not allowed[k]:
                 continue
             if k == n:
                 found.add(np.arange(n, dtype=np.int8).tobytes() * n)
@@ -470,7 +455,6 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
                 for block in _regular_tables(circ, gens, group, k):
                     found.update(table.tobytes() for table in block)
         return [np.frombuffer(key, np.int8).reshape(n, n).astype(np.int64) for key in sorted(found)]
-    allowed = np.array([keep(e) for e in range(n + 1)])
     arange_n = np.arange(n)
     out: list[np.ndarray] = []
     for lam in _lambda_maps(circ, gens):
@@ -478,6 +462,26 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
         emask = allowed[(add[:, arange_n, arange_n] == arange_n).sum(axis=1)]
         add, lam = add[emask], lam[emask]
         out.extend(table.astype(np.int64) for table in add[endomorphic_rows(lam, add, gens)])
+    return out
+
+
+def _orbit_representatives(circ: FiniteGroup, tables: list[np.ndarray]) -> list[SemiBrace]:
+    """The verified least table, in byte order, of each Aut(C)-orbit of the
+    int64 addition tables over the catalogue group C = `circ`; every table
+    is verified.  An isomorphism of two semi-braces with circle table C is
+    an f in Aut(C) with f(T)[f x, f y] = f[T[x, y]], so the orbits are the
+    classes whether or not `tables` is closed under Aut(C)."""
+    auts = _automorphism_images(circ.n)[circ.key()]
+    rows = np.arange(auts.shape[0])[:, None, None]
+    orbit = np.empty((auts.shape[0], circ.n, circ.n), dtype=np.int64)
+    seen: set[bytes] = set()
+    out = []
+    for table in sorted(tables, key=lambda t: t.tobytes()):
+        b = verify(table, circ.table)
+        if table.tobytes() not in seen:
+            out.append(b)
+            orbit[rows, auts[:, :, None], auts[:, None, :]] = auts[rows, table[None]]
+            seen.update(f.tobytes() for f in orbit)
     return out
 
 
@@ -489,8 +493,9 @@ def enumerate_generic(
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> list[CensusEntry]:
     """Complete census of semi-braces of order n (up to isomorphism) whose
-    idempotent count passes the filter, from the tables `_survivor_tables`
-    lists over every group of order n."""
+    idempotent count passes the filter: the `_orbit_representatives` of the
+    tables `_survivor_tables` lists over each group of order n, as tables
+    over different groups are never isomorphic."""
     if n < 1 or emin < 1:
         raise ParameterError("n and emin must be positive")
     if n > GENERIC_BOUND:
@@ -501,11 +506,11 @@ def enumerate_generic(
     cached = _cache_load(cache_dir, key)
     if cached is not None:
         return cached
-    dedup = _Dedup(_e_size_predicate(n, emin, esylow))
+    entries = []
     for gi, group in enumerate(small_groups(n)):
-        for table in _survivor_tables(group, emin, esylow, pruned):
-            dedup.add(verify(table, group.table), f"generic:n={n}:group{gi}")
-    entries = dedup.entries()
+        for b in _orbit_representatives(group, _survivor_tables(group, emin, esylow, pruned)):
+            entries.append(CensusEntry(semibrace=b, provenance=f"generic:n={n}:group{gi}"))
+    entries.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
     _cache_store(cache_dir, key, entries)
     return entries
 

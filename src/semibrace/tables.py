@@ -618,11 +618,8 @@ def homomorphisms(src: FiniteGroup, perms: Sequence[Permutation]) -> list[tuple[
     gens = src.generating_sequence()
     if not gens:
         return [(perms[0],)]
-    orders = [p.order() for p in perms]
-    pools = []
-    for g in gens:
-        og = src.element_order(g)
-        pools.append([h for h in range(len(perms)) if og % orders[h] == 0])
+    orders = np.lcm.reduce(orbit_lengths(np.stack([p.images for p in perms])), axis=1)
+    pools = [np.flatnonzero(src.element_order(g) % orders == 0) for g in gens]
     found = _first_morphisms(src, perms, pools, gens, bijective=False, limit=None)
     found.sort(key=lambda f: tuple(f))
     return [tuple(perms[i] for i in f) for f in found]
@@ -679,9 +676,7 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
         frontier = nxt
     out = []
     for elems in sorted(found, key=lambda e: (len(e), e)):
-        eset = set(elems)
-        normal = all(g.conjugate(a, b) in eset for a in elems for b in range(g.n))
-        out.append(Subgroup(elements=elems, normal=normal))
+        out.append(Subgroup(elements=elems, normal=is_normal_subset(g, elems)))
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for the isomorphism machinery and the two census enumerators."""
 
+import collections
 import itertools
 import json
 import logging
@@ -26,6 +27,7 @@ from semibrace.classify import (
     _add_rows,
     _Dedup,
     _lambda_maps,
+    _orbit_representatives,
     _signature_key,
     _survivor_tables,
 )
@@ -322,6 +324,59 @@ def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
                 assert (endo == full_scans.associative_rows(add)).all()
                 rejected += int((~endo).sum())
     assert rejected > 0
+
+
+def _dedup_census(n, emin, pruned):
+    """The census by the merge the structural census uses: every survivor
+    table verified and offered to `_Dedup`, which buckets by element
+    signatures and decides each class by `_iso_search`."""
+    dedup = _Dedup(lambda e: e >= emin)
+    for gi, circ in enumerate(small_groups(n)):
+        for table in _survivor_tables(circ, emin, False, pruned):
+            dedup.add(verify(table, circ.table), f"generic:n={n}:group{gi}")
+    return dedup.entries()
+
+
+def test_orbit_census_matches_the_signature_and_search_merge():
+    cases = [(n, emin, True) for n in range(1, 11) for emin in (1, 2)]
+    cases += [(n, emin, False) for n in range(1, 7) for emin in (1, 2)]
+    for n, emin, pruned in cases:
+        want = json.dumps(census_to_json(_dedup_census(n, emin, pruned)), sort_keys=True)
+        got = json.dumps(census_to_json(generic(n, emin, pruned)), sort_keys=True)
+        assert got == want, (n, emin, pruned)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_orbit_representatives_of_a_partial_input(n):
+    # A random part of the survivor tables, in random order, is not closed
+    # under Aut(C); its orbits are still its classes, with the least table
+    # of each kept.
+    rng = np.random.default_rng(n)
+    for circ in small_groups(n):
+        tables = _survivor_tables(circ, 1, False, pruned=True)
+        part = [tables[i] for i in rng.permutation(len(tables))[: len(tables) // 2 + 1]]
+        dedup = _Dedup(lambda e: True)
+        for table in part:
+            dedup.add(verify(table, circ.table), "")
+        want = sorted(entry.semibrace.key() for entry in dedup.entries())
+        assert sorted(b.key() for b in _orbit_representatives(circ, part)) == want
+
+
+@pytest.mark.parametrize("n, by_e_size", [
+    (12, {1: 38, 2: 12, 3: 10, 4: 5, 6: 4, 12: 5}),
+    (14, {1: 6, 2: 2, 7: 2, 14: 2}),
+])
+def test_orbit_classes_above_the_generic_bound(n, by_e_size):
+    # Orders that `enumerate_generic` does not admit yet.  The |E| = 1
+    # classes are the skew braces, 38 of order 12 and 6 of order 14 in
+    # Guarnieri and Vendramin, Skew braces and the Yang-Baxter equation
+    # (Math. Comp. 2017); |E| = n gives one trivial semi-brace per group.
+    counts = collections.Counter(
+        len(b.e_elements)
+        for circ in small_groups(n)
+        for b in _orbit_representatives(circ, _survivor_tables(circ, 1, False, pruned=True))
+    )
+    assert dict(counts) == by_e_size
 
 
 _ORDER_EIGHT_NAMES = {

@@ -251,6 +251,16 @@ def test_involutions_of_gl27():
     assert sorted(a[1].key() for a in actions) == sorted(p.key() for p in auts if p.order() <= 2)
 
 
+def test_cycle_lengths_give_the_order_of_every_catalogue_automorphism():
+    # `homomorphisms` reads each target permutation's order as the lcm of
+    # its `orbit_lengths` row; `Permutation.order` walks the powers
+    for n in range(1, 13):
+        for g in small_groups(n):
+            auts = automorphisms(g)
+            orders = np.lcm.reduce(orbit_lengths(np.stack([a.images for a in auts])), axis=1)
+            assert orders.tolist() == [a.order() for a in auts]
+
+
 def test_homomorphisms_need_identity_first():
     z3 = cyclic_group(3)
     with pytest.raises(MalformedTableError):
