@@ -9,13 +9,16 @@ nilpotent, the combination that separates the two notions.
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/nilpotency_survey.py
-    PYTHONPATH=src python3 scripts/nilpotency_survey.py --orders 4 6 9 --emin 1
+    PYTHONPATH=src python3 scripts/nilpotency_survey.py --orders 4 6 9 15 --emin 3
+
+The structural census covers |E| > 1 only, so --emin is at least 2.
 """
 
 import argparse
 import sys
 
 from semibrace.classify import enumerate_structural
+from semibrace.construct import ParameterError
 from semibrace.core import decompose
 from semibrace.nilpotency import (
     check_rnilp1,
@@ -64,6 +67,8 @@ def main(argv=None):
     parser.add_argument("--orders", type=int, nargs="+", default=DEFAULT_ORDERS)
     parser.add_argument("--emin", type=int, default=2, help="minimum idempotent count")
     args = parser.parse_args(argv)
+    if args.emin < 2:
+        parser.error("--emin must be at least 2: the structural census covers |E| > 1 only")
 
     total = 0
     gap_examples = 0
@@ -73,7 +78,7 @@ def main(argv=None):
         esylow = n == 18 and args.emin <= 9
         try:
             rows = survey_order(n, args.emin, esylow)
-        except Exception as err:
+        except ParameterError as err:
             print(f"order {n}: skipped ({err})")
             continue
         print(f"order {n}: {len(rows)} classes")

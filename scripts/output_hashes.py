@@ -8,7 +8,10 @@ Each hash is the first 16 hex digits of the sha256 of
 * `verify_classification` reports for the benchmark's six classify cases:
   value `report.to_json()`;
 * the `isomorphic` witness between the benchmark's two seeded relabellings
-  (seed 1) of `2p2-E2-cyclic`[3] at p = 7, n = 98: value the image list.
+  (seed 1) of `2p2-E2-cyclic`[3] at p = 7, n = 98: value the image list;
+* nilpotency, over every class of `enumerate_generic(8)` and then every 2p^2
+  family at p = 5: value `[[right.to_json(), left.to_json(), [nil,
+  orders]], ...]` with the right and left series and `is_right_nil`.
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of every supported order instead.  The order-8 funnel
@@ -38,8 +41,14 @@ from semibrace.classify import (  # noqa: E402
     small_groups,
     verify_classification,
 )
-from semibrace.construct import FamilyId, family  # noqa: E402
+from semibrace.construct import (  # noqa: E402
+    TWO_P2_THEOREMS,
+    FamilyId,
+    applicable_items,
+    family,
+)
 from semibrace.core import semibrace_from_json  # noqa: E402
+from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
 
 
 def digest(data: bytes) -> str:
@@ -62,6 +71,15 @@ def iso_witness_hash(seed: int = 1) -> str:
         perm = workloads.relabel_perm(seed, name, tables["n"])
         files.append(semibrace_from_json(workloads.relabel_tables(tables, perm)))
     return json_hash(isomorphic(*files).images.tolist())
+
+
+def nilpotency_hash() -> str:
+    structures = [e.semibrace for e in enumerate_generic(8)]
+    structures += [family(fid) for t in TWO_P2_THEOREMS for fid in applicable_items(t, 5)]
+    return json_hash([
+        [right_series(b).to_json(), left_series(b).to_json(), is_right_nil(b)]
+        for b in structures
+    ])
 
 
 def funnel(n: int = 8) -> list[int]:
@@ -88,6 +106,7 @@ def main() -> int:
             g.key() for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n))),
         "iso_witness_n98_seed1": iso_witness_hash(),
         "funnel_n8": funnel(),
+        "nilpotency": nilpotency_hash(),
     }
     print(json.dumps(out, indent=2))
     return 0

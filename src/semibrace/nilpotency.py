@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import InternalInvariantError, SemiBrace, decompose
+from .tables import _reach
 
 
 class NotASkewBraceError(ValueError):
@@ -72,26 +73,15 @@ def dot_table(b: SemiBrace) -> np.ndarray:
 
 def set_dot_plus_E(b: SemiBrace, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, ...]:
     """(X.Y) + E: the additive subgroup of (G,+) generated by the dots,
-    summed elementwise with the idempotents."""
+    summed elementwise with the idempotents.  The dots lie in the finite
+    group (G,+) with identity 0, so the subgroup is the monoid they
+    generate: the sums reached from 0 by adding dots on the right."""
     d = dot_table(b)
-    xs = sorted(set(int(x) for x in xs))
-    ys = sorted(set(int(y) for y in ys))
-    seeds = set(int(v) for v in np.unique(d[np.ix_(xs, ys)]))
+    dots = np.unique(d[np.ix_(sorted(set(xs)), sorted(set(ys)))])
     add = b.add.table
-    members = {0} | seeds
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        cur = list(members)
-        for x in frontier:
-            for y in cur:
-                for z in (int(add[x, y]), int(add[y, x])):
-                    if z not in members:
-                        members.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    out = {int(add[g, e]) for g in members for e in b.e_elements}
-    return tuple(sorted(out))
+    members: set[int] = set()
+    _reach(add.T[dots].tolist(), [0], members)
+    return tuple(np.unique(add[np.ix_(sorted(members), b.e_elements)]).tolist())
 
 
 def _nil_orders(b: SemiBrace, side: str) -> tuple[Optional[int], ...]:

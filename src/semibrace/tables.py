@@ -131,10 +131,11 @@ class GroupReport:
 # pass, a few int64 temporaries of at most 8 MB each; above it,
 # `first_nonassociative` checks over a generating set and every full scan
 # runs in chunks of at most SLAB triples, so working memory stays O(n**2).
-# Measured on a 2-core Xeon VM, single pass against generator path: 0.017
-# against 0.17 ms at n = 8 (`check_group` runs on the circle table of every
-# structure a census verifies), 0.39 against 0.35-1.5 ms at n = 50, 7
-# against 0.4-3.7 ms at n = 98, 16 against 0.5 ms at n = 121.
+# Measured on a 2-core Xeon VM, single pass against generator path over the
+# add and circle tables of the families: 0.022 against 0.05-0.09 ms at n = 8
+# (the catalogue groups; `check_group` runs on the circle table of every
+# structure a census verifies), 0.34-0.50 against 0.10-0.85 ms at n = 50,
+# 9-14 against 0.13-1.9 ms at n = 98, 16-25 against 0.2-7.9 ms at n = 121.
 SLAB = 1 << 20
 
 
@@ -165,6 +166,46 @@ def _first_nonassociative(tab: np.ndarray) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _reach(cols: list[list[int]], seeds: Iterable[int], seen: set[int]) -> list[tuple[int, int, int]]:
+    """The one closure search, breadth first, with cols[i][x] = x.g_i: adds
+    to `seen` each unseen seed s and every left-nested product
+    (..(s.g_1).g_2)...g_k of one, and returns (element, parent, generator
+    index) in the order it adds them, with parent and index -1 for a seed.
+    Only added elements are expanded, so the result is the closure of
+    `seen` and the seeds under x -> x.g_i when `seen` starts closed."""
+    found = []
+    for s in seeds:
+        if s not in seen:
+            seen.add(s)
+            found.append((s, -1, -1))
+    for x, _, _ in found:  # the list grows as it is walked: a FIFO queue
+        for i, col in enumerate(cols):
+            y = col[x]
+            if y not in seen:
+                seen.add(y)
+                found.append((y, x, i))
+    return found
+
+
+def _greedy_generators(tab: np.ndarray, ranked: Iterable[int]) -> list[int]:
+    """The elements of `ranked`, in its order, that are not left-nested
+    products (..(s1.s2)...).sk of the ones kept before them; it stops once
+    every element of the carrier is reached.  Each new generator x adds its
+    column and extends `seen` from x and every r.x, r seen."""
+    gens: list[int] = []
+    cols: list[list[int]] = []
+    seen: set[int] = set()
+    for x in ranked:
+        if x in seen:
+            continue
+        gens.append(x)
+        cols.append(tab[:, x].tolist())
+        _reach(cols, {x, *map(cols[-1].__getitem__, seen)} - seen, seen)
+        if len(seen) == tab.shape[0]:
+            break
+    return gens
+
+
 def left_nested_generators(tab: np.ndarray) -> list[int]:
     """A generating set S, chosen greedily in index order: an element joins
     S unless it is already a left-nested product (..(s1.s2)...).sk of
@@ -172,19 +213,7 @@ def left_nested_generators(tab: np.ndarray) -> list[int]:
 
     For a group these are ordinary generators, so |S| <= 1 + log2(n); for a
     right-zero-like operation S may be most of the carrier."""
-    n = tab.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    gens: list[int] = []
-    for x in range(n):
-        if reached[x]:
-            continue
-        gens.append(x)
-        new = np.concatenate(([x], tab[np.flatnonzero(reached), x]))
-        while new.size:
-            new = np.unique(new[~reached[new]])
-            reached[new] = True
-            new = tab[np.ix_(new, gens)].ravel()
-    return gens
+    return _greedy_generators(tab, range(tab.shape[0]))
 
 
 def first_nonassociative(tab: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -323,32 +352,19 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by the seed, as a sorted tuple: the products of
-        seed elements, reached by a BFS from the identity that multiplies on
-        the right by the seed (in a finite group the monoid the seed
-        generates is a subgroup)."""
-        gens = np.fromiter(seed, dtype=np.int64)
-        reached = np.zeros(self.n, dtype=bool)
-        reached[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            new = np.unique(self.table[np.ix_(frontier, gens)])
-            frontier = new[~reached[new]]
-            reached[frontier] = True
-        return tuple(int(x) for x in np.flatnonzero(reached))
+        seed elements, reached from the identity by multiplying on the right
+        by the seed (in a finite group the monoid the seed generates is a
+        subgroup)."""
+        seen: set[int] = set()
+        _reach(self.table.T[list(seed)].tolist(), [0], seen)
+        return tuple(sorted(seen))
 
     def generating_sequence(self) -> list[int]:
-        """Greedy generating sequence, highest element order first."""
-        orders = self.element_orders()
-        ranked = sorted(range(self.n), key=lambda a: (-int(orders[a]), a))
-        gens: list[int] = []
-        have = {0}
-        for a in ranked:
-            if a not in have:
-                gens.append(a)
-                have = set(self.closure(gens))
-                if len(have) == self.n:
-                    break
-        return gens
+        """Greedy generating sequence, highest element order first, ties by
+        index; the identity is never chosen."""
+        orders = self.element_orders().tolist()
+        ranked = sorted(range(1, self.n), key=lambda a: (-orders[a], a))
+        return _greedy_generators(self.table, ranked)
 
     def relabel(self, perm: np.ndarray) -> "FiniteGroup":
         return FiniteGroup.from_table(self.op.relabel(perm))
@@ -438,20 +454,7 @@ def _bfs_tree(g: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]
     identity, where element = parent o gens[generator index].  The elements
     are those of the subgroup generated by `gens`, which may be proper,
     other than the identity."""
-    seen = {0}
-    tree = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, s in enumerate(gens):
-                y = g.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    tree.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
-    return tree
+    return _reach(g.table.T[list(gens)].tolist(), [0], set())[1:]
 
 
 def _lambda_rows(

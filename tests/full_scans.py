@@ -3,12 +3,19 @@ associativity, left cancellation, compatibility and the braid relation,
 kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
-a stack of tables, and a cycle walk, the reference for the vectorised
-`tables.orbit_lengths`."""
+a stack of tables, a cycle walk, the reference for the vectorised
+`tables.orbit_lengths`, and the original two-sided closure of
+`nilpotency.set_dot_plus_E`."""
 
 import numpy as np
 
-from semibrace.construct import FamilyId
+from semibrace.construct import (
+    TWO_P2_THEOREMS,
+    FamilyId,
+    applicable_items,
+    theorems_for_order_pq,
+)
+from semibrace.nilpotency import dot_table
 from semibrace.tables import CayleyTable
 
 # Families whose n**3 exceeds tables.SLAB, small enough for the full scans.
@@ -18,6 +25,18 @@ ABOVE_SLAB = (
     FamilyId("pq-noncongruent", 4, 23, 5),  # n = 115
     FamilyId("pq-noncongruent", 6, 11, 11),  # n = 121
 )
+
+
+def families_up_to_fifty():
+    """Every family of order pq or 2p**2 with n <= 50."""
+    fids = []
+    for p, q in ((2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 5),
+                 (7, 7), (11, 2), (11, 3), (13, 2), (13, 3), (17, 2), (19, 2), (23, 2)):
+        fids.extend(applicable_items(theorems_for_order_pq(p, q), p, q))
+    for p in (3, 5):
+        for theorem in TWO_P2_THEOREMS:
+            fids.extend(applicable_items(theorem, p))
+    return fids
 
 
 def check_group(t: CayleyTable):
@@ -157,3 +176,28 @@ def cycle_lengths(images) -> list[int]:
         for y in cycle:
             lengths[y] = len(cycle)
     return lengths
+
+
+def set_dot_plus_E(b, xs, ys):
+    """(X.Y) + E: the dots and 0, closed under x + y and y + x on both
+    sides until nothing new appears, each member summed with every
+    idempotent."""
+    d = dot_table(b)
+    xs = sorted(set(int(x) for x in xs))
+    ys = sorted(set(int(y) for y in ys))
+    seeds = set(int(v) for v in np.unique(d[np.ix_(xs, ys)]))
+    add = b.add.table
+    members = {0} | seeds
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        cur = list(members)
+        for x in frontier:
+            for y in cur:
+                for z in (int(add[x, y]), int(add[y, x])):
+                    if z not in members:
+                        members.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    out = {int(add[g, e]) for g in members for e in b.e_elements}
+    return tuple(sorted(out))

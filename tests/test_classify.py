@@ -32,13 +32,11 @@ from semibrace.classify import (
     _survivor_tables,
 )
 from semibrace.construct import (
-    TWO_P2_THEOREMS,
     FamilyId,
     ParameterError,
     applicable_items,
     family,
     semidirect,
-    theorems_for_order_pq,
     trivial_semibrace,
 )
 from semibrace.core import SemiBraceAxiomError, endomorphic_rows, verify
@@ -213,21 +211,10 @@ def test_isomorphic_returns_the_least_isomorphism():
             assert witness.images.tolist() == _least_isomorphism(b, relabeled).tolist()
 
 
-def _families_up_to_fifty():
-    fids = []
-    for p, q in ((2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 5),
-                 (7, 7), (11, 2), (11, 3), (13, 2), (13, 3), (17, 2), (19, 2), (23, 2)):
-        fids.extend(applicable_items(theorems_for_order_pq(p, q), p, q))
-    for p in (3, 5):
-        for theorem in TWO_P2_THEOREMS:
-            fids.extend(applicable_items(theorem, p))
-    return fids
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_relabeled_family_is_isomorphic_with_a_genuine_witness(data):
-    b = family(data.draw(st.sampled_from(_families_up_to_fifty())))
+    b = family(data.draw(st.sampled_from(full_scans.families_up_to_fifty())))
     rest = data.draw(st.permutations(range(1, b.n)))
     relabeled = b.relabel([0, *rest])
     witness = isomorphic(b, relabeled)

@@ -1,9 +1,15 @@
 """Dot products, nilpotency chains, nil orbits, socle, and the
 right-nilpotency criterion for decomposable semi-braces."""
 
+from functools import lru_cache
+
+import full_scans
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semibrace.classify import enumerate_generic, enumerate_structural
 from semibrace.construct import (
     FamilyId,
     brace_p2,
@@ -79,8 +85,46 @@ def test_set_dot_plus_e(fam3):
     assert set_dot_plus_E(sb, range(4), range(4)) == tuple(range(4))  # = E
 
 
+@lru_cache(maxsize=None)
+def _census():
+    """Every class of the generic census up to order 8 and of the
+    structural censuses at orders 14, 15 and 18 (|E| of Sylow size)."""
+    entries = [e for n in range(1, 9) for e in enumerate_generic(n)]
+    entries += enumerate_structural(14) + enumerate_structural(15)
+    entries += enumerate_structural(18, esylow=True)
+    return tuple(e.semibrace for e in entries)
+
+
+def test_set_dot_plus_e_matches_the_two_sided_closure():
+    # every step either series can take from one of its members, on both
+    # sides: the search from 0 over the dots against the original loop
+    for b in _census():
+        whole = tuple(range(b.n))
+        for member in {*right_series(b).chain, *left_series(b).chain}:
+            for xs, ys in ((member, whole), (whole, member)):
+                assert set_dot_plus_E(b, xs, ys) == full_scans.set_dot_plus_E(b, xs, ys)
+
+
 # ---------------------------------------------------------------------------
 # chains
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_series_follow_a_relabelling(data):
+    # a relabelling fixing 0 is an isomorphism, so each chain member, the
+    # verdicts and the nil orders move with it
+    if data.draw(st.booleans()):
+        b = data.draw(st.sampled_from(_census()))
+    else:
+        b = family(data.draw(st.sampled_from(full_scans.families_up_to_fifty())))
+    perm = np.array([0, *data.draw(st.permutations(range(1, b.n)))])
+    moved = b.relabel(perm)
+    for series in (right_series, left_series):
+        before, after = series(b), series(moved)
+        assert after.chain == tuple(tuple(sorted(perm[list(m)].tolist())) for m in before.chain)
+        assert after.verdict == before.verdict
+        assert [after.nil_orders[y] for y in perm] == list(before.nil_orders)
 
 
 def test_trivial_semibrace_right_chain():

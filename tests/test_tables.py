@@ -316,6 +316,27 @@ def test_closure_matches_a_two_sided_search():
                 assert g.closure(seed) == _two_sided_closure(g, seed), seed
 
 
+def test_generating_sequence_is_the_greedy_one_and_its_trees_cover_each_prefix():
+    # the generators the `iso` witness depends on: rank by (-order, index)
+    # and admit an element unless the earlier ones already generate it
+    for n in sorted(SUPPORTED_GROUP_ORDERS):
+        for g in small_groups(n):
+            ranked = sorted(range(1, n), key=lambda a: (-g.element_order(a), a))
+            want: list[int] = []
+            for a in ranked:
+                if a not in _two_sided_closure(g, want):
+                    want.append(a)
+            gens = g.generating_sequence()
+            assert gens == want
+            for k in range(len(gens) + 1):
+                tree = tables._bfs_tree(g, gens[:k])
+                assert sorted(y for y, _, _ in tree) == list(g.closure(gens[:k]))[1:]
+                earlier = {0}
+                for y, parent, i in tree:
+                    assert y == g.mul(parent, gens[i]) and parent in earlier
+                    earlier.add(y)
+
+
 def test_isomorphisms_distinguish_z4_from_v4():
     z4 = cyclic_group(4)
     v4 = direct_product(cyclic_group(2), cyclic_group(2))
