@@ -11,20 +11,29 @@ Each hash is the first 16 hex digits of the sha256 of
   (seed 1) of `2p2-E2-cyclic`[3] at p = 7, n = 98: value the image list;
 * nilpotency, over every class of `enumerate_generic(8)` and then every 2p^2
   family at p = 5: value `[[right.to_json(), left.to_json(), [nil,
-  orders]], ...]` with the right and left series and `is_right_nil`.
+  orders]], ...]` with the right and left series and `is_right_nil`;
+* braid, over every family at p = 5 (pq-congruent at q = 2, pq-noncongruent
+  at q = 3 and 5, every 2p^2 theorem) and then every class of
+  `enumerate_generic(8)`: value the `[holds, witness]` of `check_braid` on
+  each solution, followed by the same for one seeded single-cell
+  corruption of each (entry (x, y, k) moved by a nonzero shift mod n);
+  then the whole list again with `ybe.BRAID_SLAB = 1`, so that each x is
+  a block of its own and the witnesses (x = 0, 1, 2 and 4, from all three
+  components of the braid relation) come from several blocks.
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of every supported order instead.  The order-8 funnel
 gives the counts of the generic sweep: survivor tables, summed over the
 five circle groups, and census classes.
 
-Run from the repository root; it takes about 10 s:
+Run from the repository root; it takes about 5 s:
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -32,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402  (the benchmark's cases and relabellings)
 
+from semibrace import ybe  # noqa: E402
 from semibrace.classify import (  # noqa: E402
     SUPPORTED_GROUP_ORDERS,
     _survivor_tables,
@@ -49,6 +59,7 @@ from semibrace.construct import (  # noqa: E402
 )
 from semibrace.core import semibrace_from_json  # noqa: E402
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
+from semibrace.ybe import SolutionMap, check_braid, solution_from  # noqa: E402
 
 
 def digest(data: bytes) -> str:
@@ -82,6 +93,28 @@ def nilpotency_hash() -> str:
     ])
 
 
+def braid_hash(seed: int = 1) -> str:
+    params = [("pq-congruent", 5, 2), ("pq-noncongruent", 5, 3), ("pq-noncongruent", 5, 5)]
+    params += [(t, 5, None) for t in TWO_P2_THEOREMS]
+    structures = [family(fid) for t, p, q in params for fid in applicable_items(t, p, q)]
+    structures += [e.semibrace for e in enumerate_generic(8)]
+    solutions = [solution_from(b) for b in structures]
+    rng = random.Random(seed)
+    for s in solutions[:]:
+        n = s.n
+        r = s.r.copy()
+        x, y, k = rng.randrange(n), rng.randrange(n), rng.randrange(2)
+        r[x, y, k] = (r[x, y, k] + rng.randrange(1, n)) % n
+        solutions.append(SolutionMap.of(r))
+    value = [check_braid(s) for s in solutions]
+    slab, ybe.BRAID_SLAB = ybe.BRAID_SLAB, 1
+    try:
+        value += [check_braid(s) for s in solutions]
+    finally:
+        ybe.BRAID_SLAB = slab
+    return json_hash(value)
+
+
 def funnel(n: int = 8) -> list[int]:
     survivors = sum(len(_survivor_tables(circ, 1, False, pruned=True)) for circ in small_groups(n))
     return [survivors, len(enumerate_generic(n))]
@@ -107,6 +140,7 @@ def main() -> int:
         "iso_witness_n98_seed1": iso_witness_hash(),
         "funnel_n8": funnel(),
         "nilpotency": nilpotency_hash(),
+        "braid": braid_hash(),
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -66,7 +66,9 @@ def dot_table(b: SemiBrace) -> np.ndarray:
     add = b.add.table
     t1 = b.lam[np.arange(n), b.circ.inverse]  # t1[x] = lambda_x(x')
     d = add[add[t1[:, None], b.circ.table], t1[None, :]]
-    if not set(np.unique(d).tolist()) <= set(b.g_elements):
+    in_g = np.zeros(n, dtype=bool)
+    in_g[list(b.g_elements)] = True
+    if not in_g[d].all():
         raise InternalInvariantError("dot product escaped G")
     return d
 
@@ -76,7 +78,13 @@ def set_dot_plus_E(b: SemiBrace, xs: Iterable[int], ys: Iterable[int]) -> tuple[
     summed elementwise with the idempotents.  The dots lie in the finite
     group (G,+) with identity 0, so the subgroup is the monoid they
     generate: the sums reached from 0 by adding dots on the right."""
-    d = dot_table(b)
+    return _dot_plus_E(b, dot_table(b), xs, ys)
+
+
+def _dot_plus_E(
+    b: SemiBrace, d: np.ndarray, xs: Iterable[int], ys: Iterable[int]
+) -> tuple[int, ...]:
+    """`set_dot_plus_E` with the dot table d of b given."""
     dots = np.unique(d[np.ix_(sorted(set(xs)), sorted(set(ys)))])
     add = b.add.table
     members: set[int] = set()
@@ -84,14 +92,17 @@ def set_dot_plus_E(b: SemiBrace, xs: Iterable[int], ys: Iterable[int]) -> tuple[
     return tuple(np.unique(add[np.ix_(sorted(members), b.e_elements)]).tolist())
 
 
-def _nil_orders(b: SemiBrace, side: str) -> tuple[Optional[int], ...]:
-    d = dot_table(b)
+def _nil_orders(d: np.ndarray, side: str) -> tuple[Optional[int], ...]:
+    """Per element x, the least k with x^(k) = 0, where x^(1) = x and
+    x^(k+1) = x^(k).x (right) or x.x^(k) (left) in the dot table d; None if
+    the sequence repeats first."""
+    n = d.shape[0]
     orders: list[Optional[int]] = []
-    for x in range(b.n):
+    for x in range(n):
         cur = x
         seen = {cur}
         order = None
-        for step in range(1, b.n + 2):
+        for step in range(1, n + 2):
             if cur == 0:
                 order = step
                 break
@@ -104,6 +115,7 @@ def _nil_orders(b: SemiBrace, side: str) -> tuple[Optional[int], ...]:
 
 
 def _series(b: SemiBrace, side: str) -> SeriesReport:
+    d = dot_table(b)
     e_set = tuple(sorted(b.e_elements))
     whole = tuple(range(b.n))
     chain = [whole]
@@ -112,9 +124,9 @@ def _series(b: SemiBrace, side: str) -> SeriesReport:
     while True:
         current = chain[-1]
         nxt = (
-            set_dot_plus_E(b, current, whole)
+            _dot_plus_E(b, d, current, whole)
             if side == "right"
-            else set_dot_plus_E(b, whole, current)
+            else _dot_plus_E(b, d, whole, current)
         )
         if nxt == e_set:
             chain.append(nxt)
@@ -125,7 +137,7 @@ def _series(b: SemiBrace, side: str) -> SeriesReport:
         chain.append(nxt)
         seen.add(nxt)
     return SeriesReport(
-        kind=side, chain=tuple(chain), verdict=verdict, nil_orders=_nil_orders(b, side)
+        kind=side, chain=tuple(chain), verdict=verdict, nil_orders=_nil_orders(d, side)
     )
 
 
@@ -138,12 +150,12 @@ def left_series(b: SemiBrace) -> SeriesReport:
 
 
 def is_right_nil(b: SemiBrace) -> tuple[bool, tuple[Optional[int], ...]]:
-    orders = _nil_orders(b, "right")
+    orders = _nil_orders(dot_table(b), "right")
     return all(o is not None for o in orders), orders
 
 
 def is_left_nil(b: SemiBrace) -> tuple[bool, tuple[Optional[int], ...]]:
-    orders = _nil_orders(b, "left")
+    orders = _nil_orders(dot_table(b), "left")
     return all(o is not None for o in orders), orders
 
 

@@ -57,34 +57,41 @@ def solution_from(b: SemiBrace) -> SolutionMap:
     return SolutionMap.of(np.stack([lam, rho], axis=-1))
 
 
-# Triples (x, y, z) per chunk of the braid check, so that its working
-# memory stays near 20 MB whatever n is.
-BRAID_SLAB = 1 << 18
+# Triples (x, y, z) per block of consecutive x.  Up to n = 256 a block's
+# int64 arrays are at most 0.5 MB each and its working memory stays under
+# 4 MB (3.4 MB by tracemalloc at n = 242), so a block stays in cache; above
+# that a block is one x and grows with n^2.
+BRAID_SLAB = 1 << 16
 
 
 def check_braid(s: SolutionMap) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples;
     returns the first failing (x, y, z) lexicographically, if any.
 
-    The triples are scanned in chunks of consecutive x, each at most
-    BRAID_SLAB triples (one x at least), through flat `take` indices."""
+    The triples are scanned in blocks of consecutive x, each at most
+    BRAID_SLAB triples (one x at least).  With v = b(x, y), the rows a(v, .)
+    and b(v, .) are whole-row copies; the other lookups are flat `take`s
+    through three index arrays, each read for both components."""
     n = s.n
-    a2, b2 = s.r[:, :, 0], s.r[:, :, 1]  # r(x, y) = (a2[x, y], b2[x, y])
-    a, bb = a2.ravel(), b2.ravel()  # flat: a[x * n + y] = a2[x, y]
-    z = np.arange(n)
+    a, bb = s.r[:, :, 0].ravel(), s.r[:, :, 1].ravel()  # a[x * n + y] = a(x, y)
+    a2, b2 = a.reshape(n, n), bb.reshape(n, n)
     rows = max(1, BRAID_SLAB // (n * n))
     for start in range(0, n, rows):
-        xs = np.arange(start, min(start + rows, n))
-        # flat indices, each array indexed [x, y, z]
-        bz = b2[xs][:, :, None] * n + z  # (b(x, y), z)
-        left = a2[xs][:, :, None] * n + a.take(bz)  # (a(x, y), a(b(x, y), z))
-        x_ayz = xs[:, None, None] * n + a2[None]  # (x, a(y, z))
-        right = bb.take(x_ayz) * n + b2[None]  # (b(x, a(y, z)), b(y, z))
-        bad = (a.take(left) != a.take(x_ayz)) | (bb.take(left) != a.take(right))
-        bad |= bb.take(bz) != bb.take(right)
+        stop = min(start + rows, n)
+        # arrays indexed [x - start, y, z]; flat indices into a and bb
+        v = b2[start:stop]  # b(x, y)
+        left = a2.take(v, axis=0)  # a(b(x, y), z)
+        left += a2[start:stop, :, None] * n  # (a(x, y), a(b(x, y), z))
+        x_ayz = np.arange(start * n, stop * n, n)[:, None, None] + a2  # (x, a(y, z))
+        right = bb.take(x_ayz)
+        right *= n
+        right += b2  # (b(x, a(y, z)), b(y, z))
+        bad = a.take(left) != a.take(x_ayz)
+        bad |= bb.take(left) != a.take(right)
+        bad |= b2.take(v, axis=0) != bb.take(right)
         if bad.any():
-            i, y, zz = (int(v) for v in np.argwhere(bad)[0])
-            return False, (int(xs[i]), y, zz)
+            i, y, z = (int(t) for t in np.argwhere(bad)[0])
+            return False, (start + i, y, z)
     return True, None
 
 

@@ -1,6 +1,7 @@
 """Dot products, nilpotency chains, nil orbits, socle, and the
 right-nilpotency criterion for decomposable semi-braces."""
 
+import dataclasses
 from functools import lru_cache
 
 import full_scans
@@ -19,6 +20,7 @@ from semibrace.construct import (
     trivial_semibrace,
     trivial_skewbrace,
 )
+from semibrace.core import InternalInvariantError
 from semibrace.nilpotency import (
     NotASkewBraceError,
     check_rnilp1,
@@ -76,6 +78,14 @@ def test_dot_closed_formula_on_product(fam3):
 def test_dot_lands_in_g(fam3, fam4):
     for b in (fam3, fam4):
         assert set(np.unique(dot_table(b)).tolist()) <= set(b.g_elements)
+
+
+def test_dot_outside_g_is_an_internal_error(fam3):
+    # G shrunk to {0}: the dots 2 and 4 now lie outside it
+    bad = dataclasses.replace(fam3, g_elements=(0,))
+    for f in (dot_table, right_series, left_series, is_right_nil):
+        with pytest.raises(InternalInvariantError, match="dot product escaped G"):
+            f(bad)
 
 
 def test_set_dot_plus_e(fam3):

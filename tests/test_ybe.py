@@ -132,7 +132,8 @@ def test_solution_json_round_trip():
 # ---------------------------------------------------------------------------
 # the chunked braid check against the single-pass full scan
 
-# n = 74: 74**3 triples are two chunks of ybe.BRAID_SLAB
+# n = 74: 74**3 triples make seven blocks of at most ybe.BRAID_SLAB
+# triples, 11 x each (the last one 8)
 BRAID_FAMILIES = tuple(applicable_items("pq-congruent", 37, 2))
 
 
@@ -163,6 +164,37 @@ def test_braid_every_small_corruption_matches_full_scan(monkeypatch):
         r = s.r.copy()
         r[x, y, k] = (r[x, y, k] + shift) % n
         assert check_braid(SolutionMap.of(r)) == full_scans.check_braid(r), (x, y, k, shift)
+
+
+def test_braid_at_block_boundaries(monkeypatch):
+    # Blocks of one x, of two x, of two x with a short last block (3n^2 - 1
+    # triples hold two x) and of every x.  Next to uniform random maps, which
+    # mostly fail at x = 0, flip maps r(x, y) = (y, x) with a few cells
+    # overwritten fail first at any x, so witnesses also fall in the middle
+    # and at the end of multi-x blocks.
+    rng = np.random.default_rng(14)
+    positions = set()
+    for n in range(2, 8):
+        idx = np.arange(n)
+        flip = np.stack(np.broadcast_arrays(idx[None, :], idx[:, None]), axis=-1)
+        for slab in (n * n, 2 * n * n, 3 * n * n - 1, n ** 3):
+            monkeypatch.setattr(ybe, "BRAID_SLAB", slab)
+            rows = slab // (n * n)
+            for k in range(60):
+                if k % 3 == 0:
+                    r = rng.integers(0, n, size=(n, n, 2))
+                else:
+                    r = flip.copy()
+                    for _ in range(rng.integers(1, 4)):
+                        r[rng.integers(n), rng.integers(n), rng.integers(2)] = rng.integers(n)
+                s = SolutionMap.of(r)
+                got = check_braid(s)
+                assert got == _braid_by_loops(s) == full_scans.check_braid(s.r), (n, slab, k)
+                if not got[0] and rows > 1:
+                    x = got[1][0]
+                    last = x % rows == rows - 1 or x == n - 1
+                    positions.add("first" if x % rows == 0 else "last" if last else "middle")
+    assert positions == {"first", "middle", "last"}
 
 
 def test_nondegeneracy_matches_row_and_column_loops():
