@@ -19,7 +19,13 @@ Each hash is the first 16 hex digits of the sha256 of
   corruption of each (entry (x, y, k) moved by a nonzero shift mod n);
   then the whole list again with `ybe.BRAID_SLAB = 1`, so that each x is
   a block of its own and the witnesses (x = 0, 1, 2 and 4, from all three
-  components of the braid relation) come from several blocks.
+  components of the braid relation) come from several blocks;
+* group reports: value `[[is_group, identity, failure, inverses], ...]` of
+  `check_group` on every catalogue group of order at most 10 followed by
+  every single-cell corruption of it (entry (i, j) moved by each nonzero
+  shift mod n), then on the circle tables of `2p2-E2-noncyclic`[5] at
+  p = 5 and 7 (n = 50 and 98) with every GROUP_STRIDE-th cell k = i n + j
+  moved by 1 + k mod (n - 1).
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of every supported order instead.  The order-8 funnel
@@ -59,6 +65,7 @@ from semibrace.construct import (  # noqa: E402
 )
 from semibrace.core import semibrace_from_json  # noqa: E402
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
+from semibrace.tables import CayleyTable, check_group  # noqa: E402
 from semibrace.ybe import SolutionMap, check_braid, solution_from  # noqa: E402
 
 
@@ -115,6 +122,34 @@ def braid_hash(seed: int = 1) -> str:
     return json_hash(value)
 
 
+GROUP_STRIDE = 53
+
+
+def _moved(table, i: int, j: int, shift: int) -> CayleyTable:
+    out = table.copy()
+    out[i, j] = (out[i, j] + shift) % table.shape[0]
+    return CayleyTable.of(out)
+
+
+def group_reports_hash() -> str:
+    tables = []
+    for g in [g for n in sorted(SUPPORTED_GROUP_ORDERS) if n <= 10 for g in small_groups(n)]:
+        n = g.n
+        tables.append(g.op)
+        tables += [_moved(g.table, i, j, shift)
+                   for i in range(n) for j in range(n) for shift in range(1, n)]
+    for p in (5, 7):
+        circ = family(FamilyId("2p2-E2-noncyclic", 5, p)).circ.table
+        n = circ.shape[0]
+        tables += [_moved(circ, *divmod(k, n), 1 + k % (n - 1))
+                   for k in range(0, n * n, GROUP_STRIDE)]
+    reports = [check_group(t) for t in tables]
+    return json_hash([
+        [r.is_group, r.identity, r.failure, None if r.inverses is None else r.inverses.tolist()]
+        for r in reports
+    ])
+
+
 def funnel(n: int = 8) -> list[int]:
     survivors = sum(len(_survivor_tables(circ, 1, False, pruned=True)) for circ in small_groups(n))
     return [survivors, len(enumerate_generic(n))]
@@ -141,6 +176,7 @@ def main() -> int:
         "funnel_n8": funnel(),
         "nilpotency": nilpotency_hash(),
         "braid": braid_hash(),
+        "group_reports": group_reports_hash(),
     }
     print(json.dumps(out, indent=2))
     return 0

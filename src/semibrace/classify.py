@@ -467,19 +467,24 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
 
 def _orbit_representatives(circ: FiniteGroup, tables: list[np.ndarray]) -> list[SemiBrace]:
     """The verified least table, in byte order, of each Aut(C)-orbit of the
-    int64 addition tables over the catalogue group C = `circ`; every table
-    is verified.  An isomorphism of two semi-braces with circle table C is
-    an f in Aut(C) with f(T)[f x, f y] = f[T[x, y]], so the orbits are the
-    classes whether or not `tables` is closed under Aut(C)."""
+    int64 addition tables over the catalogue group C = `circ`.  An
+    isomorphism of two semi-braces with circle table C is an f in Aut(C)
+    with f(T)[f x, f y] = f[T[x, y]], so the orbits are the classes whether
+    or not `tables` is closed under Aut(C).
+
+    Only tables not yet in `seen` are verified.  This is safe: a table in
+    `seen` is f(T) for a verified T and some f in Aut(C), so it is valid by
+    transport of structure.  An invalid table is never in `seen`, so it is
+    still verified, and the scan raises at the same table as when every
+    table was verified."""
     auts = _automorphism_images(circ.n)[circ.key()]
     rows = np.arange(auts.shape[0])[:, None, None]
     orbit = np.empty((auts.shape[0], circ.n, circ.n), dtype=np.int64)
     seen: set[bytes] = set()
     out = []
     for table in sorted(tables, key=lambda t: t.tobytes()):
-        b = verify(table, circ.table)
         if table.tobytes() not in seen:
-            out.append(b)
+            out.append(verify(table, circ.table))
             orbit[rows, auts[:, :, None], auts[:, None, :]] = auts[rows, table[None]]
             seen.update(f.tobytes() for f in orbit)
     return out

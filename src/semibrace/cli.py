@@ -40,9 +40,10 @@ EXIT_OUT_OF_MEMORY = 5
 def _load_json(args, path: str):
     """Parse a structure file; its declared order n, if any, is kept in
     args.order for the out-of-memory message."""
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise MalformedTableError(f"{path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise MalformedTableError(f"{path}: not valid JSON ({err})") from err
     if isinstance(obj, dict) and isinstance(obj.get("n"), int):

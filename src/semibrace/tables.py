@@ -32,7 +32,10 @@ class CayleyTable:
 
     @classmethod
     def of(cls, rows) -> "CayleyTable":
-        arr = np.asarray(rows)
+        try:
+            arr = np.asarray(rows)
+        except ValueError as err:  # ragged rows: numpy's inhomogeneous shape
+            raise MalformedTableError(f"table rows are ragged ({err})") from err
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise MalformedTableError(f"table must be square and nonempty, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
@@ -126,22 +129,11 @@ class GroupReport:
     failure: Optional[tuple]  # (kind, witness tuple)
 
 
-# Largest number of (x, y, z) triples scanned in one numpy pass. A table
-# with n**3 <= SLAB (n <= 101) is checked for associativity in a single
-# pass, a few int64 temporaries of at most 8 MB each; above it,
-# `first_nonassociative` checks over a generating set and every full scan
-# runs in chunks of at most SLAB triples, so working memory stays O(n**2).
-# Measured on a 2-core Xeon VM, single pass against generator path over the
-# add and circle tables of the families: 0.022 against 0.05-0.09 ms at n = 8
-# (the catalogue groups; `check_group` runs on the circle table of every
-# structure a census verifies), 0.34-0.50 against 0.10-0.85 ms at n = 50,
-# 9-14 against 0.13-1.9 ms at n = 98, 16-25 against 0.2-7.9 ms at n = 121.
+# Largest number of (x, y, z) triples a full associativity scan holds in one
+# numpy pass. The scans that find witnesses run in chunks of at most SLAB
+# triples (one row of a at least), a few int64 temporaries of at most 8 MB
+# each, so working memory stays O(n**2).
 SLAB = 1 << 20
-
-
-def single_slab(n: int) -> bool:
-    """Whether all n**3 triples of an n x n table fit in one slab."""
-    return n ** 3 <= SLAB
 
 
 def slab_chunks(items: np.ndarray, per_item: int):
@@ -220,17 +212,16 @@ def first_nonassociative(tab: np.ndarray) -> Optional[tuple[int, int, int]]:
     """The lexicographically first (a, b, c) with (a.b).c != a.(b.c), or
     None when the operation is associative.
 
-    When n**3 > SLAB this is Light's test: it checks (x.s).y = x.(s.y) for
-    all x, y and every s in `left_nested_generators`, at O(n**2 |S|) cost.
-    This is sound because T = {g : (x.g).y = x.(g.y) for all x, y} is closed
-    under the operation: for g, h in T,
+    At every n this is Light's test: it checks (x.s).y = x.(s.y) for all x,
+    y and every s in `left_nested_generators`, at O(n**2 |S|) cost. This is
+    sound for any table because T = {g : (x.g).y = x.(g.y) for all x, y} is
+    closed under the operation: for g, h in T,
         (x.(g.h)).y = ((x.g).h).y = (x.g).(h.y) = x.(g.(h.y)) = x.((g.h).y),
     using g in T, h in T, g in T and h in T in turn. So T contains every
-    left-nested product of S, which is every element. On any failure the
-    chunked full scan finds the lexicographically first witness."""
+    left-nested product of S, which is every element. Only when the test
+    fails does the chunked full scan run, to find the lexicographically
+    first witness."""
     n = tab.shape[0]
-    if single_slab(n):
-        return _first_nonassociative(tab)
     gens = np.array(left_nested_generators(tab))
     for part in slab_chunks(gens, n * n):
         left = tab[tab[:, part]]  # left[x, i, y] = tab[tab[x, s_i], y]
@@ -242,28 +233,27 @@ def first_nonassociative(tab: np.ndarray) -> Optional[tuple[int, int, int]]:
 
 def check_group(t: CayleyTable) -> GroupReport:
     """Decide whether the table is a group; on failure the report names the
-    first violated instance (identity candidate, missing inverse element, or
-    associativity triple, in that order)."""
+    first violated instance, in this order: no identity (the first left
+    identity e and the first x with x.e != x, or no witness when there is no
+    left identity), no inverse (the first a whose first right inverse b,
+    a.b = identity, is missing or has b.a != identity), or the
+    associativity triple of `first_nonassociative`."""
     tab = t.table
-    n = t.n
-    ident = None
-    for e in range(n):
-        if np.array_equal(tab[e], np.arange(n)) and np.array_equal(tab[:, e], np.arange(n)):
-            ident = e
-            break
-    if ident is None:
-        # witness: first (x, e) showing the best left-identity candidate fails on the right
-        for e in range(n):
-            if np.array_equal(tab[e], np.arange(n)):
-                bad = int(np.argmax(tab[:, e] != np.arange(n)))
-                return GroupReport(False, None, None, ("no-identity", (bad, e)))
-        return GroupReport(False, None, None, ("no-identity", ()))
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(tab[a] == ident)
-        if hits.size == 0 or tab[int(hits[0]), a] != ident:
-            return GroupReport(False, ident, None, ("no-inverse", (a,)))
-        inv[a] = int(hits[0])
+    arange = np.arange(t.n)
+    left = (tab == arange).all(axis=1)  # e.x = x for every x
+    ident = np.flatnonzero(left & (tab.T == arange).all(axis=1))
+    if ident.size == 0:
+        if not left.any():
+            return GroupReport(False, None, None, ("no-identity", ()))
+        e = int(np.argmax(left))
+        bad = int(np.argmax(tab[:, e] != arange))
+        return GroupReport(False, None, None, ("no-identity", (bad, e)))
+    ident = int(ident[0])
+    hits = tab == ident
+    inv = np.argmax(hits, axis=1)
+    ok = hits[arange, inv] & (tab[inv, arange] == ident)
+    if not ok.all():
+        return GroupReport(False, ident, None, ("no-inverse", (int(np.argmin(ok)),)))
     triple = first_nonassociative(tab)
     if triple is not None:
         return GroupReport(False, ident, None, ("not-associative", triple))

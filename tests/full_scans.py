@@ -18,12 +18,19 @@ from semibrace.construct import (
 from semibrace.nilpotency import dot_table
 from semibrace.tables import CayleyTable
 
-# Families whose n**3 exceeds tables.SLAB, small enough for the full scans.
+# Families whose n**3 exceeds tables.SLAB, so that a full scan for a
+# witness runs in several chunks, small enough for the full scans here.
 ABOVE_SLAB = (
     FamilyId("pq-congruent", 3, 53, 2),  # n = 106
     FamilyId("pq-congruent", 4, 37, 3),  # n = 111
     FamilyId("pq-noncongruent", 4, 23, 5),  # n = 115
     FamilyId("pq-noncongruent", 6, 11, 11),  # n = 121
+)
+# Families whose n**3 fits in one slab; Light's test decides them as well.
+MID_SIZE = (
+    FamilyId("2p2-Ep2", 3, 3),  # n = 18
+    FamilyId("2p2-E2-cyclic", 2, 5),  # n = 50
+    FamilyId("2p2-E2-noncyclic", 5, 7),  # n = 98
 )
 
 

@@ -349,6 +349,36 @@ def test_orbit_representatives_of_a_partial_input(n):
         assert sorted(b.key() for b in _orbit_representatives(circ, part)) == want
 
 
+def _axiom_error(table, circ):
+    with pytest.raises(SemiBraceAxiomError) as err:
+        verify(table, circ.table)
+    return err.value.axiom, err.value.witness
+
+
+def test_orbit_representatives_verify_every_table_outside_the_orbits():
+    # Only tables outside the orbits seen so far are verified.  A corrupted
+    # table is never in an orbit of valid ones, so it still raises the
+    # error verify gives on it; of two, the first in byte order raises, as
+    # when every table was verified.
+    rng = np.random.default_rng(8)
+    for circ in small_groups(8):
+        tables = _survivor_tables(circ, 1, False, pruned=True)
+        bad = []
+        for _ in range(2):
+            table = tables[rng.integers(len(tables))].copy()
+            x, y = rng.integers(8, size=2)
+            table[x, y] = (table[x, y] + rng.integers(1, 8)) % 8
+            bad.append(table)
+        for slipped in (bad[:1], bad):
+            mixed = list(tables)
+            for table in slipped:
+                mixed.insert(rng.integers(len(mixed) + 1), table)
+            with pytest.raises(SemiBraceAxiomError) as got:
+                _orbit_representatives(circ, mixed)
+            first = min(slipped, key=lambda t: t.tobytes())
+            assert (got.value.axiom, got.value.witness) == _axiom_error(first, circ)
+
+
 @pytest.mark.parametrize("n, by_e_size", [
     (12, {1: 38, 2: 12, 3: 10, 4: 5, 6: 4, 12: 5}),
     (14, {1: 6, 2: 2, 7: 2, 14: 2}),

@@ -62,6 +62,15 @@ def test_verify_malformed_inputs_exit_3(tmp_path, capsys):
     not_object = tmp_path / "c.json"
     not_object.write_text("[1, 2, 3]")
     assert run(capsys, ["verify", str(not_object)])[0] == 3
+    ragged = tmp_path / "d.json"
+    ragged.write_text(json.dumps({"n": 2, "add": [[0, 1], [1]], "circ": [[0, 1], [1, 0]]}))
+    not_utf8 = tmp_path / "e.json"
+    not_utf8.write_bytes(b'{"n": 1, "add": [[0]], "circ": [[0]], "\xff": 0}')
+    for path in (ragged, not_utf8):
+        for argv in (["verify", str(path)], ["iso", str(path), str(path)],
+                     ["solution", str(path)]):
+            rc, _, err = run(capsys, argv)
+            assert rc == 3 and "malformed input" in err, (argv, err)
 
 
 def test_missing_file_exits_4(tmp_path, capsys):

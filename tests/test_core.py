@@ -6,7 +6,7 @@ import tracemalloc
 import full_scans
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibrace import core, tables
@@ -213,17 +213,19 @@ def _corruptions(add, circ, i, j, shift, kind, which):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from(full_scans.ABOVE_SLAB),
+    st.sampled_from(full_scans.ABOVE_SLAB + full_scans.MID_SIZE),
     st.sampled_from(["cell", "swap"]),
     st.sampled_from(["add", "circ"]),
     st.integers(min_value=0, max_value=10 ** 6),
     st.integers(min_value=0, max_value=10 ** 6),
     st.integers(min_value=1, max_value=10 ** 6),
 )
+@example(full_scans.MID_SIZE[0], "cell", "circ", 4, 7, 2)
+@example(full_scans.MID_SIZE[1], "swap", "circ", 9, 30, 1)
+@example(full_scans.MID_SIZE[2], "cell", "circ", 61, 17, 40)
 def test_verify_above_slab_matches_full_scan(fid, kind, which, i, j, shift):
     b = family(fid)
     n = b.n
-    assert not tables.single_slab(n)
     add, circ = b.add.table, b.circ.table
     assert full_scans.verify_outcome(add, circ) is None
     assert verify(add, circ).key() == b.key()

@@ -6,7 +6,7 @@ import math
 import full_scans
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibrace import tables
@@ -452,17 +452,19 @@ def _corrupted(table, i, j, shift):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from(ABOVE_SLAB),
+    st.sampled_from(ABOVE_SLAB + full_scans.MID_SIZE),
     st.sampled_from(["add", "circ"]),
     st.integers(min_value=0, max_value=10 ** 6),
     st.integers(min_value=0, max_value=10 ** 6),
     st.integers(min_value=1, max_value=10 ** 6),
 )
+@example(full_scans.MID_SIZE[0], "circ", 4, 7, 2)
+@example(full_scans.MID_SIZE[1], "circ", 9, 30, 11)
+@example(full_scans.MID_SIZE[2], "circ", 61, 17, 40)
 def test_checks_above_slab_match_full_scan(fid, which, i, j, shift):
     b = family(fid)
     table = b.add.table if which == "add" else b.circ.table
     n = b.n
-    assert not tables.single_slab(n)
     # the valid tables pass
     assert first_nonassociative(b.add.table) is None
     assert check_group(b.circ).is_group
@@ -483,15 +485,17 @@ def _small_tables():
 
 
 def test_every_small_corruption_matches_full_scan(monkeypatch):
-    # a slab of one triple sends every n >= 2 down the generator path, and
-    # every full scan through one-row chunks
-    monkeypatch.setattr(tables, "SLAB", 1)
-    for table in _small_tables():
-        n = table.shape[0]
-        for i, j, shift in itertools.product(range(n), range(n), range(1, n)):
-            bad = _corrupted(table, i, j, shift)
-            assert _group_outcome(bad) == full_scans.check_group(bad), (i, j, shift)
-            assert first_nonassociative(bad.table) == _associativity_triple(bad), (i, j, shift)
+    # Light's test decides at every n; the full scan for a witness runs in
+    # one pass at the default slab and one row at a time at a slab of one
+    # triple
+    for slab in (tables.SLAB, 1):
+        monkeypatch.setattr(tables, "SLAB", slab)
+        for table in _small_tables():
+            n = table.shape[0]
+            for i, j, shift in itertools.product(range(n), range(n), range(1, n)):
+                bad = _corrupted(table, i, j, shift)
+                assert _group_outcome(bad) == full_scans.check_group(bad), (slab, i, j, shift)
+                assert first_nonassociative(bad.table) == _associativity_triple(bad), (slab, i, j, shift)
 
 
 def _left_nested_closure(table, gens):
