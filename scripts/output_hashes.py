@@ -28,11 +28,14 @@ Each hash is the first 16 hex digits of the sha256 of
   moved by 1 + k mod (n - 1).
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
-catalogue groups of every supported order instead.  The order-8 funnel
+catalogue groups of every supported order instead, and the `survivors` hash
+over the concatenated bytes of the `_survivor_tables` of every catalogue
+group of order 1 to 15, under (emin, esylow) = (1, off) and then (2, on).
+It reaches orders 11 to 15, which `enumerate_generic` does not.  The order-8 funnel
 gives the counts of the generic sweep: survivor tables, summed over the
 five circle groups, and census classes.
 
-Run from the repository root; it takes about 5 s:
+Run from the repository root; it takes about 6 s:
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
@@ -150,6 +153,15 @@ def group_reports_hash() -> str:
     ])
 
 
+def survivors_hash() -> str:
+    return digest(b"".join(
+        table.tobytes()
+        for n in range(1, 16) for circ in small_groups(n)
+        for emin, esylow in ((1, False), (2, True))
+        for table in _survivor_tables(circ, emin, esylow, pruned=True)
+    ))
+
+
 def funnel(n: int = 8) -> list[int]:
     survivors = sum(len(_survivor_tables(circ, 1, False, pruned=True)) for circ in small_groups(n))
     return [survivors, len(enumerate_generic(n))]
@@ -174,6 +186,7 @@ def main() -> int:
             g.key() for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n))),
         "iso_witness_n98_seed1": iso_witness_hash(),
         "funnel_n8": funnel(),
+        "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),
         "braid": braid_hash(),
         "group_reports": group_reports_hash(),

@@ -350,6 +350,55 @@ def _order_divides_pool(n: int, k: int) -> np.ndarray:
     return pool
 
 
+def _cycle_type_representatives(k: int, order: int) -> np.ndarray:
+    """One permutation of range(k) for each pair (length of the cycle
+    through 0, cycle type of the rest) with every length dividing `order`:
+    the cycle through 0 is 0 -> 1 -> ..., and the other cycles follow on
+    consecutive points by non-increasing length; shape (count, k), int8."""
+    lengths = [m for m in range(1, k + 1) if order % m == 0]
+
+    def partitions(total: int, largest: int) -> Iterator[tuple[int, ...]]:
+        if total == 0:
+            yield ()
+        for m in lengths:
+            if m <= min(total, largest):
+                yield from ((m, *rest) for rest in partitions(total - m, m))
+
+    rows = []
+    for first in lengths:
+        for rest in partitions(k - first, k):
+            row: list[int] = []
+            for m in (first, *rest):
+                row += [len(row) + (i + 1) % m for i in range(m)]
+            rows.append(row)
+    return np.array(rows, dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
+def _holomorph_representatives(m: int) -> dict[bytes, np.ndarray]:
+    """By G.key(), for each G in `small_groups(m)`: the least index
+    t * |Aut(G)| + a of each Aut(G)-conjugacy class of the holomorph
+    elements h -> t alpha_a(h), alpha_a the a-th row of
+    `_automorphism_images`.  beta (t alpha) beta^-1 = beta(t) (beta alpha
+    beta^-1), so the class of x is the column x of `image`, and x is least
+    in it when the column's minimum is x.  An automorphism is known by its
+    images of a generating sequence, which index it in `position`."""
+    out = {}
+    for group in small_groups(m):
+        gens = group.generating_sequence()
+        auts = _automorphism_images(m)[group.key()]
+        count = auts.shape[0]
+        weights = m ** np.arange(len(gens))
+        position = np.zeros(m ** len(gens), dtype=np.int64)
+        position[auts[:, gens] @ weights] = np.arange(count)
+        beta, alpha = np.arange(count)[:, None, None], np.arange(count)[None, :, None]
+        inverse = np.argsort(auts, axis=1)[:, gens][:, None, :]
+        conj = position[auts[beta, auts[alpha, inverse]] @ weights]  # beta alpha beta^-1
+        image = (auts[:, :, None] * count + conj[:, None, :]).reshape(count, -1)
+        out[group.key()] = np.flatnonzero(image.min(axis=0) == np.arange(image.shape[1]))
+    return out
+
+
 def _add_rows(circ: FiniteGroup, lam: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """add[r, i, b] = a + b = a o lam_{a^-}(b) for a = elements[i]; each
     a^- must lie where lam is set."""
@@ -378,17 +427,23 @@ def _regular_tables(
     """Blocks (rows, n, n) of int8 addition tables: the right group G x E,
     (h, e) labelled h * k + e, pulled back along psi(c) = rho(c)(0) for each
     homomorphism rho: (B, o) -> Hol(G) x Sym(E) that makes psi a bijection;
-    (t o alpha, pi) acts as (h, e) -> (t alpha(h), pi(e)).  See
+    (t o alpha, pi) acts as (h, e) -> (t alpha(h), pi(e)).  The first
+    generator's image is drawn from one element per class of the stabiliser
+    of 0, the later ones from all of Hol(G) x {pi : ord pi | ord c}.  See
     `_survivor_tables`."""
     n, m = circ.n, group.n
     auts = _automorphism_images(m)[group.key()]
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
-    for c in gens:
+    for j, c in enumerate(gens):
         order = circ.element_order(c)
-        pi = _order_divides_pool(k, order)
-        pool = (affine[:, None, :, None] * k + pi[None, :, None, :]).astype(np.int8)
-        pool = pool.reshape(affine.shape[0] * pi.shape[0], n)
+        if j == 0:
+            hol = affine[_holomorph_representatives(m)[group.key()]]
+            pi = _cycle_type_representatives(k, order)
+        else:
+            hol, pi = affine, _order_divides_pool(k, order)
+        pool = (hol[:, None, :, None] * k + pi[None, :, None, :]).astype(np.int8)
+        pool = pool.reshape(hol.shape[0] * pi.shape[0], n)
         pools.append(pool[(orbit_lengths(pool) == order).all(axis=1)])
     x = np.arange(n)
     right_group = group.table[x[:, None] // k, x[None, :] // k] * k + x % k
@@ -433,8 +488,19 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
       tables a semi-brace with |E| = k.  Every semi-brace arises, from psi
       its coordinate map composed with a pi that sends 0 to (1, e_0).
     - k = n.  Then a + b = b, which every psi keeps: one table, no search.
-    - Duplicates.  A table comes from every conjugate of rho by the
-      stabiliser of 0 in Aut(G x E), so the tables are deduplicated."""
+    - Duplicates.  Let phi lie in Stab(0), the stabiliser of 0 = (1, e_0)
+      in Aut(G x E).  Then phi rho phi^-1 is a homomorphism with orbit map
+      phi psi, a bijection, and it pulls back the same table, as phi keeps
+      +.  Stab(0) = Aut(G) x Sym(E - e_0) acts on Hol(G) x Sym(E) one
+      factor at a time: beta (t alpha) beta^-1 = beta(t) (beta alpha
+      beta^-1), and the Sym(E - e_0)-class of pi is its cycle type with the
+      length of the cycle through e_0 marked.  Conjugation keeps cycle
+      lengths, so each Stab(0)-orbit of the first generator's semiregular
+      images holds exactly one pair (an `_holomorph_representatives` row,
+      a `_cycle_type_representatives` row), and drawing the first image
+      from those pairs loses no table.  The later generators still range
+      over their full pools, so a table can come from several rho, and the
+      tables are deduplicated."""
     n = circ.n
     sylow = _sylow_sizes(n)
     allowed = np.array([e >= emin and (e in sylow or not esylow) for e in range(n + 1)])

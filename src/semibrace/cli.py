@@ -46,6 +46,8 @@ def _load_json(args, path: str):
         raise MalformedTableError(f"{path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise MalformedTableError(f"{path}: not valid JSON ({err})") from err
+    except RecursionError as err:
+        raise MalformedTableError(f"{path}: JSON nested too deeply ({err})") from err
     if isinstance(obj, dict) and isinstance(obj.get("n"), int):
         args.order = obj["n"]
     return obj

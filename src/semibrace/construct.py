@@ -84,7 +84,7 @@ def semidirect(
     add1, circ1 = b1.add.table, b1.circ.table
     for c in range(b2.n):
         f = images[c]
-        if np.unique(f).size != b1.n:
+        if not np.array_equal(np.sort(f), np.arange(b1.n)):
             raise ParameterError(f"alpha[{c}] is not a bijection")
         if not (is_morphism(f, add1, add1) and is_morphism(f, circ1, circ1)):
             raise ParameterError(f"alpha[{c}] is not a semi-brace automorphism of B1")

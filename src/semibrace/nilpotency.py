@@ -85,11 +85,13 @@ def _dot_plus_E(
     b: SemiBrace, d: np.ndarray, xs: Iterable[int], ys: Iterable[int]
 ) -> tuple[int, ...]:
     """`set_dot_plus_E` with the dot table d of b given."""
-    dots = np.unique(d[np.ix_(sorted(set(xs)), sorted(set(ys)))])
+    dots = d[np.ix_(sorted(set(xs)), sorted(set(ys)))].ravel()
+    dots = np.flatnonzero(np.bincount(dots, minlength=b.n))
     add = b.add.table
     members: set[int] = set()
     _reach(add.T[dots].tolist(), [0], members)
-    return tuple(np.unique(add[np.ix_(sorted(members), b.e_elements)]).tolist())
+    sums = add[np.ix_(sorted(members), b.e_elements)].ravel()
+    return tuple(np.flatnonzero(np.bincount(sums, minlength=b.n)).tolist())
 
 
 def _nil_orders(d: np.ndarray, side: str) -> tuple[Optional[int], ...]:

@@ -124,7 +124,7 @@ def check_properties(s: SolutionMap) -> SolutionProperties:
     left = _injective(a, axis=1)
     right = _injective(bb, axis=0)
     pairs = a.astype(np.int64) * n + bb
-    bij = np.unique(pairs).size == n * n
+    bij = bool(np.bincount(pairs.ravel(), minlength=n * n).all())
     inv = bool(
         np.array_equal(a[a, bb], np.arange(n)[:, None].repeat(n, axis=1))
         and np.array_equal(bb[a, bb], np.tile(np.arange(n), (n, 1)))

@@ -4,11 +4,13 @@ kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, a cycle walk, the reference for the vectorised
-`tables.orbit_lengths`, and the original two-sided closure of
-`nilpotency.set_dot_plus_E`."""
+`tables.orbit_lengths`, the original two-sided closure of
+`nilpotency.set_dot_plus_E`, and the regular-embedding sweep with every
+holomorph element and permutation in the first generator's pool."""
 
 import numpy as np
 
+from semibrace.classify import _automorphism_images, _order_divides_pool
 from semibrace.construct import (
     TWO_P2_THEOREMS,
     FamilyId,
@@ -16,7 +18,7 @@ from semibrace.construct import (
     theorems_for_order_pq,
 )
 from semibrace.nilpotency import dot_table
-from semibrace.tables import CayleyTable
+from semibrace.tables import CayleyTable, _compose_rows, _search_morphisms, orbit_lengths
 
 # Families whose n**3 exceeds tables.SLAB, so that a full scan for a
 # witness runs in several chunks, small enough for the full scans here.
@@ -208,3 +210,27 @@ def set_dot_plus_E(b, xs, ys):
         frontier = nxt
     out = {int(add[g, e]) for g in members for e in b.e_elements}
     return tuple(sorted(out))
+
+
+def regular_tables(circ, gens, group, k):
+    """`classify._regular_tables` with the full pool Hol(G) x {pi : ord pi
+    divides ord c} for every generator c, the first one included: each
+    table comes once for every conjugate of rho by the stabiliser of 0."""
+    n, m = circ.n, group.n
+    auts = _automorphism_images(m)[group.key()]
+    affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
+    pools = []
+    for c in gens:
+        order = circ.element_order(c)
+        pi = _order_divides_pool(k, order)
+        pool = (affine[:, None, :, None] * k + pi[None, :, None, :]).astype(np.int8)
+        pool = pool.reshape(affine.shape[0] * pi.shape[0], n)
+        pools.append(pool[(orbit_lengths(pool) == order).all(axis=1)])
+    x = np.arange(n)
+    right_group = group.table[x[:, None] // k, x[None, :] // k] * k + x % k
+    for rho in _search_morphisms(circ, gens, pools, _compose_rows):
+        psi = rho[:, :, 0].astype(np.intp)
+        psi = psi[(np.sort(psi, axis=1) == x).all(axis=1)]
+        rows = np.arange(psi.shape[0])[:, None, None]
+        pulled = np.argsort(psi, axis=1)[rows, right_group[psi[:, :, None], psi[:, None, :]]]
+        yield pulled.astype(np.int8)

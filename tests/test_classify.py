@@ -295,6 +295,45 @@ def test_survivor_tables_match_the_unpruned_route():
     assert _survivor_tables(small_groups(1)[0], 1, True, pruned=True) == []
 
 
+def test_reduced_first_pool_keeps_every_table(monkeypatch):
+    # The first generator's pool holds one element per Stab(0)-class; the
+    # reference takes all of Hol(G) x {pi : ord pi | ord c} there.
+    groups = [g for n in range(1, 16) for g in small_groups(n)]
+    filters = ((1, False), (2, True))
+    reduced = [[t.tobytes() for t in _survivor_tables(g, *f, pruned=True)]
+               for g in groups for f in filters]
+    monkeypatch.setattr(classify, "_regular_tables", full_scans.regular_tables)
+    full = [[t.tobytes() for t in _survivor_tables(g, *f, pruned=True)]
+            for g in groups for f in filters]
+    assert reduced == full
+
+
+def _cycle_key(images):
+    """(length of the cycle through 0, cycle lengths at the other points)."""
+    lengths = full_scans.cycle_lengths(images)
+    return lengths[0], tuple(sorted(lengths[1:]))
+
+
+def test_first_pool_representatives_cover_each_class_once():
+    for m in range(1, 12):
+        for group in small_groups(m):
+            auts = classify._automorphism_images(m)[group.key()]
+            hol = group.table[np.arange(m)[:, None, None], auts[None]].reshape(-1, m)
+            reps = hol[classify._holomorph_representatives(m)[group.key()]]
+            inverse = np.argsort(auts, axis=1)
+            # conj[r, b] = beta_b o rep_r o beta_b^-1, as image arrays
+            conj = auts[np.arange(len(auts))[None, :, None], reps[:, inverse]]
+            classes = [{row.tobytes() for row in rows} for rows in conj]
+            assert sum(len(c) for c in classes) == len(hol), group.key()
+            assert set().union(*classes) == {row.tobytes() for row in hol}
+    for k in range(1, 8):
+        for order in range(1, 13):
+            keys = [_cycle_key(row) for row in classify._cycle_type_representatives(k, order)]
+            assert len(keys) == len(set(keys)), (k, order)
+            pool = {_cycle_key(row) for row in classify._order_divides_pool(k, order)}
+            assert pool == set(keys), (k, order)
+
+
 def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
     # The lemma of core.endomorphic_rows over every unpruned lambda map up to
     # order 6: among homomorphisms built along the BFS tree, the endomorphism

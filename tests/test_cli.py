@@ -66,9 +66,11 @@ def test_verify_malformed_inputs_exit_3(tmp_path, capsys):
     ragged.write_text(json.dumps({"n": 2, "add": [[0, 1], [1]], "circ": [[0, 1], [1, 0]]}))
     not_utf8 = tmp_path / "e.json"
     not_utf8.write_bytes(b'{"n": 1, "add": [[0]], "circ": [[0]], "\xff": 0}')
-    for path in (ragged, not_utf8):
+    too_deep = tmp_path / "f.json"
+    too_deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (ragged, not_utf8, too_deep):
         for argv in (["verify", str(path)], ["iso", str(path), str(path)],
-                     ["solution", str(path)]):
+                     ["solution", str(path)], ["nilpotency", str(path)]):
             rc, _, err = run(capsys, argv)
             assert rc == 3 and "malformed input" in err, (argv, err)
 

@@ -1,7 +1,11 @@
 """Semi-brace verification, parts, ideals, and semidirect decompositions."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import full_scans
 import numpy as np
@@ -274,6 +278,26 @@ def test_verify_at_578_is_small():
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert (again.n, len(again.e_elements), len(again.g_elements)) == (578, 2, 289)
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    # In numpy 2 the first np.unique call imports numpy.ma, 10-20 ms in every
+    # process.  numpy 1 imports numpy.ma with numpy, and then there is
+    # nothing to keep unloaded.
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from semibrace.construct import FamilyId, family\n"
+        "from semibrace.core import verify\n"
+        "b = family(FamilyId('2p2-E2-noncyclic', 5, 5))\n"
+        "verify(b.add.table, b.circ.table)\n"
+        "print(eager, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    eager, loaded = proc.stdout.split()
+    assert eager == "True" or loaded == "False"
 
 
 def test_endomorphic_rows_accepts_an_empty_block():
