@@ -20,6 +20,10 @@ Each hash is the first 16 hex digits of the sha256 of
   then the whole list again with `ybe.BRAID_SLAB = 1`, so that each x is
   a block of its own and the witnesses (x = 0, 1, 2 and 4, from all three
   components of the braid relation) come from several blocks;
+* braid_large, over the benchmark's five large structures (n = 155 to
+  242) relabelled as by `workloads.relabel_perm` with seed 1: value the
+  `[holds, witness]` of `check_braid` on each solution, followed by the
+  same for one seeded single-cell corruption of each;
 * group reports: value `[[is_group, identity, failure, inverses], ...]` of
   `check_group` on every catalogue group of order at most 10 followed by
   every single-cell corruption of it (entry (i, j) moved by each nonzero
@@ -35,7 +39,7 @@ It reaches orders 11 to 15, which `enumerate_generic` does not.  The order-8 fun
 gives the counts of the generic sweep: survivor tables, summed over the
 five circle groups, and census classes.
 
-Run from the repository root; it takes about 6 s:
+Run from the repository root; it takes about 7 s:
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
@@ -103,19 +107,26 @@ def nilpotency_hash() -> str:
     ])
 
 
+def _with_corruptions(solutions: list, seed: int) -> list:
+    """The solutions, then one seeded single-cell corruption of each:
+    entry (x, y, k) moved by a nonzero shift mod n."""
+    rng = random.Random(seed)
+    out = list(solutions)
+    for s in solutions:
+        n = s.n
+        r = s.r.copy()
+        x, y, k = rng.randrange(n), rng.randrange(n), rng.randrange(2)
+        r[x, y, k] = (r[x, y, k] + rng.randrange(1, n)) % n
+        out.append(SolutionMap.of(r))
+    return out
+
+
 def braid_hash(seed: int = 1) -> str:
     params = [("pq-congruent", 5, 2), ("pq-noncongruent", 5, 3), ("pq-noncongruent", 5, 5)]
     params += [(t, 5, None) for t in TWO_P2_THEOREMS]
     structures = [family(fid) for t, p, q in params for fid in applicable_items(t, p, q)]
     structures += [e.semibrace for e in enumerate_generic(8)]
-    solutions = [solution_from(b) for b in structures]
-    rng = random.Random(seed)
-    for s in solutions[:]:
-        n = s.n
-        r = s.r.copy()
-        x, y, k = rng.randrange(n), rng.randrange(n), rng.randrange(2)
-        r[x, y, k] = (r[x, y, k] + rng.randrange(1, n)) % n
-        solutions.append(SolutionMap.of(r))
+    solutions = _with_corruptions([solution_from(b) for b in structures], seed)
     value = [check_braid(s) for s in solutions]
     slab, ybe.BRAID_SLAB = ybe.BRAID_SLAB, 1
     try:
@@ -123,6 +134,15 @@ def braid_hash(seed: int = 1) -> str:
     finally:
         ybe.BRAID_SLAB = slab
     return json_hash(value)
+
+
+def braid_large_hash(seed: int = 1) -> str:
+    solutions = []
+    for args, _ in workloads.LARGE_ITEMS:
+        tables = family(FamilyId(*args)).to_json()
+        perm = workloads.relabel_perm(seed, str(args), tables["n"])
+        solutions.append(solution_from(semibrace_from_json(workloads.relabel_tables(tables, perm))))
+    return json_hash([check_braid(s) for s in _with_corruptions(solutions, seed)])
 
 
 GROUP_STRIDE = 53
@@ -189,6 +209,7 @@ def main() -> int:
         "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),
         "braid": braid_hash(),
+        "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),
     }
     print(json.dumps(out, indent=2))

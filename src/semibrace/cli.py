@@ -345,10 +345,11 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO_ERROR
-    except MemoryError:
+    except MemoryError as err:
         n = _order(args)
         at = f" at order n = {n}" if n is not None else ""
-        print(f"out of memory: {args.command}{at}", file=sys.stderr)
+        detail = f" ({err})" if str(err) else ""
+        print(f"out of memory: {args.command}{at}{detail}", file=sys.stderr)
         return EXIT_OUT_OF_MEMORY
 
 

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SemiBrace
-from .tables import MalformedTableError
+from .tables import MalformedTableError, _freeze
 
 
 @dataclass(frozen=True)
@@ -21,15 +21,18 @@ class SolutionMap:
 
     @classmethod
     def of(cls, r) -> "SolutionMap":
-        arr = np.asarray(r, dtype=np.int64)
+        try:
+            arr = np.asarray(r)
+        except ValueError as err:  # ragged input: numpy's inhomogeneous shape
+            raise MalformedTableError(f"solution map is ragged ({err})") from err
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
             raise MalformedTableError("solution map must have shape (n, n, 2)")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise MalformedTableError("solution entries must be integers")
         n = arr.shape[0]
         if n == 0 or arr.min() < 0 or arr.max() >= n:
             raise MalformedTableError("solution entries out of range")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        return cls(n=n, r=arr)
+        return cls(n=n, r=_freeze(arr.copy()))
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return int(self.r[x, y, 0]), int(self.r[x, y, 1])
@@ -57,10 +60,11 @@ def solution_from(b: SemiBrace) -> SolutionMap:
     return SolutionMap.of(np.stack([lam, rho], axis=-1))
 
 
-# Triples (x, y, z) per block of consecutive x.  Up to n = 256 a block's
-# int64 arrays are at most 0.5 MB each and its working memory stays under
-# 4 MB (3.4 MB by tracemalloc at n = 242), so a block stays in cache; above
-# that a block is one x and grows with n^2.
+# Triples (x, y, z) per block of consecutive x.  check_braid allocates the
+# block's work arrays once per call: four uint32 arrays and one intp array
+# of at most BRAID_SLAB entries each, 1.5 MB in all, so up to n = 256 a
+# block stays in cache; above that a block is one x and its arrays grow
+# with n^2.
 BRAID_SLAB = 1 << 16
 
 
@@ -68,30 +72,55 @@ def check_braid(s: SolutionMap) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples;
     returns the first failing (x, y, z) lexicographically, if any.
 
-    The triples are scanned in blocks of consecutive x, each at most
-    BRAID_SLAB triples (one x at least).  With v = b(x, y), the rows a(v, .)
-    and b(v, .) are whole-row copies; the other lookups are flat `take`s
-    through three index arrays, each read for both components."""
+    r is packed into one uint32 table, p(x, y) = a(x, y) | b(x, y) << 16,
+    which is exact for n < 2^16 (above that r alone would take 64 GB, so a
+    MemoryError is raised).  The triples are scanned in blocks of
+    consecutive x, each at most BRAID_SLAB triples (one x at least).  With
+    u, v = r(x, y), a block reads the rows p(v, .) and three gathers of
+    both components at once: p(u, a(v, z)), p(x, a(y, z)) and
+    p(b(x, a(y, z)), b(y, z)).  The braid relation holds at (x, y, z)
+    exactly when the low halves of the first two words agree and the third
+    word equals b(u, a(v, z)) | b(v, z) << 16.
+
+    The block's arrays are allocated once and refilled in place, since
+    fresh ones would page-fault on every block.  The gathers use
+    mode="clip", which writes into `out` without numpy's buffered copy;
+    it never moves an index, because SolutionMap.of keeps every entry in
+    range(n) and so every index in range(n) or range(n * n)."""
     n = s.n
-    a, bb = s.r[:, :, 0].ravel(), s.r[:, :, 1].ravel()  # a[x * n + y] = a(x, y)
-    a2, b2 = a.reshape(n, n), bb.reshape(n, n)
-    rows = max(1, BRAID_SLAB // (n * n))
+    if n >= 1 << 16:
+        raise MemoryError(f"braid check: n = {n} is at least 2^16")
+    a = np.ascontiguousarray(s.r[:, :, 0])
+    b = np.ascontiguousarray(s.r[:, :, 1])
+    p = a.astype(np.uint32)
+    p |= b.astype(np.uint32) << 16
+    flat = p.ravel()
+    a_n = a * n  # a(x, y) n, the row offset of p(a(x, y), .)
+    rows = min(n, max(1, BRAID_SLAB // (n * n)))
+    buffers = [np.empty((rows, n, n), dtype=t) for t in (np.uint32,) * 4 + (np.intp,)]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        # arrays indexed [x - start, y, z]; flat indices into a and bb
-        v = b2[start:stop]  # b(x, y)
-        left = a2.take(v, axis=0)  # a(b(x, y), z)
-        left += a2[start:stop, :, None] * n  # (a(x, y), a(b(x, y), z))
-        x_ayz = np.arange(start * n, stop * n, n)[:, None, None] + a2  # (x, a(y, z))
-        right = bb.take(x_ayz)
-        right *= n
-        right += b2  # (b(x, a(y, z)), b(y, z))
-        bad = a.take(left) != a.take(x_ayz)
-        bad |= bb.take(left) != a.take(right)
-        bad |= b2.take(v, axis=0) != bb.take(right)
-        if bad.any():
-            i, y, z = (int(t) for t in np.argwhere(bad)[0])
-            return False, (start + i, y, z)
+        # arrays indexed [x - start, y, z]
+        pv, w1, w2, w3, i = (buf[: stop - start] for buf in buffers)
+        np.take(p, b[start:stop], axis=0, out=pv, mode="clip")  # p(v, z)
+        np.bitwise_and(pv, 0xFFFF, out=i)
+        i += a_n[start:stop, :, None]
+        np.take(flat, i, out=w1, mode="clip")  # p(u, a(v, z))
+        np.take(p[start:stop], a, axis=1, out=w2, mode="clip")  # p(x, a(y, z))
+        np.right_shift(w2, 16, out=i)
+        i *= n
+        i += b
+        np.take(flat, i, out=w3, mode="clip")  # p(b(x, a(y, z)), b(y, z))
+        w2 ^= w1
+        w2 <<= 16  # nonzero where the first components differ
+        w1 >>= 16
+        pv &= 0xFFFF0000
+        w1 |= pv  # b(u, a(v, z)) | b(v, z) << 16
+        w1 ^= w3
+        w1 |= w2
+        if w1.any():
+            x, y, z = (int(t) for t in np.argwhere(w1)[0])
+            return False, (start + x, y, z)
     return True, None
 
 

@@ -5,11 +5,13 @@ compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
-`nilpotency.set_dot_plus_E`, and the regular-embedding sweep with every
-holomorph element and permutation in the first generator's pool."""
+`nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
+holomorph element and permutation in the first generator's pool, and the
+unpacked block scan of the braid relation."""
 
 import numpy as np
 
+from semibrace import ybe
 from semibrace.classify import _automorphism_images, _order_divides_pool
 from semibrace.construct import (
     TWO_P2_THEOREMS,
@@ -155,6 +157,33 @@ def check_braid(r: np.ndarray):
     if bad.any():
         x, y, z = (int(i) for i in np.argwhere(bad)[0])
         return False, (x, y, z)
+    return True, None
+
+
+def check_braid_blocks(s):
+    """The previous `ybe.check_braid`, kept verbatim but for reading
+    ybe.BRAID_SLAB: blocks of consecutive x, six int64 gathers per block
+    and fresh arrays for every block."""
+    n = s.n
+    a, bb = s.r[:, :, 0].ravel(), s.r[:, :, 1].ravel()  # a[x * n + y] = a(x, y)
+    a2, b2 = a.reshape(n, n), bb.reshape(n, n)
+    rows = max(1, ybe.BRAID_SLAB // (n * n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # arrays indexed [x - start, y, z]; flat indices into a and bb
+        v = b2[start:stop]  # b(x, y)
+        left = a2.take(v, axis=0)  # a(b(x, y), z)
+        left += a2[start:stop, :, None] * n  # (a(x, y), a(b(x, y), z))
+        x_ayz = np.arange(start * n, stop * n, n)[:, None, None] + a2  # (x, a(y, z))
+        right = bb.take(x_ayz)
+        right *= n
+        right += b2  # (b(x, a(y, z)), b(y, z))
+        bad = a.take(left) != a.take(x_ayz)
+        bad |= bb.take(left) != a.take(right)
+        bad |= b2.take(v, axis=0) != bb.take(right)
+        if bad.any():
+            i, y, z = (int(t) for t in np.argwhere(bad)[0])
+            return False, (start + i, y, z)
     return True, None
 
 

@@ -4,9 +4,10 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
-from semibrace import cli, core
+from semibrace import cli, core, ybe
 from semibrace.cli import main
 from semibrace.construct import trivial_semibrace
 from semibrace.tables import cyclic_group
@@ -261,6 +262,18 @@ def test_out_of_memory_exits_5(triv2, tmp_path, monkeypatch, capsys):
     undeclared.write_text(json.dumps({**json.loads(triv2.read_text()), "n": "two"}))
     rc, _, err = run(capsys, ["verify", str(undeclared)])
     assert (rc, err.strip()) == (5, "out of memory: verify")
+
+
+def test_braid_order_bound_exits_5_naming_the_stage(triv2, monkeypatch, capsys):
+    # the braid check is handed a zero-stride map of order 2^16, past the
+    # bound of its packed table, in place of the solution of triv2
+    n = 1 << 16
+    big = ybe.SolutionMap(n=n, r=np.broadcast_to(np.zeros(1, dtype=np.int64), (n, n, 2)))
+    monkeypatch.setattr(cli, "check_braid", lambda s: ybe.check_braid(big))
+    rc, _, err = run(capsys, ["solution", str(triv2), "--check-braid"])
+    assert rc == 5
+    assert err.strip() == (
+        "out of memory: solution at order n = 2 (braid check: n = 65536 is at least 2^16)")
 
 
 def test_console_script_is_wired(triv2):

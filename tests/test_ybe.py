@@ -129,6 +129,21 @@ def test_solution_json_round_trip():
         SolutionMap.from_json({"n": 5, "r": s.r.tolist()})
 
 
+def test_solution_map_rejects_non_integer_and_ragged_input():
+    for bad in ([[[0.9, 0.2]]], [[[True, False]]], [[["0", "0"]]]):
+        with pytest.raises(MalformedTableError, match="integers"):
+            SolutionMap.of(bad)
+    for ragged in ([[[0, 0], [0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0]]]):
+        with pytest.raises(MalformedTableError, match="ragged"):
+            SolutionMap.of(ragged)
+    with pytest.raises(MalformedTableError):
+        SolutionMap.from_json({"n": 1, "r": [[[0.9, 0.2]]]})
+    # the caller's array is copied, not frozen in place
+    r = np.zeros((2, 2, 2), dtype=np.int64)
+    s = SolutionMap.of(r)
+    assert r.flags.writeable and not s.r.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the chunked braid check against the single-pass full scan
 
@@ -195,6 +210,67 @@ def test_braid_at_block_boundaries(monkeypatch):
                     last = x % rows == rows - 1 or x == n - 1
                     positions.add("first" if x % rows == 0 else "last" if last else "middle")
     assert positions == {"first", "middle", "last"}
+
+
+# The benchmark's large structures at n = 155 (two x per block at the
+# default slab) and n = 242 (one x per block).
+LARGE_BRAID_FAMILIES = (
+    FamilyId("pq-congruent", 3, 31, 5),
+    FamilyId("2p2-E2-cyclic", 3, 11),
+    FamilyId("2p2-E2-noncyclic", 5, 11),
+    FamilyId("2p2-Ep2", 5, 11),
+)
+
+
+@pytest.mark.parametrize("fid", LARGE_BRAID_FAMILIES, ids=str)
+def test_packed_braid_matches_block_reference_on_large_structures(fid):
+    # a seeded relabelling x -> perm[x] of r is again a solution; each
+    # corruption moves one cell of one component by a nonzero shift mod n
+    rng = np.random.default_rng(17)
+    r = solution_from(family(fid)).r
+    n = r.shape[0]
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    r = perm[r[np.ix_(inv, inv)]]
+    maps = [r]
+    for k in (0, 1, 0, 1):
+        bad = r.copy()
+        x, y = rng.integers(n, size=2)
+        bad[x, y, k] = (bad[x, y, k] + rng.integers(1, n)) % n
+        maps.append(bad)
+    got = [check_braid(SolutionMap.of(m)) for m in maps]
+    assert got == [full_scans.check_braid_blocks(SolutionMap.of(m)) for m in maps]
+    assert got[0] == (True, None) and not any(ok for ok, _ in got[1:])
+
+
+def test_packed_braid_matches_block_reference_past_the_first_block():
+    # A corrupted family solution mostly fails at x = 0, whose triples read
+    # every cell as r(y, z).  A flip map r(x, y) = (y, x) with three cells
+    # overwritten among four random points fails first at one of those
+    # points, so at n = 242 (one x per block) the witness comes from a
+    # later block.
+    rng = np.random.default_rng(6)
+    n = 242
+    idx = np.arange(n)
+    flip = np.stack(np.broadcast_arrays(idx[None, :], idx[:, None]), axis=-1)
+    got = []
+    for _ in range(3):
+        r = flip.copy()
+        points = rng.choice(n, 4, replace=False)
+        for _ in range(3):
+            r[rng.choice(points), rng.choice(points), rng.integers(2)] = rng.choice(points)
+        s = SolutionMap.of(r)
+        got.append(check_braid(s))
+        assert got[-1] == full_scans.check_braid_blocks(s)
+    assert all(not ok and witness[0] > 0 for ok, witness in got), got
+
+
+def test_braid_refuses_unpackable_order():
+    # a zero-stride (2^16, 2^16, 2) view stands for a map too large to hold
+    n = 1 << 16
+    s = SolutionMap(n=n, r=np.broadcast_to(np.zeros(1, dtype=np.int64), (n, n, 2)))
+    with pytest.raises(MemoryError, match="braid check"):
+        check_braid(s)
 
 
 def test_nondegeneracy_matches_row_and_column_loops():
