@@ -37,7 +37,9 @@ over the concatenated bytes of the `_survivor_tables` of every catalogue
 group of order 1 to 15, under (emin, esylow) = (1, off) and then (2, on).
 It reaches orders 11 to 15, which `enumerate_generic` does not.  The order-8 funnel
 gives the counts of the generic sweep: survivor tables, summed over the
-five circle groups, and census classes.
+five circle groups, and census classes.  The structural funnel gives, at
+n = 18 and 50 with the Sylow filter, the counts of the structural census:
+action homomorphisms listed, products built, and census classes.
 
 Run from the repository root; it takes about 7 s:
 
@@ -54,9 +56,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402  (the benchmark's cases and relabellings)
 
-from semibrace import ybe  # noqa: E402
+from semibrace import classify, ybe  # noqa: E402
 from semibrace.classify import (  # noqa: E402
     SUPPORTED_GROUP_ORDERS,
+    _structural_e_sizes,
     _survivor_tables,
     enumerate_generic,
     enumerate_structural,
@@ -187,6 +190,24 @@ def funnel(n: int = 8) -> list[int]:
     return [survivors, len(enumerate_generic(n))]
 
 
+def structural_funnel(n: int) -> list[int]:
+    """[action homomorphisms, products built, classes] of
+    `enumerate_structural(n, esylow=True)`, counted by wrapping the names
+    `classify` calls; the group catalogue is built first, so that only the
+    census's own `homomorphisms` calls are counted."""
+    for e in _structural_e_sizes(n, 2, True):
+        small_groups(e)
+    homs, built = [], []
+    listing, building = classify.homomorphisms, classify.semidirect
+    classify.homomorphisms = lambda *args: homs.append(listing(*args)) or homs[-1]
+    classify.semidirect = lambda *args: built.append(building(*args)) or built[-1]
+    try:
+        classes = len(enumerate_structural(n, esylow=True))
+    finally:
+        classify.homomorphisms, classify.semidirect = listing, building
+    return [sum(map(len, homs)), len(built), classes]
+
+
 def main() -> int:
     out = {
         "enumerate_generic": {
@@ -198,6 +219,7 @@ def main() -> int:
             **{f"n={n} esylow": census_hash(enumerate_structural(n, esylow=True))
                for n in (18, 50)},
         },
+        "structural_funnel": {f"n={n} esylow": structural_funnel(n) for n in (18, 50)},
         "verify_classification": {
             f"{t} p={p} q={q}": json_hash(verify_classification(t, p, q=q).to_json())
             for t, p, q, _ in workloads.CLASSIFY_CASES

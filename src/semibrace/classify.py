@@ -44,6 +44,7 @@ from .core import (
     brace_automorphism_group,
     endomorphic_rows,
     semibrace_from_json,
+    semidirect_tables,
     verify,
 )
 from .tables import (
@@ -66,6 +67,7 @@ from .tables import (
     isomorphisms,
     orbit_lengths,
     semidirect_group,
+    slab_chunks,
 )
 
 log = logging.getLogger(__name__)
@@ -245,10 +247,12 @@ def census_from_json(obj) -> list[CensusEntry]:
 
 
 class _Dedup:
-    """Merge the structural census's candidates into isomorphism classes.
+    """Merge the structural census's candidates, one product per orbit of
+    actions (see `enumerate_structural`), into isomorphism classes.
     Candidates are compared only within a bucket of equal signature
     multisets, and there by `_iso_search`.  The representative kept for a
-    class is the lexicographically least (add, circ) pair seen."""
+    class is the lexicographically least (add, circ) pair seen, the first
+    seen on ties."""
 
     def __init__(self, keep_e_size: Callable[[int], bool]):
         self.keep_e_size = keep_e_size
@@ -632,6 +636,44 @@ def _structural_e_sizes(n: int, emin: int, esylow: bool) -> list[int]:
     return e_sizes
 
 
+def _orbit_leaders(
+    b1: SemiBrace,
+    b2: SemiBrace,
+    homs: Sequence[tuple[Permutation, ...]],
+    aut1: Sequence[Permutation],
+    aut2: Sequence[Permutation],
+) -> list[int]:
+    """For each orbit of aut1 x aut2 on the actions `homs` of B2 on B1, in
+    the order of the orbits' first members: the member whose product has
+    the least (add, circ) key, the earliest on ties.  (phi, psi) sends
+    alpha to alpha'[psi(c), phi(y)] = phi(alpha[c, y]); see
+    `enumerate_structural`.  The moved actions are built at most
+    `tables.SLAB` entries at a time."""
+    acts = np.stack([np.stack([f.images for f in alpha]) for alpha in homs])
+    index = {a.tobytes(): i for i, a in enumerate(acts)}
+    phi = np.stack([f.images for f in aut1])
+    phi_inv = np.argsort(phi, axis=1)
+    psi_inv = np.argsort(np.stack([f.images for f in aut2]), axis=1)[None, :, :, None]
+    factors = (b1.add.table, b1.circ.table, b2.add.table, b2.circ.table)
+
+    def product_key(i: int) -> tuple:
+        return [t.tobytes() for t in semidirect_tables(*factors, acts[i])], i
+
+    leaders, done = [], np.zeros(len(homs), dtype=bool)
+    for first in range(len(homs)):
+        if done[first]:
+            continue
+        members = set()
+        for rows in slab_chunks(np.arange(len(phi)), psi_inv.size * b1.n):
+            moved = phi[rows[:, None, None, None], acts[first][psi_inv, phi_inv[rows, None, None]]]
+            members.update(index.get(m.tobytes()) for m in moved.reshape(-1, acts[0].size))
+        if None in members:
+            raise InternalInvariantError("an orbit of actions leaves the homomorphism list")
+        done[list(members)] = True
+        leaders.append(min(members, key=product_key))
+    return leaders
+
+
 def enumerate_structural(
     n: int,
     emin: int = 2,
@@ -639,10 +681,26 @@ def enumerate_structural(
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> list[CensusEntry]:
     """Census by structure: full-trivial semi-braces plus semidirect products
-    of a skew brace part and a trivial part, in both directions, over every
-    action homomorphism.  Supported shapes are n = pq with |E| > 1 and
-    n = 2p^2 (odd prime p) with |E| a Sylow size; those are the shapes where
-    every semi-brace decomposes this way."""
+    B1 x| B2 of a skew brace part and a trivial part, in both directions,
+    over the action homomorphisms alpha: (B2, o) -> Aut(B1).  Supported
+    shapes are n = pq with |E| > 1 and n = 2p^2 (odd prime p) with |E| a
+    Sylow size; those are the shapes where every semi-brace decomposes this
+    way.
+
+    One product is built per orbit of Aut(B1) x Aut(B2) on the actions, by
+    `_orbit_leaders`.  Here Aut of the skew brace G is its brace automorphism
+    group and Aut of the trivial part E its group automorphisms, which keep
+    a + b = b; in E x| G the + of the product is G's, so psi must keep it.
+    (phi, psi) sends alpha to alpha'(c) = phi alpha(psi^-1 c) phi^-1, again a
+    homomorphism into Aut(B1), and f(x1, x2) = (phi x1, psi x2) is an
+    isomorphism B1 x|_alpha B2 -> B1 x|_alpha' B2: it keeps + factor by
+    factor, and phi(x1 o alpha(x2)(y1)) = phi x1 o alpha'(psi x2)(phi y1).
+    So an orbit lies in one isomorphism class, and building only the member
+    of least (add, circ) key, with the earliest index on ties, keeps the
+    classes and the representative `_Dedup` would keep: distinct actions in
+    one list give distinct circ tables, and the lists run in the same order.
+    `tests/full_scans.structural_census` builds every product and is the
+    reference."""
     e_sizes = _structural_e_sizes(n, emin, esylow)
     key = _cache_key("structural", n, emin, esylow)
     cached = _cache_load(cache_dir, key)
@@ -660,17 +718,14 @@ def enumerate_structural(
             gaut = brace_automorphism_group(gbrace)
             for ei, egroup in enumerate(small_groups(e)):
                 etriv = trivial_semibrace(egroup)
-                for hi, alpha in enumerate(homomorphisms(egroup, gaut)):
-                    dedup.add(
-                        semidirect(gbrace, etriv, alpha),
-                        f"structural:n={n}:e{e}:G{bi}xE{ei}:hom{hi}",
-                    )
                 eaut = automorphisms(egroup)
-                for hi, alpha in enumerate(homomorphisms(gbrace.circ, eaut)):
-                    dedup.add(
-                        semidirect(etriv, gbrace, alpha),
-                        f"structural:n={n}:e{e}:E{ei}xG{bi}:hom{hi}",
-                    )
+                for b1, b2, aut1, aut2, homs, name in (
+                    (gbrace, etriv, gaut, eaut, homomorphisms(egroup, gaut), f"G{bi}xE{ei}"),
+                    (etriv, gbrace, eaut, gaut, homomorphisms(gbrace.circ, eaut), f"E{ei}xG{bi}"),
+                ):
+                    for hi in _orbit_leaders(b1, b2, homs, aut1, aut2):
+                        prov = f"structural:n={n}:e{e}:{name}:hom{hi}"
+                        dedup.add(semidirect(b1, b2, homs[hi]), prov)
     entries = dedup.entries()
     _cache_store(cache_dir, key, entries)
     return entries
@@ -860,7 +915,7 @@ def _cache_load(cache_dir, key: str) -> Optional[list[CensusEntry]]:
         return None
     try:
         return census_from_json(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError, OSError) as err:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as err:
         log.warning("ignoring unreadable census cache file %s: %s", path, err)
         return None
 

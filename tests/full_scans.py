@@ -6,21 +6,39 @@ builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
-holomorph element and permutation in the first generator's pool, and the
-unpacked block scan of the braid relation."""
+holomorph element and permutation in the first generator's pool, the
+unpacked block scan of the braid relation, and the structural census with
+one product for every action homomorphism."""
 
 import numpy as np
 
 from semibrace import ybe
-from semibrace.classify import _automorphism_images, _order_divides_pool
+from semibrace.classify import (
+    _automorphism_images,
+    _Dedup,
+    _order_divides_pool,
+    _structural_e_sizes,
+    skew_braces,
+    small_groups,
+)
 from semibrace.construct import (
     TWO_P2_THEOREMS,
     FamilyId,
     applicable_items,
+    semidirect,
     theorems_for_order_pq,
+    trivial_semibrace,
 )
+from semibrace.core import brace_automorphism_group
 from semibrace.nilpotency import dot_table
-from semibrace.tables import CayleyTable, _compose_rows, _search_morphisms, orbit_lengths
+from semibrace.tables import (
+    CayleyTable,
+    _compose_rows,
+    _search_morphisms,
+    automorphisms,
+    homomorphisms,
+    orbit_lengths,
+)
 
 # Families whose n**3 exceeds tables.SLAB, so that a full scan for a
 # witness runs in several chunks, small enough for the full scans here.
@@ -263,3 +281,34 @@ def regular_tables(circ, gens, group, k):
         rows = np.arange(psi.shape[0])[:, None, None]
         pulled = np.argsort(psi, axis=1)[rows, right_group[psi[:, :, None], psi[:, None, :]]]
         yield pulled.astype(np.int8)
+
+
+def structural_census(n, emin=2, esylow=False):
+    """The previous `classify.enumerate_structural`, kept verbatim but for
+    the cache: the product of every action homomorphism is built, verified
+    and offered to `_Dedup`."""
+    e_sizes = _structural_e_sizes(n, emin, esylow)
+    allowed = set(e_sizes)
+    dedup = _Dedup(lambda e: e in allowed)
+    for e in e_sizes:
+        if e == n:
+            for k, egroup in enumerate(small_groups(n)):
+                dedup.add(trivial_semibrace(egroup), f"structural:n={n}:trivial:group{k}")
+            continue
+        g_size = n // e
+        for bi, gbrace in enumerate(skew_braces(g_size)):
+            gaut = brace_automorphism_group(gbrace)
+            for ei, egroup in enumerate(small_groups(e)):
+                etriv = trivial_semibrace(egroup)
+                for hi, alpha in enumerate(homomorphisms(egroup, gaut)):
+                    dedup.add(
+                        semidirect(gbrace, etriv, alpha),
+                        f"structural:n={n}:e{e}:G{bi}xE{ei}:hom{hi}",
+                    )
+                eaut = automorphisms(egroup)
+                for hi, alpha in enumerate(homomorphisms(gbrace.circ, eaut)):
+                    dedup.add(
+                        semidirect(etriv, gbrace, alpha),
+                        f"structural:n={n}:e{e}:E{ei}xG{bi}:hom{hi}",
+                    )
+    return dedup.entries()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semibrace import classify
+from semibrace import classify, tables
 from semibrace.classify import (
     CensusEntry,
     census_from_json,
@@ -39,12 +39,20 @@ from semibrace.construct import (
     semidirect,
     trivial_semibrace,
 )
-from semibrace.core import SemiBraceAxiomError, endomorphic_rows, verify
+from semibrace.core import (
+    SemiBraceAxiomError,
+    brace_automorphism_group,
+    endomorphic_rows,
+    semidirect_tables,
+    verify,
+)
 from semibrace.tables import (
     MalformedTableError,
     _compose_rows,
     _row_powers,
+    automorphisms,
     cyclic_group,
+    homomorphisms,
     is_morphism,
     orbit_lengths,
 )
@@ -520,6 +528,89 @@ def test_braid_holds_on_every_structural_product(monkeypatch, n, esylow):
         assert holds, witness
 
 
+@pytest.mark.parametrize("n, esylow", [(4, False), (6, False), (9, False), (10, False),
+                                       (14, False), (15, False), (18, True), (50, True)])
+def test_structural_census_matches_the_full_product_route(monkeypatch, n, esylow):
+    want = census_to_json(full_scans.structural_census(n, esylow=esylow))
+    assert census_to_json(structural(n, esylow=esylow)) == want
+    # the moved actions in chunks of a few automorphisms of B1
+    monkeypatch.setattr(tables, "SLAB", 256)
+    assert census_to_json(enumerate_structural(n, esylow=esylow)) == want
+
+
+def _generating_set(perms):
+    """Members of the permutation group `perms`, taken greedily until they
+    generate all of it."""
+    gens, reached = [], {perms[0].key()}
+    for p in perms:
+        if p.key() in reached:
+            continue
+        gens.append(p)
+        frontier = [q.images for q in perms if q.key() in reached]
+        while frontier:
+            moved = [g.images[q] for q in frontier for g in gens]
+            frontier = [q for q in moved if q.tobytes() not in reached]
+            reached.update(q.tobytes() for q in frontier)
+    assert len(reached) == len(perms)
+    return gens
+
+
+def _action_lists(n):
+    """(B1, B2, Aut(B1), Aut(B2), homs) for every action list of the
+    2p^2 structural census at order n, as `enumerate_structural` forms them."""
+    for e in classify._structural_e_sizes(n, 2, True):
+        for gbrace in skew_braces(n // e):
+            gaut = brace_automorphism_group(gbrace)
+            for egroup in small_groups(e):
+                etriv, eaut = trivial_semibrace(egroup), automorphisms(egroup)
+                yield gbrace, etriv, gaut, eaut, homomorphisms(egroup, gaut)
+                yield etriv, gbrace, eaut, gaut, homomorphisms(gbrace.circ, eaut)
+
+
+@pytest.mark.parametrize("n", [18, 50])
+def test_automorphism_pairs_carry_products_onto_products(n):
+    lists = 0
+    for b1, b2, aut1, aut2, homs in _action_lists(n):
+        lists += 1
+        acts = [np.stack([f.images for f in alpha]) for alpha in homs]
+        keys = {a.tobytes() for a in acts}
+        ident1, ident2 = aut1[0].images, aut2[0].images
+        pairs = [(f.images, ident2) for f in _generating_set(aut1)]
+        pairs += [(ident1, f.images) for f in _generating_set(aut2)]
+        x1, x2 = np.divmod(np.arange(n), b2.n)
+        for act in acts:
+            src = semidirect_tables(b1.add.table, b1.circ.table, b2.add.table, b2.circ.table, act)
+            for phi, psi in pairs:
+                moved = np.empty_like(act)
+                moved[np.ix_(psi, phi)] = phi[act]  # alpha'(psi c)(phi y) = phi(alpha(c)(y))
+                assert moved.tobytes() in keys
+                dst = semidirect_tables(
+                    b1.add.table, b1.circ.table, b2.add.table, b2.circ.table, moved)
+                f = phi[x1] * b2.n + psi[x2]
+                assert np.array_equal(np.sort(f), np.arange(n))
+                assert is_morphism(f, src[0], dst[0]) and is_morphism(f, src[1], dst[1])
+    assert lists == 12
+
+
+@pytest.mark.parametrize("n", [18, 50])
+def test_structural_census_is_relabelling_invariant(monkeypatch, n):
+    rng = np.random.default_rng(n)
+
+    def moved(size):
+        return np.concatenate([[0], 1 + rng.permutation(size - 1)])
+
+    groups, braces = classify.small_groups, classify.skew_braces
+    monkeypatch.setattr(classify, "small_groups",
+                        lambda m: tuple(g.relabel(moved(m)) for g in groups(m)))
+    monkeypatch.setattr(classify, "skew_braces",
+                        lambda m: [b.relabel(moved(m)) for b in braces(m)])
+    census = enumerate_structural(n, esylow=True)
+    want = structural(n, esylow=True)
+    assert len(census) == len(want)
+    assert (sorted(_signature_key(e.semibrace) for e in census)
+            == sorted(_signature_key(e.semibrace) for e in want))
+
+
 def test_structural_parameter_errors():
     with pytest.raises(ParameterError):
         enumerate_structural(8)
@@ -637,6 +728,18 @@ def test_corrupt_cache_file_is_a_logged_miss(tmp_path, caplog):
     assert record.levelno == logging.WARNING
     assert str(path) in record.getMessage()
     assert "Expecting" in record.getMessage()
+
+
+def test_deeply_nested_cache_file_is_a_logged_miss(tmp_path, caplog):
+    first = enumerate_structural(6, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("structural-*.json")
+    path.write_text("[" * 100_000)
+    with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
+        again = enumerate_structural(6, cache_dir=tmp_path)
+    assert census_to_json(again) == census_to_json(first)
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
+    assert "recursion" in record.getMessage()
 
 
 def test_cache_separates_filters(tmp_path):
