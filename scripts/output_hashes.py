@@ -9,6 +9,10 @@ Each hash is the first 16 hex digits of the sha256 of
   value `report.to_json()`;
 * the `isomorphic` witness between the benchmark's two seeded relabellings
   (seed 1) of `2p2-E2-cyclic`[3] at p = 7, n = 98: value the image list;
+* iso_witnesses, over the benchmark's six classify cases in turn: value
+  the `isomorphic` witness (image list) from each family of the case onto
+  its copy relabelled by `workloads.relabel_perm` with seed 1, followed by
+  `isomorphic` (None) on each pair of distinct families of the case;
 * nilpotency, over every class of `enumerate_generic(8)` and then every 2p^2
   family at p = 5: value `[[right.to_json(), left.to_json(), [nil,
   orders]], ...]` with the right and left series and `is_right_nil`;
@@ -99,6 +103,20 @@ def iso_witness_hash(seed: int = 1) -> str:
         perm = workloads.relabel_perm(seed, name, tables["n"])
         files.append(semibrace_from_json(workloads.relabel_tables(tables, perm)))
     return json_hash(isomorphic(*files).images.tolist())
+
+
+def iso_witnesses_hash(seed: int = 1) -> str:
+    value = []
+    for theorem, p, q, _ in workloads.CLASSIFY_CASES:
+        tags = TWO_P2_THEOREMS if theorem == "2p2" else (theorem,)
+        fids = [fid for tag in tags for fid in applicable_items(tag, p, q)]
+        fams = [family(fid) for fid in fids]
+        for fid, b in zip(fids, fams):
+            copy = b.relabel(workloads.relabel_perm(seed, f"{fid.theorem}[{fid.item}] p={p} q={q}", b.n))
+            value.append(isomorphic(b, copy).images.tolist())
+        for i, b in enumerate(fams):
+            value += [isomorphic(b, other) for other in fams[i + 1:]]
+    return json_hash(value)
 
 
 def nilpotency_hash() -> str:
@@ -227,6 +245,7 @@ def main() -> int:
         "small_groups": digest(b"".join(
             g.key() for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n))),
         "iso_witness_n98_seed1": iso_witness_hash(),
+        "iso_witnesses": iso_witnesses_hash(),
         "funnel_n8": funnel(),
         "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -159,64 +159,35 @@ def skew_braces(m: int) -> list[SemiBrace]:
 # isomorphism testing
 
 
-def _element_signatures(b: SemiBrace) -> list[tuple]:
-    """Per-element invariants preserved by any semi-brace isomorphism: the
-    circle order of x, whether x is idempotent, whether lam_x(0) = 0, and
-    the sorted cycle lengths of the points under lam_x (equivalent to the
-    cycle type of lam_x)."""
-    orders = b.circ.element_orders().tolist()
-    idempotent = (np.diagonal(b.add.table) == np.arange(b.n)).tolist()
-    fixes_zero = (b.lam[:, 0] == 0).tolist()
-    cycles = np.sort(orbit_lengths(b.lam), axis=1).tolist()
-    return [
-        (orders[x], idempotent[x], fixes_zero[x], tuple(cycles[x])) for x in range(b.n)
-    ]
-
-
-def _signature_key(b: SemiBrace) -> tuple:
-    """The multiset of element signatures, sorted: equal for isomorphic
-    semi-braces, so unequal keys rule an isomorphism out."""
-    return tuple(sorted(_element_signatures(b)))
-
-
-def _iso_search(
-    b1: SemiBrace, b2: SemiBrace, sigs1: list, sigs2: list
-) -> Optional[Permutation]:
-    """The first circle-group isomorphism, in generator-image order, that
-    also preserves +, with generator images drawn from elements of equal
-    signature; assumes equal sizes and equal signature multisets."""
-    gens = b1.circ.generating_sequence()
-    if not gens:
-        return Permutation.identity(1)
-    pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
-    if any(not pool for pool in pools):
+def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
+    """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
+    or None.  Equal tables short-circuit to the identity witness, and
+    unequal signature multisets rule an isomorphism out.  Otherwise the
+    witness is the first circle-group isomorphism, in generator-image
+    order, that also preserves +, with each generator's images drawn from
+    the elements of its signature; equal multisets make every pool
+    non-empty."""
+    if b1.n != b2.n:
         return None
+    if b1.key() == b2.key():
+        return Permutation.identity(b1.n)
+    if b1.signature_key != b2.signature_key:
+        return None
+    gens = b1.circ.generating_sequence()
+    sigs1, sigs2 = b1.signatures, b2.signatures
+    pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
+
     def keeps_add(f: np.ndarray) -> bool:
         return is_morphism(f, b1.add.table, b2.add.table)
 
     found = _first_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
     )
-    if not found:
-        return None
-    return Permutation.of(found[0])
-
-
-def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
-    """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
-    or None. Equal tables short-circuit to the identity witness."""
-    if b1.n != b2.n:
-        return None
-    if b1.key() == b2.key():
-        return Permutation.identity(b1.n)
-    sigs1, sigs2 = _element_signatures(b1), _element_signatures(b2)
-    if sorted(sigs1) != sorted(sigs2):
-        return None
-    return _iso_search(b1, b2, sigs1, sigs2)
+    return Permutation.of(found[0]) if found else None
 
 
 # ---------------------------------------------------------------------------
-# census entries and deduplication
+# census entries and merging
 
 
 @dataclass(frozen=True)
@@ -246,38 +217,23 @@ def census_from_json(obj) -> list[CensusEntry]:
     return out
 
 
-class _Dedup:
-    """Merge the structural census's candidates, one product per orbit of
-    actions (see `enumerate_structural`), into isomorphism classes.
-    Candidates are compared only within a bucket of equal signature
-    multisets, and there by `_iso_search`.  The representative kept for a
-    class is the lexicographically least (add, circ) pair seen, the first
-    seen on ties."""
-
-    def __init__(self, keep_e_size: Callable[[int], bool]):
-        self.keep_e_size = keep_e_size
-        self.classes: list[dict] = []
-        self.buckets: dict[tuple, list[int]] = {}
-
-    def add(self, b: SemiBrace, provenance: str) -> None:
-        if not self.keep_e_size(len(b.e_elements)):
-            return
-        sigs = _element_signatures(b)
-        bucket = self.buckets.setdefault(tuple(sorted(sigs)), [])
-        key = (b.add.key(), b.circ.op.key())
-        for idx in bucket:
-            cls = self.classes[idx]
-            if key == cls["key"] or _iso_search(b, cls["sb"], sigs, cls["sigs"]) is not None:
-                if key < cls["key"]:
-                    cls.update(sb=b, key=key, sigs=sigs, prov=provenance)
-                return
-        bucket.append(len(self.classes))
-        self.classes.append({"sb": b, "sigs": sigs, "key": key, "prov": provenance})
-
-    def entries(self) -> list[CensusEntry]:
-        out = [CensusEntry(semibrace=c["sb"], provenance=c["prov"]) for c in self.classes]
-        out.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
-        return out
+def _merge_classes(candidates: Iterable[tuple[SemiBrace, str]]) -> list[CensusEntry]:
+    """Merge (semi-brace, provenance) candidates of one order into
+    isomorphism classes, each candidate compared by `isomorphic` with the
+    classes found so far.  A class keeps the candidate of least `key()`,
+    the first seen on ties; as the add tables have one length, that is the
+    least (add, circ) pair.  The classes come sorted by |E|, then key."""
+    classes: list[CensusEntry] = []
+    for b, provenance in candidates:
+        for i, cls in enumerate(classes):
+            if isomorphic(b, cls.semibrace) is not None:
+                if b.key() < cls.semibrace.key():
+                    classes[i] = CensusEntry(semibrace=b, provenance=provenance)
+                break
+        else:
+            classes.append(CensusEntry(semibrace=b, provenance=provenance))
+    classes.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +534,7 @@ def enumerate_generic(
     if not pruned and n > UNPRUNED_BOUND:
         raise ParameterError(f"the unpruned sweep is bounded at n <= {UNPRUNED_BOUND}")
     key = _cache_key("generic", n, emin, esylow, pruned=pruned)
-    cached = _cache_load(cache_dir, key)
+    cached = _cache_load(cache_dir, key, n)
     if cached is not None:
         return cached
     entries = []
@@ -697,24 +653,30 @@ def enumerate_structural(
     factor, and phi(x1 o alpha(x2)(y1)) = phi x1 o alpha'(psi x2)(phi y1).
     So an orbit lies in one isomorphism class, and building only the member
     of least (add, circ) key, with the earliest index on ties, keeps the
-    classes and the representative `_Dedup` would keep: distinct actions in
-    one list give distinct circ tables, and the lists run in the same order.
-    `tests/full_scans.structural_census` builds every product and is the
-    reference."""
+    classes and the representatives `_merge_classes` keeps given every
+    product: distinct actions in one list give distinct circ tables, and
+    the lists run in the same order.  `tests/full_scans.structural_census`
+    builds every product and is the reference."""
     e_sizes = _structural_e_sizes(n, emin, esylow)
     key = _cache_key("structural", n, emin, esylow)
-    cached = _cache_load(cache_dir, key)
+    cached = _cache_load(cache_dir, key, n)
     if cached is not None:
         return cached
-    allowed = set(e_sizes)
-    dedup = _Dedup(lambda e: e in allowed)
+    entries = _merge_classes(_structural_products(n, e_sizes))
+    _cache_store(cache_dir, key, entries)
+    return entries
+
+
+def _structural_products(n: int, e_sizes: list[int]) -> Iterator[tuple[SemiBrace, str]]:
+    """The candidates of `enumerate_structural` with their provenance: the
+    trivial semi-braces of order n when n is an |E| size, and for each
+    other |E| = e the `_orbit_leaders` products in both directions."""
     for e in e_sizes:
         if e == n:
             for k, egroup in enumerate(small_groups(n)):
-                dedup.add(trivial_semibrace(egroup), f"structural:n={n}:trivial:group{k}")
+                yield trivial_semibrace(egroup), f"structural:n={n}:trivial:group{k}"
             continue
-        g_size = n // e
-        for bi, gbrace in enumerate(skew_braces(g_size)):
+        for bi, gbrace in enumerate(skew_braces(n // e)):
             gaut = brace_automorphism_group(gbrace)
             for ei, egroup in enumerate(small_groups(e)):
                 etriv = trivial_semibrace(egroup)
@@ -725,10 +687,7 @@ def enumerate_structural(
                 ):
                     for hi in _orbit_leaders(b1, b2, homs, aut1, aut2):
                         prov = f"structural:n={n}:e{e}:{name}:hom{hi}"
-                        dedup.add(semidirect(b1, b2, homs[hi]), prov)
-    entries = dedup.entries()
-    _cache_store(cache_dir, key, entries)
-    return entries
+                        yield semidirect(b1, b2, homs[hi]), prov
 
 
 # ---------------------------------------------------------------------------
@@ -774,22 +733,16 @@ class ClassificationReport:
 
 
 def _match_census(
-    fams: list[tuple[str, SemiBrace, tuple]],
+    fams: list[tuple[str, SemiBrace]],
     census: list[CensusEntry],
     label: str,
     problems: list[str],
 ) -> list[tuple[str, int]]:
-    """Require a bijection families <-> census classes via isomorphic, tried
-    only where the signature keys agree.  Each family comes with its key."""
-    census_keys = [_signature_key(entry.semibrace) for entry in census]
+    """Require a bijection families <-> census classes via isomorphic."""
     matching = []
     hit_by: dict[int, str] = {}
-    for name, b, key in fams:
-        hits = [
-            k
-            for k, entry in enumerate(census)
-            if census_keys[k] == key and isomorphic(b, entry.semibrace) is not None
-        ]
+    for name, b in fams:
+        hits = [k for k, entry in enumerate(census) if isomorphic(b, entry.semibrace) is not None]
         if len(hits) != 1:
             problems.append(f"{name} matches {len(hits)} classes in the {label} census")
             continue
@@ -843,10 +796,10 @@ def verify_classification(
             problems.append(f"{name} has |E| = {len(b.e_elements)}, stated {want_e}")
         if len(b.e_elements) * len(b.g_elements) != n:
             problems.append(f"{name} breaks |B| = |G| * |E|")
-        fams.append((name, b, _signature_key(b)))
-    for i, (name_i, b_i, key_i) in enumerate(fams):
-        for name_j, b_j, key_j in fams[i + 1:]:
-            if key_i == key_j and isomorphic(b_i, b_j) is not None:
+        fams.append((name, b))
+    for i, (name_i, b_i) in enumerate(fams):
+        for name_j, b_j in fams[i + 1:]:
+            if isomorphic(b_i, b_j) is not None:
                 problems.append(f"{name_i} and {name_j} are isomorphic")
 
     if theorem in PQ_THEOREMS:
@@ -875,7 +828,7 @@ def verify_classification(
         p=p,
         q=q,
         n=n,
-        family_labels=[name for name, _, _ in fams],
+        family_labels=[name for name, _ in fams],
         census_count=len(census),
         generic_checked=generic_checked,
         matching=matching,
@@ -907,14 +860,21 @@ def _cache_key(
     return "-".join(parts) + ".json"
 
 
-def _cache_load(cache_dir, key: str) -> Optional[list[CensusEntry]]:
+def _cache_load(cache_dir, key: str, n: int) -> Optional[list[CensusEntry]]:
+    """The census of order n stored under `key`, or None on a miss; a file
+    that does not parse or holds an entry of another order is unreadable,
+    logged and a miss."""
     if cache_dir is None:
         return None
     path = Path(cache_dir) / key
     if not path.is_file():
         return None
     try:
-        return census_from_json(json.loads(path.read_text()))
+        entries = census_from_json(json.loads(path.read_text()))
+        orders = {entry.semibrace.n for entry in entries} - {n}
+        if orders:
+            raise MalformedTableError(f"census entries of order {min(orders)}, not {n}")
+        return entries
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as err:
         log.warning("ignoring unreadable census cache file %s: %s", path, err)
         return None

@@ -25,7 +25,7 @@ from .construct import (
     theorems_for_order_pq,
 )
 from .core import SemiBrace, SemiBraceAxiomError, semibrace_from_json
-from .nilpotency import is_right_nil, left_series, right_series
+from .nilpotency import left_series, right_series
 from .tables import MalformedTableError
 from .ybe import check_braid, check_properties, solution_from
 
@@ -199,17 +199,16 @@ def cmd_nilpotency(args) -> int:
     b = _nilpotency_input(args)
     right = right_series(b)
     left = left_series(b)
-    nil, orders = is_right_nil(b)
     payload = {
         "right": right.to_json(),
         "left": left.to_json(),
-        "right_nil": nil,
-        "nil_orders": [k if k is not None else None for k in orders],
+        "right_nil": right.is_nil,
+        "nil_orders": list(right.nil_orders),
     }
     lines = [
         f"right series: {right.verdict} (chain of {len(right.chain)} subsets)",
         f"left series: {left.verdict} (chain of {len(left.chain)} subsets)",
-        f"right_nil={'true' if nil else 'false'}",
+        f"right_nil={'true' if right.is_nil else 'false'}",
         f"right_nilpotent={'true' if right.nilpotent else 'false'}",
         f"left_nilpotent={'true' if left.nilpotent else 'false'}",
     ]

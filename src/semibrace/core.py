@@ -14,6 +14,7 @@ the skew brace part G = B + 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .tables import (
     is_morphism,
     is_normal_subset,
     left_nested_generators,
+    orbit_lengths,
     slab_chunks,
 )
 
@@ -80,6 +82,26 @@ class SemiBrace:
 
     def key(self) -> bytes:
         return self.add.key() + self.circ.op.key()
+
+    @cached_property
+    def signatures(self) -> tuple[tuple, ...]:
+        """Per-element invariants preserved by any semi-brace isomorphism:
+        the circle order of x, whether x is idempotent, whether lam_x(0) =
+        0, and the sorted cycle lengths of the points under lam_x
+        (equivalent to the cycle type of lam_x)."""
+        orders = self.circ.element_orders().tolist()
+        idempotent = (np.diagonal(self.add.table) == np.arange(self.n)).tolist()
+        fixes_zero = (self.lam[:, 0] == 0).tolist()
+        cycles = np.sort(orbit_lengths(self.lam), axis=1).tolist()
+        return tuple(
+            (orders[x], idempotent[x], fixes_zero[x], tuple(cycles[x])) for x in range(self.n)
+        )
+
+    @cached_property
+    def signature_key(self) -> tuple:
+        """The multiset of element signatures, sorted: equal for isomorphic
+        semi-braces, so unequal keys rule an isomorphism out."""
+        return tuple(sorted(self.signatures))
 
     def relabel(self, perm) -> "SemiBrace":
         perm = np.asarray(perm, dtype=np.int64)

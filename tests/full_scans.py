@@ -15,7 +15,7 @@ import numpy as np
 from semibrace import ybe
 from semibrace.classify import (
     _automorphism_images,
-    _Dedup,
+    _merge_classes,
     _order_divides_pool,
     _structural_e_sizes,
     skew_braces,
@@ -284,16 +284,17 @@ def regular_tables(circ, gens, group, k):
 
 
 def structural_census(n, emin=2, esylow=False):
-    """The previous `classify.enumerate_structural`, kept verbatim but for
-    the cache: the product of every action homomorphism is built, verified
-    and offered to `_Dedup`."""
-    e_sizes = _structural_e_sizes(n, emin, esylow)
-    allowed = set(e_sizes)
-    dedup = _Dedup(lambda e: e in allowed)
+    """The previous `classify.enumerate_structural` without the cache: the
+    product of every action homomorphism is built, verified and offered to
+    `_merge_classes`."""
+    return _merge_classes(_every_structural_product(n, _structural_e_sizes(n, emin, esylow)))
+
+
+def _every_structural_product(n, e_sizes):
     for e in e_sizes:
         if e == n:
             for k, egroup in enumerate(small_groups(n)):
-                dedup.add(trivial_semibrace(egroup), f"structural:n={n}:trivial:group{k}")
+                yield trivial_semibrace(egroup), f"structural:n={n}:trivial:group{k}"
             continue
         g_size = n // e
         for bi, gbrace in enumerate(skew_braces(g_size)):
@@ -301,14 +302,13 @@ def structural_census(n, emin=2, esylow=False):
             for ei, egroup in enumerate(small_groups(e)):
                 etriv = trivial_semibrace(egroup)
                 for hi, alpha in enumerate(homomorphisms(egroup, gaut)):
-                    dedup.add(
+                    yield (
                         semidirect(gbrace, etriv, alpha),
                         f"structural:n={n}:e{e}:G{bi}xE{ei}:hom{hi}",
                     )
                 eaut = automorphisms(egroup)
                 for hi, alpha in enumerate(homomorphisms(gbrace.circ, eaut)):
-                    dedup.add(
+                    yield (
                         semidirect(etriv, gbrace, alpha),
                         f"structural:n={n}:e{e}:E{ei}xG{bi}:hom{hi}",
                     )
-    return dedup.entries()

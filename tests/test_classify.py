@@ -25,10 +25,9 @@ from semibrace.classify import (
     small_groups,
     verify_classification,
     _add_rows,
-    _Dedup,
     _lambda_maps,
+    _merge_classes,
     _orbit_representatives,
-    _signature_key,
     _survivor_tables,
 )
 from semibrace.construct import (
@@ -148,7 +147,13 @@ def test_signature_key_is_relabeling_invariant():
     perm = np.arange(b.n)
     perm[1:] = np.roll(perm[1:], 3)
     relabeled = b.relabel(perm)
-    assert _signature_key(b) == _signature_key(relabeled)
+    assert b.signature_key == relabeled.signature_key
+    for n in (18, 50):
+        rng = np.random.default_rng(n)
+        for entry in structural(n, esylow=True):
+            b = entry.semibrace
+            copy = b.relabel(np.concatenate([[0], 1 + rng.permutation(n - 1)]))
+            assert b.signature_key == copy.signature_key
 
 
 def test_orbit_lengths_of_census_lambda_maps():
@@ -161,22 +166,20 @@ def test_orbit_lengths_of_census_lambda_maps():
 @pytest.mark.parametrize("n", [6, 8])
 def test_dedup_keeps_the_least_representative_of_relabelled_copies(n):
     census = generic(n)
-    dedup = _Dedup(lambda e: True)
-    for entry in census:
-        dedup.add(entry.semibrace, entry.provenance)
+    candidates = [(entry.semibrace, entry.provenance) for entry in census]
     rng = np.random.default_rng(n)
     want = []
     for entry in census:
         b = entry.semibrace
         copy = b.relabel(np.concatenate([[0], 1 + rng.permutation(n - 1)]))
-        dedup.add(copy, "copy")
+        candidates.append((copy, "copy"))
         # the least (add, circ) pair wins; on a tie the class keeps the first
         _, _, key, prov = min(
             ((c.add.key(), c.circ.op.key()), rank, c.key(), prov)
             for rank, (c, prov) in enumerate(((b, entry.provenance), (copy, "copy")))
         )
         want.append((key, prov))
-    got = [(e.semibrace.key(), e.provenance) for e in dedup.entries()]
+    got = [(e.semibrace.key(), e.provenance) for e in _merge_classes(candidates)]
     assert len(got) == len(census)
     assert sorted(got) == sorted(want)
     assert any(prov == "copy" for _, prov in got)
@@ -362,13 +365,13 @@ def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
 
 def _dedup_census(n, emin, pruned):
     """The census by the merge the structural census uses: every survivor
-    table verified and offered to `_Dedup`, which buckets by element
-    signatures and decides each class by `_iso_search`."""
-    dedup = _Dedup(lambda e: e >= emin)
-    for gi, circ in enumerate(small_groups(n)):
-        for table in _survivor_tables(circ, emin, False, pruned):
-            dedup.add(verify(table, circ.table), f"generic:n={n}:group{gi}")
-    return dedup.entries()
+    table verified and offered to `_merge_classes`, which decides each
+    class by `isomorphic`."""
+    return _merge_classes(
+        (verify(table, circ.table), f"generic:n={n}:group{gi}")
+        for gi, circ in enumerate(small_groups(n))
+        for table in _survivor_tables(circ, emin, False, pruned)
+    )
 
 
 def test_orbit_census_matches_the_signature_and_search_merge():
@@ -389,10 +392,8 @@ def test_orbit_representatives_of_a_partial_input(n):
     for circ in small_groups(n):
         tables = _survivor_tables(circ, 1, False, pruned=True)
         part = [tables[i] for i in rng.permutation(len(tables))[: len(tables) // 2 + 1]]
-        dedup = _Dedup(lambda e: True)
-        for table in part:
-            dedup.add(verify(table, circ.table), "")
-        want = sorted(entry.semibrace.key() for entry in dedup.entries())
+        merged = _merge_classes((verify(table, circ.table), "") for table in part)
+        want = sorted(entry.semibrace.key() for entry in merged)
         assert sorted(b.key() for b in _orbit_representatives(circ, part)) == want
 
 
@@ -607,8 +608,8 @@ def test_structural_census_is_relabelling_invariant(monkeypatch, n):
     census = enumerate_structural(n, esylow=True)
     want = structural(n, esylow=True)
     assert len(census) == len(want)
-    assert (sorted(_signature_key(e.semibrace) for e in census)
-            == sorted(_signature_key(e.semibrace) for e in want))
+    assert (sorted(e.semibrace.signature_key for e in census)
+            == sorted(e.semibrace.signature_key for e in want))
 
 
 def test_structural_parameter_errors():
@@ -740,6 +741,23 @@ def test_deeply_nested_cache_file_is_a_logged_miss(tmp_path, caplog):
     (record,) = caplog.records
     assert str(path) in record.getMessage()
     assert "recursion" in record.getMessage()
+
+
+@pytest.mark.parametrize("enumerate_census, stored, n", [
+    (enumerate_generic, 4, 6),
+    (enumerate_structural, 6, 10),
+])
+def test_cache_file_of_another_order_is_a_logged_miss(tmp_path, caplog, enumerate_census, stored, n):
+    kind = enumerate_census.__name__.split("_")[1]
+    enumerate_census(n, cache_dir=tmp_path)
+    (path,) = tmp_path.glob(f"{kind}-*.json")
+    path.write_text(json.dumps(census_to_json(enumerate_census(stored))))
+    with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
+        again = enumerate_census(n, cache_dir=tmp_path)
+    assert census_to_json(again) == census_to_json(enumerate_census(n))
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
+    assert f"order {stored}, not {n}" in record.getMessage()
 
 
 def test_cache_separates_filters(tmp_path):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from semibrace import cli, core, ybe
+from semibrace.classify import enumerate_generic
 from semibrace.cli import main
 from semibrace.construct import trivial_semibrace
+from semibrace.nilpotency import is_right_nil
 from semibrace.tables import cyclic_group
 
 
@@ -195,6 +197,18 @@ def test_nilpotency_json_payload(triv2, capsys):
     assert payload["right"]["kind"] == "right"
     assert payload["left"]["kind"] == "left"
     assert payload["right_nil"] is True
+
+
+def test_nilpotency_json_payload_of_a_class_that_is_not_right_nil(tmp_path, capsys):
+    (b,) = [e.semibrace for e in enumerate_generic(6) if not is_right_nil(e.semibrace)[0]]
+    path = tmp_path / "notnil6.json"
+    path.write_text(json.dumps(b.to_json()))
+    rc, out, _ = run(capsys, ["nilpotency", str(path), "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["right_nil"] is False
+    assert payload["nil_orders"] == list(is_right_nil(b)[1])
+    assert None in payload["nil_orders"]
 
 
 def test_nilpotency_rejects_mixed_input(triv2, capsys):
