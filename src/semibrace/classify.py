@@ -1,5 +1,5 @@
-"""Isomorphism testing and two independent enumerators for finite left
-cancellative left semi-braces.
+"""Two independent enumerators for finite left cancellative left
+semi-braces, and the classification checks built on them.
 
 The generic enumerator builds, for every circle group of order n, the
 addition tables of its regular embeddings into Hol(G) x Sym(E), one for
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,6 @@ import numpy as np
 from .construct import (
     EXPECTED_E_SIZE,
     FamilyId,
-    ParameterError,
     PQ_THEOREMS,
     TWO_P2_THEOREMS,
     applicable_items,
@@ -40,9 +38,11 @@ from .construct import (
 )
 from .core import (
     InternalInvariantError,
+    ParameterError,
     SemiBrace,
     brace_automorphism_group,
     endomorphic_rows,
+    isomorphic,
     semibrace_from_json,
     semidirect_tables,
     verify,
@@ -54,7 +54,6 @@ from .tables import (
     ROW_BATCH,
     _bfs_tree,
     _compose_rows,
-    _first_morphisms,
     _freeze,
     _homomorphic_rows,
     _lambda_rows,
@@ -63,14 +62,11 @@ from .tables import (
     cyclic_group,
     dicyclic_group,
     homomorphisms,
-    is_morphism,
     isomorphisms,
     orbit_lengths,
     semidirect_group,
     slab_chunks,
 )
-
-log = logging.getLogger(__name__)
 
 GENERIC_BOUND = 10
 UNPRUNED_BOUND = 6
@@ -153,37 +149,6 @@ def skew_braces(m: int) -> list[SemiBrace]:
     if m == 1 or is_prime(m):
         return [trivial_skewbrace(cyclic_group(m))]
     return [brace_p2(which, math.isqrt(m)) for which in ("G1", "G2", "G3", "G4")]
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing
-
-
-def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
-    """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
-    or None.  Equal tables short-circuit to the identity witness, and
-    unequal signature multisets rule an isomorphism out.  Otherwise the
-    witness is the first circle-group isomorphism, in generator-image
-    order, that also preserves +, with each generator's images drawn from
-    the elements of its signature; equal multisets make every pool
-    non-empty."""
-    if b1.n != b2.n:
-        return None
-    if b1.key() == b2.key():
-        return Permutation.identity(b1.n)
-    if b1.signature_key != b2.signature_key:
-        return None
-    gens = b1.circ.generating_sequence()
-    sigs1, sigs2 = b1.signatures, b2.signatures
-    pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
-
-    def keeps_add(f: np.ndarray) -> bool:
-        return is_morphism(f, b1.add.table, b2.add.table)
-
-    found = _first_morphisms(
-        b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
-    )
-    return Permutation.of(found[0]) if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +841,11 @@ def _cache_load(cache_dir, key: str, n: int) -> Optional[list[CensusEntry]]:
             raise MalformedTableError(f"census entries of order {min(orders)}, not {n}")
         return entries
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as err:
-        log.warning("ignoring unreadable census cache file %s: %s", path, err)
+        import logging  # only this path logs; a readable cache never loads it
+
+        logging.getLogger(__name__).warning(
+            "ignoring unreadable census cache file %s: %s", path, err
+        )
         return None
 
 

@@ -5,6 +5,11 @@ iso.  Every run prints a human-readable report (or the machine JSON with
 --format json) and can additionally write the JSON artifact into the
 directory named by --out.  Exit codes: 0 success, 1 failed semantic check,
 2 parameter violation, 3 malformed input, 4 I/O error, 5 out of memory.
+
+The module itself imports only `core` and `tables`; each subcommand imports
+the rest of what it runs when it runs.  A process that writes no bytecode
+compiles every module it imports, so `verify` and `iso` skip the
+construct, classify, nilpotency and ybe modules.
 """
 
 from __future__ import annotations
@@ -14,20 +19,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .classify import enumerate_generic, isomorphic, census_to_json, verify_classification
-from .construct import (
-    FamilyId,
-    ParameterError,
-    applicable_items,
-    family,
-    theorems_for_order_pq,
-)
-from .core import SemiBrace, SemiBraceAxiomError, semibrace_from_json
-from .nilpotency import left_series, right_series
+from .core import ParameterError, SemiBrace, SemiBraceAxiomError, isomorphic, semibrace_from_json
 from .tables import MalformedTableError
-from .ybe import check_braid, check_properties, solution_from
+
+if TYPE_CHECKING:
+    from .construct import FamilyId
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,6 +116,8 @@ def cmd_verify(args) -> int:
 
 
 def _resolve_family_ids(args) -> list[FamilyId]:
+    from .construct import applicable_items, theorems_for_order_pq
+
     if args.p is None:
         raise ParameterError("families needs --p")
     theorem = args.theorem
@@ -136,6 +136,8 @@ def _resolve_family_ids(args) -> list[FamilyId]:
 
 
 def cmd_families(args) -> int:
+    from .construct import family
+
     fids = _resolve_family_ids(args)
     payload = []
     lines = []
@@ -152,6 +154,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .classify import census_to_json, enumerate_generic
+
     if args.n is None:
         raise ParameterError("enumerate needs --n")
     census = enumerate_generic(
@@ -171,6 +175,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import verify_classification
+
     if args.theorem is None or args.p is None:
         raise ParameterError("classify needs --theorem and --p")
     report = verify_classification(
@@ -192,10 +198,14 @@ def _nilpotency_input(args) -> SemiBrace:
         return _load_semibrace(args, args.file)
     if args.theorem is None or args.item is None or args.p is None:
         raise ParameterError("nilpotency needs a file, or --theorem --item --p [--q]")
+    from .construct import FamilyId, family
+
     return family(FamilyId(args.theorem, args.item, args.p, args.q))
 
 
 def cmd_nilpotency(args) -> int:
+    from .nilpotency import left_series, right_series
+
     b = _nilpotency_input(args)
     right = right_series(b)
     left = left_series(b)
@@ -217,6 +227,8 @@ def cmd_nilpotency(args) -> int:
 
 
 def cmd_solution(args) -> int:
+    from .ybe import check_braid, check_properties, solution_from
+
     b = _load_semibrace(args, args.file)
     s = solution_from(b)
     payload = s.to_json()

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import InternalInvariantError, SemiBrace, semidirect_tables, verify
+from .core import InternalInvariantError, ParameterError, SemiBrace, semidirect_tables, verify
 from .tables import (
     FiniteGroup,
     Permutation,
@@ -24,10 +24,6 @@ from .tables import (
     is_morphism,
     is_normal_subset,
 )
-
-
-class ParameterError(ValueError):
-    """A constructor parameter violates a stated primality or congruence constraint."""
 
 
 def is_prime(n: int) -> bool:

@@ -8,7 +8,8 @@ compatibility law
 
 with a' the circle inverse of a. Derived objects: the lambda action
 lambda_a(b) = a o (a' + b), the idempotent part E = {e : e + e = e}, and
-the skew brace part G = B + 0.
+the skew brace part G = B + 0.  `isomorphic` decides whether two
+semi-braces are isomorphic and gives a witness.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .tables import (
     FiniteGroup,
     MalformedTableError,
     Permutation,
+    _first_morphisms,
     _freeze,
     automorphisms,
     check_group,
@@ -48,6 +50,10 @@ class SemiBraceAxiomError(ValueError):
 
     def diagnostic(self) -> dict:
         return {"axiom": self.axiom, "witness": list(self.witness)}
+
+
+class ParameterError(ValueError):
+    """A constructor parameter violates a stated primality or congruence constraint."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -229,6 +235,37 @@ def semibrace_from_json(obj) -> SemiBrace:
     if b.n != obj["n"]:
         raise SemiBraceAxiomError("malformed-table", (obj["n"], b.n))
     return b
+
+
+# ---------------------------------------------------------------------------
+# isomorphism testing
+
+
+def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
+    """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
+    or None.  Equal tables short-circuit to the identity witness, and
+    unequal signature multisets rule an isomorphism out.  Otherwise the
+    witness is the first circle-group isomorphism, in generator-image
+    order, that also preserves +, with each generator's images drawn from
+    the elements of its signature; equal multisets make every pool
+    non-empty."""
+    if b1.n != b2.n:
+        return None
+    if b1.key() == b2.key():
+        return Permutation.identity(b1.n)
+    if b1.signature_key != b2.signature_key:
+        return None
+    gens = b1.circ.generating_sequence()
+    sigs1, sigs2 = b1.signatures, b2.signatures
+    pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
+
+    def keeps_add(f: np.ndarray) -> bool:
+        return is_morphism(f, b1.add.table, b2.add.table)
+
+    found = _first_morphisms(
+        b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
+    )
+    return Permutation.of(found[0]) if found else None
 
 
 # ---------------------------------------------------------------------------

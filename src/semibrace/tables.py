@@ -645,10 +645,16 @@ def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None
     return [Permutation.of(f) for f in found]
 
 
+_AUTOMORPHISMS: dict[bytes, tuple[Permutation, ...]] = {}
+
+
 def automorphisms(g: FiniteGroup) -> tuple[Permutation, ...]:
     """All automorphisms, sorted lexicographically by image array; the
-    identity comes first."""
-    return tuple(isomorphisms(g, g))
+    identity comes first.  Computed once per group table, by `g.key()`."""
+    key = g.key()
+    if key not in _AUTOMORPHISMS:
+        _AUTOMORPHISMS[key] = tuple(isomorphisms(g, g))
+    return _AUTOMORPHISMS[key]
 
 
 def subgroups(g: FiniteGroup) -> list[Subgroup]:

@@ -1,10 +1,12 @@
 """Tests for the isomorphism machinery and the two census enumerators."""
 
 import collections
+import importlib.util
 import itertools
 import json
 import logging
 from functools import lru_cache
+from pathlib import Path
 
 import full_scans
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semibrace import classify, tables
+from semibrace import classify, core, tables
 from semibrace.classify import (
     CensusEntry,
     census_from_json,
@@ -655,6 +657,46 @@ def test_verify_classification_2p2():
     assert rep.census_count == 13
     data = rep.to_json()
     assert data["ok"] and data["family_count"] == 13
+
+
+def _benchmark_classify_cases():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [case[:3] for case in workloads.CLASSIFY_CASES]
+
+
+def test_automorphisms_are_searched_once_per_group(monkeypatch):
+    """From empty caches, the benchmark's six classify cases search the
+    automorphisms of each of their 16 distinct groups once (a search per
+    call made 51), and their reports equal those of a search per call."""
+    cases = _benchmark_classify_cases()
+    search = tables.isomorphisms
+    searched = []
+
+    def counting(src, tgt, limit=None):
+        if src is tgt:
+            searched.append(src.key())
+        return search(src, tgt, limit)
+
+    def reports():
+        for cached in (small_groups, classify._automorphism_images,
+                       classify._holomorph_representatives):
+            cached.cache_clear()
+        tables._AUTOMORPHISMS.clear()
+        return [verify_classification(*case).to_json() for case in cases]
+
+    monkeypatch.setattr(tables, "isomorphisms", counting)
+    once = reports()
+    assert len(searched) == len(set(searched)) == 16
+
+    def per_call(g):
+        return tuple(search(g, g))
+
+    monkeypatch.setattr(classify, "automorphisms", per_call)
+    monkeypatch.setattr(core, "automorphisms", per_call)
+    assert reports() == once
 
 
 def test_unsupported_catalogue_order_fails_before_any_work(monkeypatch):

@@ -1,13 +1,16 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semibrace import cli, core, ybe
+from semibrace import classify, construct, core, ybe
 from semibrace.classify import enumerate_generic
 from semibrace.cli import main
 from semibrace.construct import trivial_semibrace
@@ -262,13 +265,13 @@ def test_out_of_memory_exits_5(triv2, tmp_path, monkeypatch, capsys):
     rc, _, err = run(capsys, ["verify", str(triv2)])
     assert rc == 5
     assert err.strip() == "out of memory: verify at order n = 2"
-    monkeypatch.setattr(cli, "family", exhausted)
+    monkeypatch.setattr(construct, "family", exhausted)
     rc, _, err = run(capsys, ["families", "--theorem", "2p2-Ep2", "--p", "3"])
     assert rc == 5
     assert err.strip() == "out of memory: families at order n = 18"
     rc, _, err = run(capsys, ["iso", str(triv2), str(triv2)])
     assert (rc, err.strip()) == (5, "out of memory: iso at order n = 2")
-    monkeypatch.setattr(cli, "enumerate_generic", exhausted)
+    monkeypatch.setattr(classify, "enumerate_generic", exhausted)
     rc, _, err = run(capsys, ["enumerate", "--n", "6"])
     assert (rc, err.strip()) == (5, "out of memory: enumerate at order n = 6")
     # an order the file does not declare as an integer is left out
@@ -283,11 +286,55 @@ def test_braid_order_bound_exits_5_naming_the_stage(triv2, monkeypatch, capsys):
     # bound of its packed table, in place of the solution of triv2
     n = 1 << 16
     big = ybe.SolutionMap(n=n, r=np.broadcast_to(np.zeros(1, dtype=np.int64), (n, n, 2)))
-    monkeypatch.setattr(cli, "check_braid", lambda s: ybe.check_braid(big))
+    check_braid = ybe.check_braid
+    monkeypatch.setattr(ybe, "check_braid", lambda s: check_braid(big))
     rc, _, err = run(capsys, ["solution", str(triv2), "--check-braid"])
     assert rc == 5
     assert err.strip() == (
         "out of memory: solution at order n = 2 (braid check: n = 65536 is at least 2^16)")
+
+
+# Run in a fresh interpreter: import semibrace.cli, then main on each
+# argument list in turn, and print the semibrace modules loaded after each.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "semibrace")
+
+import semibrace.cli
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([semibrace.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def _modules_loaded_by(*argvs):
+    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return [tuple(step) for step in json.loads(proc.stdout)]
+
+
+def test_each_subcommand_imports_only_the_modules_it_runs(triv2):
+    # A process that writes no bytecode compiles every module it imports,
+    # so the single-structure commands leave the census layers unloaded.
+    base = ["semibrace", "semibrace.cli", "semibrace.core", "semibrace.tables"]
+    with_ybe = sorted(base + ["semibrace.ybe"])
+    assert _modules_loaded_by(
+        ["verify", str(triv2)],
+        ["iso", str(triv2), str(triv2)],
+        ["solution", str(triv2), "--check-braid", "--properties"],
+        ["nilpotency", str(triv2)],
+    ) == [(None, base), (0, base), (0, base), (0, with_ybe),
+          (0, sorted(with_ybe + ["semibrace.nilpotency"]))]
+    (_, imported), (rc, loaded) = _modules_loaded_by(
+        ["nilpotency", "--theorem", "2p2-E2-noncyclic", "--item", "5", "--p", "5"])
+    assert imported == base
+    assert rc == 0
+    assert loaded == sorted(base + ["semibrace.construct", "semibrace.nilpotency"])
 
 
 def test_console_script_is_wired(triv2):
