@@ -50,11 +50,9 @@ from .core import (
 from .tables import (
     FiniteGroup,
     MalformedTableError,
-    Permutation,
     ROW_BATCH,
     _bfs_tree,
     _compose_rows,
-    _freeze,
     _homomorphic_rows,
     _lambda_rows,
     _search_morphisms,
@@ -93,7 +91,7 @@ def _require_group_order(n: int) -> None:
 
 
 def group_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    return bool(isomorphisms(g1, g2, limit=1))
+    return len(isomorphisms(g1, g2, limit=1)) > 0
 
 
 @lru_cache(maxsize=None)
@@ -128,12 +126,6 @@ def small_groups(n: int) -> tuple[FiniteGroup, ...]:
             f"expected {_CLASSICAL_GROUP_COUNTS[n]}"
         )
     return tuple(kept)
-
-
-@lru_cache(maxsize=None)
-def _automorphism_images(m: int) -> dict[bytes, np.ndarray]:
-    """The sorted automorphism image arrays of each group G in `small_groups(m)`, by G.key()."""
-    return {g.key(): _freeze(np.stack([a.images for a in automorphisms(g)])) for g in small_groups(m)}
 
 
 def _require_skew_brace_order(m: int) -> None:
@@ -304,14 +296,14 @@ def _holomorph_representatives(m: int) -> dict[bytes, np.ndarray]:
     """By G.key(), for each G in `small_groups(m)`: the least index
     t * |Aut(G)| + a of each Aut(G)-conjugacy class of the holomorph
     elements h -> t alpha_a(h), alpha_a the a-th row of
-    `_automorphism_images`.  beta (t alpha) beta^-1 = beta(t) (beta alpha
+    `automorphisms(G)`.  beta (t alpha) beta^-1 = beta(t) (beta alpha
     beta^-1), so the class of x is the column x of `image`, and x is least
     in it when the column's minimum is x.  An automorphism is known by its
     images of a generating sequence, which index it in `position`."""
     out = {}
     for group in small_groups(m):
         gens = group.generating_sequence()
-        auts = _automorphism_images(m)[group.key()]
+        auts = automorphisms(group)
         count = auts.shape[0]
         weights = m ** np.arange(len(gens))
         position = np.zeros(m ** len(gens), dtype=np.int64)
@@ -357,7 +349,7 @@ def _regular_tables(
     of 0, the later ones from all of Hol(G) x {pi : ord pi | ord c}.  See
     `_survivor_tables`."""
     n, m = circ.n, group.n
-    auts = _automorphism_images(m)[group.key()]
+    auts = automorphisms(group)
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
     for j, c in enumerate(gens):
@@ -468,7 +460,7 @@ def _orbit_representatives(circ: FiniteGroup, tables: list[np.ndarray]) -> list[
     transport of structure.  An invalid table is never in `seen`, so it is
     still verified, and the scan raises at the same table as when every
     table was verified."""
-    auts = _automorphism_images(circ.n)[circ.key()]
+    auts = automorphisms(circ)
     rows = np.arange(auts.shape[0])[:, None, None]
     orbit = np.empty((auts.shape[0], circ.n, circ.n), dtype=np.int64)
     seen: set[bytes] = set()
@@ -498,8 +490,9 @@ def enumerate_generic(
         raise ParameterError(f"generic enumeration is bounded at n <= {GENERIC_BOUND}")
     if not pruned and n > UNPRUNED_BOUND:
         raise ParameterError(f"the unpruned sweep is bounded at n <= {UNPRUNED_BOUND}")
-    key = _cache_key("generic", n, emin, esylow, pruned=pruned)
-    cached = _cache_load(cache_dir, key, n)
+    params = dict(enumerator="generic", n=n, emin=emin, esylow=esylow)
+    key = _cache_key(params, pruned=pruned)
+    cached = _cache_load(cache_dir, key, params)
     if cached is not None:
         return cached
     entries = []
@@ -507,7 +500,7 @@ def enumerate_generic(
         for b in _orbit_representatives(group, _survivor_tables(group, emin, esylow, pruned)):
             entries.append(CensusEntry(semibrace=b, provenance=f"generic:n={n}:group{gi}"))
     entries.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
-    _cache_store(cache_dir, key, entries)
+    _cache_store(cache_dir, key, params, entries)
     return entries
 
 
@@ -558,30 +551,24 @@ def _structural_e_sizes(n: int, emin: int, esylow: bool) -> list[int]:
 
 
 def _orbit_leaders(
-    b1: SemiBrace,
-    b2: SemiBrace,
-    homs: Sequence[tuple[Permutation, ...]],
-    aut1: Sequence[Permutation],
-    aut2: Sequence[Permutation],
+    b1: SemiBrace, b2: SemiBrace, acts: np.ndarray, phi: np.ndarray, psi: np.ndarray
 ) -> list[int]:
-    """For each orbit of aut1 x aut2 on the actions `homs` of B2 on B1, in
-    the order of the orbits' first members: the member whose product has
-    the least (add, circ) key, the earliest on ties.  (phi, psi) sends
-    alpha to alpha'[psi(c), phi(y)] = phi(alpha[c, y]); see
-    `enumerate_structural`.  The moved actions are built at most
-    `tables.SLAB` entries at a time."""
-    acts = np.stack([np.stack([f.images for f in alpha]) for alpha in homs])
+    """For each orbit of phi x psi, the automorphism groups of B1 and B2,
+    on the actions `acts` (count, |B2|, |B1|) of B2 on B1, in the order of
+    the orbits' first members: the member whose product has the least (add,
+    circ) key, the earliest on ties.  (phi, psi) sends alpha to
+    alpha'[psi(c), phi(y)] = phi(alpha[c, y]); see `enumerate_structural`.
+    The moved actions are built at most `tables.SLAB` entries at a time."""
     index = {a.tobytes(): i for i, a in enumerate(acts)}
-    phi = np.stack([f.images for f in aut1])
     phi_inv = np.argsort(phi, axis=1)
-    psi_inv = np.argsort(np.stack([f.images for f in aut2]), axis=1)[None, :, :, None]
+    psi_inv = np.argsort(psi, axis=1)[None, :, :, None]
     factors = (b1.add.table, b1.circ.table, b2.add.table, b2.circ.table)
 
     def product_key(i: int) -> tuple:
         return [t.tobytes() for t in semidirect_tables(*factors, acts[i])], i
 
-    leaders, done = [], np.zeros(len(homs), dtype=bool)
-    for first in range(len(homs)):
+    leaders, done = [], np.zeros(len(acts), dtype=bool)
+    for first in range(len(acts)):
         if done[first]:
             continue
         members = set()
@@ -623,12 +610,13 @@ def enumerate_structural(
     the lists run in the same order.  `tests/full_scans.structural_census`
     builds every product and is the reference."""
     e_sizes = _structural_e_sizes(n, emin, esylow)
-    key = _cache_key("structural", n, emin, esylow)
-    cached = _cache_load(cache_dir, key, n)
+    params = dict(enumerator="structural", n=n, emin=emin, esylow=esylow)
+    key = _cache_key(params)
+    cached = _cache_load(cache_dir, key, params)
     if cached is not None:
         return cached
     entries = _merge_classes(_structural_products(n, e_sizes))
-    _cache_store(cache_dir, key, entries)
+    _cache_store(cache_dir, key, params, entries)
     return entries
 
 
@@ -815,30 +803,35 @@ def _code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def _cache_key(
-    enumerator: str, n: int, emin: int, esylow: bool, pruned: Optional[bool] = None
-) -> str:
-    parts = [enumerator, f"n{n}", f"emin{emin}", f"esylow{int(esylow)}"]
+def _cache_key(params: dict, pruned: Optional[bool] = None) -> str:
+    """The file name of the census built with `params` (enumerator, n, emin
+    and esylow, which the file records too)."""
+    parts = [params["enumerator"], *(f"{k}{int(params[k])}" for k in ("n", "emin", "esylow"))]
     if pruned is not None:
         parts.append(f"pruned{int(pruned)}")
     parts.append(_code_version())
     return "-".join(parts) + ".json"
 
 
-def _cache_load(cache_dir, key: str, n: int) -> Optional[list[CensusEntry]]:
-    """The census of order n stored under `key`, or None on a miss; a file
-    that does not parse or holds an entry of another order is unreadable,
-    logged and a miss."""
+def _cache_load(cache_dir, key: str, params: dict) -> Optional[list[CensusEntry]]:
+    """The census built with `params` stored under `key`, or None on a
+    miss.  A file is `{"params": ..., "entries": ...}`; one that does not
+    parse, records other parameters or holds an entry of another order is
+    unreadable, logged and a miss."""
     if cache_dir is None:
         return None
     path = Path(cache_dir) / key
     if not path.is_file():
         return None
     try:
-        entries = census_from_json(json.loads(path.read_text()))
-        orders = {entry.semibrace.n for entry in entries} - {n}
+        stored = json.loads(path.read_text())
+        found = stored.get("params") if isinstance(stored, dict) else None
+        if found != params:
+            raise MalformedTableError(f"census built with {found}, not {params}")
+        entries = census_from_json(stored["entries"])
+        orders = {entry.semibrace.n for entry in entries} - {params["n"]}
         if orders:
-            raise MalformedTableError(f"census entries of order {min(orders)}, not {n}")
+            raise MalformedTableError(f"census entries of order {min(orders)}, not {params['n']}")
         return entries
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as err:
         import logging  # only this path logs; a readable cache never loads it
@@ -849,11 +842,12 @@ def _cache_load(cache_dir, key: str, n: int) -> Optional[list[CensusEntry]]:
         return None
 
 
-def _cache_store(cache_dir, key: str, entries: list[CensusEntry]) -> None:
+def _cache_store(cache_dir, key: str, params: dict, entries: list[CensusEntry]) -> None:
     if cache_dir is None:
         return
     root = Path(cache_dir)
     root.mkdir(parents=True, exist_ok=True)
     tmp = root / (key + ".tmp")
-    tmp.write_text(json.dumps(census_to_json(entries), sort_keys=True))
+    stored = {"params": params, "entries": census_to_json(entries)}
+    tmp.write_text(json.dumps(stored, sort_keys=True))
     tmp.replace(root / key)

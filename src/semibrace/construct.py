@@ -10,14 +10,13 @@ independent route from the semidirect-product composition used elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .core import InternalInvariantError, ParameterError, SemiBrace, semidirect_tables, verify
 from .tables import (
     FiniteGroup,
-    Permutation,
     cyclic_group,
     direct_product,
     is_action,
@@ -62,19 +61,15 @@ def trivial_skewbrace(g: FiniteGroup) -> SemiBrace:
     return verify(g.table, g.table)
 
 
-def semidirect(
-    b1: SemiBrace, b2: SemiBrace, alpha: Union[Sequence[Permutation], np.ndarray]
-) -> SemiBrace:
+def semidirect(b1: SemiBrace, b2: SemiBrace, alpha: np.ndarray) -> SemiBrace:
     """Semidirect product B1 x| B2, with B2 acting on B1 through alpha.
 
-    alpha[c] must be an automorphism of B1 (preserving both tables) for every
-    c in B2, and c -> alpha[c] a homomorphism from (B2, o). Pair (x1, x2)
-    receives index x1 * |B2| + x2.
+    alpha is a (|B2|, |B1|) array: alpha[c], the image array of the map
+    attached to c, must be an automorphism of B1 (preserving both tables)
+    for every c in B2, and c -> alpha[c] a homomorphism from (B2, o). Pair
+    (x1, x2) receives index x1 * |B2| + x2.
     """
-    if isinstance(alpha, np.ndarray):
-        images = np.asarray(alpha, dtype=np.int64)
-    else:
-        images = np.stack([p.images for p in alpha]).astype(np.int64)
+    images = np.asarray(alpha, dtype=np.int64)
     if images.shape != (b2.n, b1.n):
         raise ParameterError("alpha must give one map on B1 per element of B2")
     add1, circ1 = b1.add.table, b1.circ.table

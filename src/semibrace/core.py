@@ -265,7 +265,7 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
     found = _first_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
     )
-    return Permutation.of(found[0]) if found else None
+    return Permutation.of(found[0]) if len(found) else None
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +536,25 @@ class SemidirectData:
     direction "trivial-by-skew": product = E x| G, alpha: (G, o) -> Aut(E, o)
     (conjugation by skew part elements; available when E is an ideal).
 
-    `alpha` is the action as the tuple of automorphisms of the acted-on
-    factor, one per element of the acting factor in its local labels.
+    `alpha` is the action as a read-only array: row c is the image array
+    of the automorphism of the acted-on factor attached to element c of the
+    acting factor, both in their local labels.
     """
 
     direction: str
     brace: SemiBrace  # the skew brace factor G, relabeled
     trivial_group: FiniteGroup  # the circle group of the trivial factor E
-    alpha: tuple[Permutation, ...]
+    alpha: np.ndarray
     witness: Permutation  # isomorphism from the original B onto `product`
     product: SemiBrace
 
 
-def brace_automorphism_group(b: SemiBrace) -> tuple[Permutation, ...]:
-    """Bijections preserving both operations, sorted lexicographically by
-    image array (the identity first)."""
-    add = b.add.table
-    return tuple(p for p in automorphisms(b.circ) if is_morphism(p.images, add, add))
+def brace_automorphism_group(b: SemiBrace) -> np.ndarray:
+    """Bijections preserving both operations: the rows of
+    `automorphisms(b.circ)` that preserve +, so sorted with the identity
+    first."""
+    auts, add = automorphisms(b.circ), b.add.table
+    return auts[[is_morphism(f, add, add) for f in auts]]
 
 
 def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
@@ -566,17 +568,17 @@ def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
 
 def _checked_action(
     images: np.ndarray, acting: np.ndarray, add: np.ndarray, circ: np.ndarray
-) -> tuple[Permutation, ...]:
-    """The rows of `images` as permutations, after checking that each one
-    preserves both tables (add, circ) of the acted-on factor and that
+) -> np.ndarray:
+    """`images`, read-only, after checking that each row is a bijection
+    preserving both tables (add, circ) of the acted-on factor and that
     x -> images[x] is a homomorphism from the group table `acting`."""
-    alpha = tuple(Permutation.of(img) for img in images)
-    for p in alpha:
-        if not (is_morphism(p.images, add, add) and is_morphism(p.images, circ, circ)):
-            raise InternalInvariantError("conjugation is not an automorphism of its factor")
+    bijective = (np.sort(images, axis=1) == np.arange(images.shape[1])).all()
+    automorphic = all(is_morphism(f, add, add) and is_morphism(f, circ, circ) for f in images)
+    if not (bijective and automorphic):
+        raise InternalInvariantError("conjugation is not an automorphism of its factor")
     if not is_action(images, acting):
         raise InternalInvariantError("conjugation action is not a homomorphism")
-    return alpha
+    return _freeze(images)
 
 
 def decompose(b: SemiBrace) -> Optional[SemidirectData]:

@@ -198,6 +198,6 @@ def check_rnilp1(b: SemiBrace) -> Rnilp1Report:
     if data is None:
         raise ValueError("not decomposable: the skew part is not the kernel of lambda on E")
     series_side = right_series(b).nilpotent
-    alpha_trivial = all(p.is_identity() for p in data.alpha)
+    alpha_trivial = bool((data.alpha == np.arange(data.alpha.shape[1])).all())
     structural_side = alpha_trivial and right_series(data.brace).nilpotent
     return Rnilp1Report(series_side=series_side, structural_side=structural_side)

@@ -8,6 +8,7 @@ that the identity sits at index 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -389,9 +390,9 @@ def is_action(images: np.ndarray, table: np.ndarray) -> bool:
 
 # A search target stores each element along a last axis of width w. A
 # FiniteGroup target stores its label (w = 1) and multiplies by table
-# lookup; a permutation target stores image arrays (w = degree) and
-# composes them. Either way np.arange(w) is the identity.
-Target = Union[FiniteGroup, Sequence[Permutation]]
+# lookup; a permutation group, an array of image rows, stores its rows
+# (w = degree) and composes them. Either way np.arange(w) is the identity.
+Target = Union[FiniteGroup, np.ndarray]
 
 # Prefix rows whose extensions by a whole pool are tested at once; each
 # chunk builds (PREFIX_CHUNK, |pool|, w) temporaries.
@@ -571,68 +572,70 @@ def _first_morphisms(
     bijective: bool,
     limit: Optional[int],
     extra_check: Optional[Callable[[np.ndarray], bool]] = None,
-) -> list[np.ndarray]:
-    """The first `limit` (or all) homomorphisms src -> tgt, as label arrays,
-    with generator images from the label pools, in `_search_morphisms`
-    order, that are bijective when asked and pass `extra_check`.  Labels are
-    elements of a FiniteGroup target and list positions in a permutation
-    target."""
+) -> np.ndarray:
+    """The first `limit` (or all) homomorphisms src -> tgt, in
+    `_search_morphisms` order, with generator images from the label pools,
+    that are bijective when asked and pass `extra_check`: the rows of a
+    (count, src.n) label array, sorted lexicographically.  Labels are
+    elements of a FiniteGroup target and row positions in a permutation
+    group."""
     if isinstance(tgt, FiniteGroup):
         elements, mul = np.arange(tgt.n)[:, None], _table_product(tgt.table)
         labels = lambda f: f[:, :, 0]
     else:
-        elements, mul = np.stack([p.images for p in tgt]), _compose_rows
+        elements, mul = tgt, _compose_rows
         labels = _positions(elements)
     pools = [elements[np.asarray(pool, dtype=np.int64)] for pool in candidate_pools]
-    results: list[np.ndarray] = []
-    for f in _search_morphisms(src, gens, pools, mul):
-        found = labels(f)
-        if bijective:
-            ordered = np.sort(found, axis=1)
-            found = found[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-        for row in found:
-            if extra_check is None or extra_check(row):
-                results.append(row)
-                if limit is not None and len(results) >= limit:
-                    return results
-    return results
+
+    def rows() -> Iterator[np.ndarray]:
+        for f in _search_morphisms(src, gens, pools, mul):
+            found = labels(f)
+            if bijective:
+                ordered = np.sort(found, axis=1)
+                found = found[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+            yield from (row for row in found if extra_check is None or extra_check(row))
+
+    found = np.array(list(islice(rows(), limit)), dtype=np.int64).reshape(-1, src.n)
+    return found[np.lexsort(found.T[::-1])]
 
 
-def homomorphisms(src: FiniteGroup, perms: Sequence[Permutation]) -> list[tuple[Permutation, ...]]:
-    """All homomorphisms from src into a group of permutations, such as the
-    list `automorphisms` returns. `perms` must be closed under composition,
-    with the identity first.
+def homomorphisms(src: FiniteGroup, perms: np.ndarray) -> np.ndarray:
+    """All homomorphisms from src into a permutation group, given as an
+    array of image rows closed under composition with the identity first,
+    such as `automorphisms` returns.
 
-    Each action is the tuple of images of src's elements 0..n-1. Actions are
-    ordered lexicographically by the positions of their images in `perms`,
-    which for a sorted list is lexicographic in the image arrays."""
-    if not perms or not perms[0].is_identity():
+    Each action is the (src.n, degree) array of images of src's elements
+    0..n-1, and the result stacks them, (count, src.n, degree).  Actions
+    are ordered lexicographically by the row positions of their images in
+    `perms`, which for sorted rows is lexicographic in the image arrays."""
+    perms = np.asarray(perms, dtype=np.int64)
+    if not len(perms) or not np.array_equal(perms[0], np.arange(perms.shape[1])):
         raise MalformedTableError("permutation group must list the identity first")
     gens = src.generating_sequence()
     if not gens:
-        return [(perms[0],)]
-    orders = np.lcm.reduce(orbit_lengths(np.stack([p.images for p in perms])), axis=1)
+        return perms[:1][None]
+    orders = np.lcm.reduce(orbit_lengths(perms), axis=1)
     pools = [np.flatnonzero(src.element_order(g) % orders == 0) for g in gens]
-    found = _first_morphisms(src, perms, pools, gens, bijective=False, limit=None)
-    found.sort(key=lambda f: tuple(f))
-    return [tuple(perms[i] for i in f) for f in found]
+    return perms[_first_morphisms(src, perms, pools, gens, bijective=False, limit=None)]
 
 
-def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None) -> list[Permutation]:
-    """Group isomorphisms src -> tgt (all of them, or up to `limit`)."""
+def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None) -> np.ndarray:
+    """Group isomorphisms src -> tgt (all of them, or up to `limit`), as
+    image rows (count, src.n) in lexicographic order."""
+    none = np.zeros((0, src.n), dtype=np.int64)
     if src.n != tgt.n:
-        return []
+        return none
     src_orders = src.element_orders()
     tgt_orders = tgt.element_orders()
     if sorted(src_orders.tolist()) != sorted(tgt_orders.tolist()):
-        return []
+        return none
     src_center = set(src.center())
     tgt_center = set(tgt.center())
     if len(src_center) != len(tgt_center):
-        return []
+        return none
     gens = src.generating_sequence()
     if not gens:
-        return [Permutation.identity(1)]
+        return np.zeros((1, 1), dtype=np.int64)
     pools = []
     for g in gens:
         og = int(src_orders[g])
@@ -640,20 +643,20 @@ def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None
         pools.append(
             [h for h in range(tgt.n) if int(tgt_orders[h]) == og and ((h in tgt_center) == gc)]
         )
-    found = _first_morphisms(src, tgt, pools, gens, bijective=True, limit=limit)
-    found.sort(key=lambda f: tuple(f))
-    return [Permutation.of(f) for f in found]
+    return _first_morphisms(src, tgt, pools, gens, bijective=True, limit=limit)
 
 
-_AUTOMORPHISMS: dict[bytes, tuple[Permutation, ...]] = {}
+_AUTOMORPHISMS: dict[bytes, np.ndarray] = {}
 
 
-def automorphisms(g: FiniteGroup) -> tuple[Permutation, ...]:
-    """All automorphisms, sorted lexicographically by image array; the
-    identity comes first.  Computed once per group table, by `g.key()`."""
+def automorphisms(g: FiniteGroup) -> np.ndarray:
+    """All automorphisms as read-only image rows (|Aut|, n), sorted
+    lexicographically, so the identity comes first.  This is the one form
+    of a permutation group here; it is computed once per group table, by
+    `g.key()`, and shared."""
     key = g.key()
     if key not in _AUTOMORPHISMS:
-        _AUTOMORPHISMS[key] = tuple(isomorphisms(g, g))
+        _AUTOMORPHISMS[key] = _freeze(isomorphisms(g, g))
     return _AUTOMORPHISMS[key]
 
 
@@ -693,15 +696,16 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_table(CayleyTable.of((a[:, None] + a[None, :]) % n))
 
 
-def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: Sequence[Permutation]) -> FiniteGroup:
+def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: np.ndarray) -> FiniteGroup:
     """H x| K with K acting on H: (a, x)(b, y) = (a o action[x](b), x o y).
 
-    Pair (a, x) gets index a * |K| + x. The action must be a homomorphism
-    from K into Aut(H); this is validated.
+    Pair (a, x) gets index a * |K| + x. The action is a (|K|, |H|) array,
+    row x the image array of the automorphism attached to x; it must be a
+    homomorphism from K into Aut(H), and this is validated.
     """
-    if len(action) != k.n:
+    acted = np.asarray(action, dtype=np.int64)  # acted[x, b]
+    if acted.shape != (k.n, h.n):
         raise MalformedTableError("action must assign one automorphism per element of K")
-    acted = np.stack([p.images for p in action])  # acted[x, b]
     for x in range(k.n):
         if not is_morphism(acted[x], h.table, h.table):
             raise MalformedTableError(f"action[{x}] is not an automorphism of H")
@@ -717,8 +721,7 @@ def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: Sequence[Permutatio
 
 
 def direct_product(h: FiniteGroup, k: FiniteGroup) -> FiniteGroup:
-    ident = Permutation.identity(h.n)
-    return semidirect_group(h, k, [ident] * k.n)
+    return semidirect_group(h, k, np.tile(np.arange(h.n), (k.n, 1)))
 
 
 def dicyclic_group(m: int) -> FiniteGroup:

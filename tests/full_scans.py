@@ -14,7 +14,6 @@ import numpy as np
 
 from semibrace import ybe
 from semibrace.classify import (
-    _automorphism_images,
     _merge_classes,
     _order_divides_pool,
     _structural_e_sizes,
@@ -264,7 +263,7 @@ def regular_tables(circ, gens, group, k):
     divides ord c} for every generator c, the first one included: each
     table comes once for every conjugate of rho by the stabiliser of 0."""
     n, m = circ.n, group.n
-    auts = _automorphism_images(m)[group.key()]
+    auts = automorphisms(group)
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
     for c in gens:

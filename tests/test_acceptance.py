@@ -184,14 +184,14 @@ def test_criterion_5_brace_automorphism_facts():
     ok = True
     for p in (3, 5):
         aut1 = brace_automorphism_group(brace_p2("G1", p))
-        orders1 = [sigma.order() for sigma in aut1]
+        orders1 = [Permutation.of(sigma).order() for sigma in aut1]
         ok = ok and orders1.count(2) == 1
 
         aut2 = brace_automorphism_group(brace_p2("G2", p))
-        ok = ok and 2 not in [sigma.order() for sigma in aut2]
+        ok = ok and 2 not in [Permutation.of(sigma).order() for sigma in aut2]
 
         aut4 = brace_automorphism_group(brace_p2("G4", p))
-        involutions = [sigma for sigma in aut4 if sigma.order() == 2]
+        involutions = [s for s in map(Permutation.of, aut4) if s.order() == 2]
         a = {b: _matrix_involution(p, b) for b in range(p)}
         a0 = a[0]
         for sigma in involutions:
@@ -215,7 +215,7 @@ def _trivial_g_products():
                 if e_size == 1:
                     out.append(semidirect(
                         gbrace, trivial_semibrace(cyclic_group(1)),
-                        [Permutation.identity(g_size)]))
+                        np.arange(g_size)[None]))
                     continue
                 gaut = brace_automorphism_group(gbrace)
                 for egroup in small_groups(e_size):

@@ -330,7 +330,7 @@ def _cycle_key(images):
 def test_first_pool_representatives_cover_each_class_once():
     for m in range(1, 12):
         for group in small_groups(m):
-            auts = classify._automorphism_images(m)[group.key()]
+            auts = automorphisms(group)
             hol = group.table[np.arange(m)[:, None, None], auts[None]].reshape(-1, m)
             reps = hol[classify._holomorph_representatives(m)[group.key()]]
             inverse = np.argsort(auts, axis=1)
@@ -544,14 +544,14 @@ def test_structural_census_matches_the_full_product_route(monkeypatch, n, esylow
 def _generating_set(perms):
     """Members of the permutation group `perms`, taken greedily until they
     generate all of it."""
-    gens, reached = [], {perms[0].key()}
+    gens, reached = [], {perms[0].tobytes()}
     for p in perms:
-        if p.key() in reached:
+        if p.tobytes() in reached:
             continue
         gens.append(p)
-        frontier = [q.images for q in perms if q.key() in reached]
+        frontier = [q for q in perms if q.tobytes() in reached]
         while frontier:
-            moved = [g.images[q] for q in frontier for g in gens]
+            moved = [g[q] for q in frontier for g in gens]
             frontier = [q for q in moved if q.tobytes() not in reached]
             reached.update(q.tobytes() for q in frontier)
     assert len(reached) == len(perms)
@@ -575,13 +575,12 @@ def test_automorphism_pairs_carry_products_onto_products(n):
     lists = 0
     for b1, b2, aut1, aut2, homs in _action_lists(n):
         lists += 1
-        acts = [np.stack([f.images for f in alpha]) for alpha in homs]
-        keys = {a.tobytes() for a in acts}
-        ident1, ident2 = aut1[0].images, aut2[0].images
-        pairs = [(f.images, ident2) for f in _generating_set(aut1)]
-        pairs += [(ident1, f.images) for f in _generating_set(aut2)]
+        keys = {a.tobytes() for a in homs}
+        ident1, ident2 = aut1[0], aut2[0]
+        pairs = [(f, ident2) for f in _generating_set(aut1)]
+        pairs += [(ident1, f) for f in _generating_set(aut2)]
         x1, x2 = np.divmod(np.arange(n), b2.n)
-        for act in acts:
+        for act in homs:
             src = semidirect_tables(b1.add.table, b1.circ.table, b2.add.table, b2.circ.table, act)
             for phi, psi in pairs:
                 moved = np.empty_like(act)
@@ -681,8 +680,7 @@ def test_automorphisms_are_searched_once_per_group(monkeypatch):
         return search(src, tgt, limit)
 
     def reports():
-        for cached in (small_groups, classify._automorphism_images,
-                       classify._holomorph_representatives):
+        for cached in (small_groups, classify._holomorph_representatives):
             cached.cache_clear()
         tables._AUTOMORPHISMS.clear()
         return [verify_classification(*case).to_json() for case in cases]
@@ -692,7 +690,7 @@ def test_automorphisms_are_searched_once_per_group(monkeypatch):
     assert len(searched) == len(set(searched)) == 16
 
     def per_call(g):
-        return tuple(search(g, g))
+        return search(g, g)
 
     monkeypatch.setattr(classify, "automorphisms", per_call)
     monkeypatch.setattr(core, "automorphisms", per_call)
@@ -793,7 +791,11 @@ def test_cache_file_of_another_order_is_a_logged_miss(tmp_path, caplog, enumerat
     kind = enumerate_census.__name__.split("_")[1]
     enumerate_census(n, cache_dir=tmp_path)
     (path,) = tmp_path.glob(f"{kind}-*.json")
-    path.write_text(json.dumps(census_to_json(enumerate_census(stored))))
+    # the file records the requested parameters, but its entries are of
+    # another order
+    swapped = json.loads(path.read_text())
+    swapped["entries"] = census_to_json(enumerate_census(stored))
+    path.write_text(json.dumps(swapped))
     with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
         again = enumerate_census(n, cache_dir=tmp_path)
     assert census_to_json(again) == census_to_json(enumerate_census(n))
@@ -806,6 +808,24 @@ def test_cache_separates_filters(tmp_path):
     enumerate_generic(4, emin=1, cache_dir=tmp_path)
     enumerate_generic(4, emin=2, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("generic-*.json"))) == 2
+
+
+def test_cache_file_of_another_filter_is_a_logged_miss(tmp_path, caplog):
+    # the emin=2 census (3 classes) written under the emin=1 key: the file
+    # records emin=2, so it is not returned as the 7-class census
+    want = enumerate_generic(4)
+    assert len(enumerate_generic(4, emin=2)) == 3 and len(want) == 7
+    enumerate_generic(4, emin=1, cache_dir=tmp_path)
+    enumerate_generic(4, emin=2, cache_dir=tmp_path)
+    (full,) = tmp_path.glob("generic-n4-emin1-*.json")
+    (filtered,) = tmp_path.glob("generic-n4-emin2-*.json")
+    full.write_text(filtered.read_text())
+    with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
+        again = enumerate_generic(4, cache_dir=tmp_path)
+    assert census_to_json(again) == census_to_json(want)
+    (record,) = caplog.records
+    assert str(full) in record.getMessage()
+    assert "'emin': 2" in record.getMessage()
 
 
 def _order_divides_by_filter(n, k):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibrace import tables
-from semibrace.classify import SUPPORTED_GROUP_ORDERS, small_groups
+from semibrace.classify import SUPPORTED_GROUP_ORDERS, group_isomorphic, small_groups
 from semibrace.construct import family
 from semibrace.core import SemiBraceAxiomError, verify
 from semibrace.tables import (
@@ -45,7 +45,7 @@ def s3_table():
 def left_regular(g):
     """L_h(x) = h o x, one permutation per element: row h of the table.
     L_a . L_b = L_(a o b), so homomorphisms into it are those into g."""
-    return tuple(Permutation.of(row) for row in g.table)
+    return g.table
 
 
 def test_s3_is_group_by_brute_force_agreement():
@@ -117,13 +117,13 @@ def test_automorphisms_z4_and_gl23():
     auts = automorphisms(z3z3)
     assert len(auts) == 48  # (9-1)(9-3)
     # sorted lexicographically by image arrays
-    keys = [tuple(a.images) for a in auts]
+    keys = [tuple(a) for a in auts.tolist()]
     assert keys == sorted(keys)
 
 
 def test_automorphisms_closed_under_composition_and_inverse():
     g = dicyclic_group(2)  # quaternion group
-    auts = automorphisms(g)
+    auts = [Permutation.of(row) for row in automorphisms(g)]
     keys = {a.key() for a in auts}
     assert len(auts) == 24  # Aut(Q8) = S4
     for a in auts[:6]:
@@ -176,14 +176,14 @@ def _actions_by_brute_force(k, auts):
                     nxt.append(y)
         frontier = nxt
     assert len(words) == k.n
-    n = auts[0].n
+    n = auts.shape[1]
     found = []
     for choice in itertools.product(auts, repeat=len(gens)):
         f = []
         for x in range(k.n):
             img = np.arange(n)
             for gi in words[x]:
-                img = img[choice[gi].images]
+                img = img[choice[gi]]
             f.append(img)
         if all(
             np.array_equal(f[k.mul(a, b)], f[a][f[b]]) for a in range(k.n) for b in range(k.n)
@@ -202,8 +202,8 @@ def test_homomorphisms_into_automorphisms_match_brute_force():
             for k_order in range(1, 7):
                 for k in small_groups(k_order):
                     got = [
-                        tuple(tuple(p.images.tolist()) for p in action)
-                        for action in homomorphisms(k, auts)
+                        tuple(tuple(row) for row in action)
+                        for action in homomorphisms(k, auts).tolist()
                     ]
                     assert got == _actions_by_brute_force(k, auts)
 
@@ -220,8 +220,8 @@ def test_homomorphisms_from_order_twelve_match_brute_force():
             for x in small_groups(m):
                 target = left_regular(x)
                 got = [
-                    tuple(tuple(p.images.tolist()) for p in action)
-                    for action in homomorphisms(k, target)
+                    tuple(tuple(row) for row in action)
+                    for action in homomorphisms(k, target).tolist()
                 ]
                 assert got == _actions_by_brute_force(k, target)
 
@@ -247,8 +247,9 @@ def test_involutions_of_gl27():
     assert len(auts) == 2016
     actions = homomorphisms(cyclic_group(2), auts)
     assert len(actions) == 58
-    assert all(a[0].is_identity() for a in actions)
-    assert sorted(a[1].key() for a in actions) == sorted(p.key() for p in auts if p.order() <= 2)
+    assert (actions[:, 0] == np.arange(49)).all()
+    involutions = [Permutation.of(p).order() <= 2 for p in auts]
+    assert sorted(a.tobytes() for a in actions[:, 1]) == sorted(p.tobytes() for p in auts[involutions])
 
 
 def test_cycle_lengths_give_the_order_of_every_catalogue_automorphism():
@@ -257,8 +258,8 @@ def test_cycle_lengths_give_the_order_of_every_catalogue_automorphism():
     for n in range(1, 13):
         for g in small_groups(n):
             auts = automorphisms(g)
-            orders = np.lcm.reduce(orbit_lengths(np.stack([a.images for a in auts])), axis=1)
-            assert orders.tolist() == [a.order() for a in auts]
+            orders = np.lcm.reduce(orbit_lengths(auts), axis=1)
+            assert orders.tolist() == [Permutation.of(a).order() for a in auts]
 
 
 def test_homomorphisms_need_identity_first():
@@ -270,7 +271,7 @@ def test_homomorphisms_need_identity_first():
 def test_homomorphisms_reject_an_unclosed_list():
     # C3 -> <(0 1 2)> sends 1 to the 3-cycle and 2 to its square, which the
     # list lacks
-    perms = [Permutation.identity(3), Permutation.of([1, 2, 0])]
+    perms = np.array([[0, 1, 2], [1, 2, 0]])
     with pytest.raises(MalformedTableError, match="not closed"):
         homomorphisms(cyclic_group(3), perms)
 
@@ -279,11 +280,11 @@ def test_homomorphisms_accept_any_list_order():
     # GL(2, 3) with the identity first and the rest reversed: the same
     # actions, ordered by the positions of their images in the given list
     auts = automorphisms(direct_product(cyclic_group(3), cyclic_group(3)))
-    shuffled = (auts[0], *reversed(auts[1:]))
-    pos = {p.key(): i for i, p in enumerate(shuffled)}
+    shuffled = np.concatenate([auts[:1], auts[:0:-1]])
+    pos = {p.tobytes(): i for i, p in enumerate(shuffled)}
     for k in (*small_groups(2), *small_groups(3), *small_groups(4)):
-        got = [tuple(p.key() for p in action) for action in homomorphisms(k, shuffled)]
-        want = [tuple(p.key() for p in action) for action in homomorphisms(k, auts)]
+        got = [tuple(p.tobytes() for p in action) for action in homomorphisms(k, shuffled)]
+        want = [tuple(p.tobytes() for p in action) for action in homomorphisms(k, auts)]
         assert got == sorted(want, key=lambda action: [pos[key] for key in action])
 
 
@@ -340,26 +341,45 @@ def test_generating_sequence_is_the_greedy_one_and_its_trees_cover_each_prefix()
 def test_isomorphisms_distinguish_z4_from_v4():
     z4 = cyclic_group(4)
     v4 = direct_product(cyclic_group(2), cyclic_group(2))
-    assert isomorphisms(z4, v4) == []
+    assert len(isomorphisms(z4, v4)) == 0
     assert len(isomorphisms(z4, z4)) == 2
+
+
+def test_permutation_groups_are_read_only_sorted_image_rows():
+    # `automorphisms` shares one array per group table, so it must be
+    # read-only; its rows are sorted, with the identity first
+    for n in (1, 6, 8, 9):
+        for g in small_groups(n):
+            auts = automorphisms(g)
+            assert auts.dtype == np.int64 and auts.shape[1] == n
+            assert np.array_equal(auts[0], np.arange(n))
+            assert auts.tolist() == sorted(auts.tolist())
+            with pytest.raises(ValueError):
+                auts[0, 0] = 1
+    z4, v4 = cyclic_group(4), direct_product(cyclic_group(2), cyclic_group(2))
+    assert homomorphisms(cyclic_group(1), automorphisms(v4)).shape == (1, 1, 4)
+    # an empty result is an array of shape (0, n), and bool() of a larger
+    # array raises, so callers test its length
+    assert isomorphisms(z4, v4).shape == (0, 4)
+    assert group_isomorphic(z4, v4) is False
+    assert group_isomorphic(v4, direct_product(cyclic_group(2), cyclic_group(2))) is True
 
 
 def test_semidirect_group_builds_s3():
     z3, z2 = cyclic_group(3), cyclic_group(2)
-    inversion = Permutation.of([0, 2, 1])
-    d3 = semidirect_group(z3, z2, [Permutation.identity(3), inversion])
+    d3 = semidirect_group(z3, z2, np.array([[0, 1, 2], [0, 2, 1]]))
     assert len(isomorphisms(d3, FiniteGroup.from_table(s3_table()))) > 0
 
 
 def test_semidirect_group_rejects_non_action():
     z3, z2 = cyclic_group(3), cyclic_group(2)
-    not_auto = Permutation.of([1, 0, 2])  # moves the identity
+    ident, not_auto = [0, 1, 2], [1, 0, 2]  # the second moves the identity
     with pytest.raises(MalformedTableError):
-        semidirect_group(z3, z2, [Permutation.identity(3), not_auto])
+        semidirect_group(z3, z2, np.array([ident, not_auto]))
     # both maps are automorphisms, but the identity of Z2 must act trivially
-    inversion = Permutation.of([0, 2, 1])
+    inversion = [0, 2, 1]
     with pytest.raises(MalformedTableError, match="not a homomorphism"):
-        semidirect_group(z3, z2, [inversion, inversion])
+        semidirect_group(z3, z2, np.array([inversion, inversion]))
 
 
 def test_dicyclic_table_matches_presentation():

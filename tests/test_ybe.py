@@ -17,12 +17,12 @@ from semibrace.construct import (
     trivial_semibrace,
     trivial_skewbrace,
 )
-from semibrace.tables import MalformedTableError, cyclic_group, semidirect_group, Permutation
+from semibrace.tables import MalformedTableError, cyclic_group, semidirect_group
 from semibrace.ybe import SolutionMap, check_braid, check_properties, solution_from
 
 
 def s3_group():
-    act = [Permutation.of([0, 1, 2]), Permutation.of([0, 2, 1])]
+    act = np.array([[0, 1, 2], [0, 2, 1]])
     return semidirect_group(cyclic_group(3), cyclic_group(2), act)
 
 
