@@ -61,10 +61,10 @@ def solution_from(b: SemiBrace) -> SolutionMap:
 
 
 # Triples (x, y, z) per block of consecutive x.  check_braid allocates the
-# block's work arrays once per call: four uint32 arrays and one intp array
-# of at most BRAID_SLAB entries each, 1.5 MB in all, so up to n = 256 a
-# block stays in cache; above that a block is one x and its arrays grow
-# with n^2.
+# block's work arrays once per call: four word arrays and two intp arrays
+# of at most BRAID_SLAB entries each, 1.5 MB in all with the 16-bit words of
+# n <= 256, so up to n = 256 a block stays in cache; above that a block is
+# one x and its arrays grow with n^2.
 BRAID_SLAB = 1 << 16
 
 
@@ -72,54 +72,57 @@ def check_braid(s: SolutionMap) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """(r x id)(id x r)(r x id) = (id x r)(r x id)(id x r) on all triples;
     returns the first failing (x, y, z) lexicographically, if any.
 
-    r is packed into one uint32 table, p(x, y) = a(x, y) | b(x, y) << 16,
+    r is packed into one table of words p(x, y) = a(x, y) | b(x, y) << h:
+    16-bit words with h = 8 when n <= 256, else 32-bit words with h = 16,
     which is exact for n < 2^16 (above that r alone would take 64 GB, so a
     MemoryError is raised).  The triples are scanned in blocks of
     consecutive x, each at most BRAID_SLAB triples (one x at least).  With
-    u, v = r(x, y), a block reads the rows p(v, .) and three gathers of
-    both components at once: p(u, a(v, z)), p(x, a(y, z)) and
-    p(b(x, a(y, z)), b(y, z)).  The braid relation holds at (x, y, z)
-    exactly when the low halves of the first two words agree and the third
-    word equals b(u, a(v, z)) | b(v, z) << 16.
+    u, v = r(x, y), a block gathers both sides' last steps as whole words:
+    p(u, a(v, z)), at u n + a(v, z) with a(v, z) from the rows a(v, .),
+    and p(b(x, a(y, z)), b(y, z)), from the copied rows p(b(x, w), .) at
+    the index a(y, z) n + b(y, z), which is the same for every x.  The
+    braid relation holds at (x, y, z) exactly when the low half of the
+    first word is a(x, a(y, z)), gathered from x's row a(x, .), and its
+    high half with b(v, z) << h, from the rows of b << h, makes the second.
 
     The block's arrays are allocated once and refilled in place, since
     fresh ones would page-fault on every block.  The gathers use
     mode="clip", which writes into `out` without numpy's buffered copy;
     it never moves an index, because SolutionMap.of keeps every entry in
-    range(n) and so every index in range(n) or range(n * n)."""
+    range(n) and so every index in range(rows * n * n)."""
     n = s.n
     if n >= 1 << 16:
         raise MemoryError(f"braid check: n = {n} is at least 2^16")
-    a = np.ascontiguousarray(s.r[:, :, 0])
-    b = np.ascontiguousarray(s.r[:, :, 1])
-    p = a.astype(np.uint32)
-    p |= b.astype(np.uint32) << 16
-    flat = p.ravel()
+    word, h = (np.uint16, 8) if n <= 256 else (np.uint32, 16)
+    a = s.r[:, :, 0].astype(np.intp)
+    b = s.r[:, :, 1]
+    a_w, b_h = a.astype(word), b.astype(word) << h
+    p = a_w | b_h
     a_n = a * n  # a(x, y) n, the row offset of p(a(x, y), .)
     rows = min(n, max(1, BRAID_SLAB // (n * n)))
-    buffers = [np.empty((rows, n, n), dtype=t) for t in (np.uint32,) * 4 + (np.intp,)]
+    # index of p(b(x, a(y, z)), b(y, z)) in the rows copied for block row x
+    ab = (a_n + b) + np.arange(0, rows * n * n, n * n)[:, None, None]
+    buffers = [np.empty((rows, n, n), dtype=t) for t in (word,) * 4 + (np.intp,)]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        # arrays indexed [x - start, y, z]
-        pv, w1, w2, w3, i = (buf[: stop - start] for buf in buffers)
-        np.take(p, b[start:stop], axis=0, out=pv, mode="clip")  # p(v, z)
-        np.bitwise_and(pv, 0xFFFF, out=i)
+        # arrays indexed [x - start, y, z], copied rows [x - start, w, t]
+        left, right, first, copy, i = (buf[: stop - start] for buf in buffers)
+        v = b[start:stop]
+        np.take(a, v, axis=0, out=i, mode="clip")  # a(v, z)
         i += a_n[start:stop, :, None]
-        np.take(flat, i, out=w1, mode="clip")  # p(u, a(v, z))
-        np.take(p[start:stop], a, axis=1, out=w2, mode="clip")  # p(x, a(y, z))
-        np.right_shift(w2, 16, out=i)
-        i *= n
-        i += b
-        np.take(flat, i, out=w3, mode="clip")  # p(b(x, a(y, z)), b(y, z))
-        w2 ^= w1
-        w2 <<= 16  # nonzero where the first components differ
-        w1 >>= 16
-        pv &= 0xFFFF0000
-        w1 |= pv  # b(u, a(v, z)) | b(v, z) << 16
-        w1 ^= w3
-        w1 |= w2
-        if w1.any():
-            x, y, z = (int(t) for t in np.argwhere(w1)[0])
+        np.take(p, i, out=left, mode="clip")  # p(u, a(v, z))
+        np.take(p, v, axis=0, out=copy, mode="clip")  # p(b(x, w), t)
+        np.take(copy, ab[: stop - start], out=right, mode="clip")  # p(b(x, a(y, z)), b(y, z))
+        np.take(a_w[start:stop], a, axis=1, out=first, mode="clip")  # a(x, a(y, z))
+        np.take(b_h, v, axis=0, out=copy, mode="clip")  # b(v, z) << h
+        first ^= left
+        first <<= h  # nonzero where the first components differ
+        left >>= h
+        left |= copy  # b(u, a(v, z)) | b(v, z) << h
+        left ^= right
+        left |= first
+        if left.any():
+            x, y, z = (int(t) for t in np.argwhere(left)[0])
             return False, (start + x, y, z)
     return True, None
 

@@ -178,9 +178,10 @@ def check_braid(r: np.ndarray):
 
 
 def check_braid_blocks(s):
-    """The previous `ybe.check_braid`, kept verbatim but for reading
-    ybe.BRAID_SLAB: blocks of consecutive x, six int64 gathers per block
-    and fresh arrays for every block."""
+    """The unpacked block kernel of `ybe.check_braid`, from before r was
+    packed into words, kept verbatim but for reading ybe.BRAID_SLAB: blocks
+    of consecutive x, six int64 gathers per block and fresh arrays for
+    every block."""
     n = s.n
     a, bb = s.r[:, :, 0].ravel(), s.r[:, :, 1].ravel()  # a[x * n + y] = a(x, y)
     a2, b2 = a.reshape(n, n), bb.reshape(n, n)

@@ -36,7 +36,7 @@ from semibrace.core import (
     verify,
 )
 from semibrace.tables import cyclic_group, dicyclic_group
-from semibrace.ybe import solution_from
+from semibrace.ybe import check_braid, solution_from
 
 
 def is_trivial_action(alpha):
@@ -278,6 +278,22 @@ def test_verify_at_578_is_small():
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert (again.n, len(again.e_elements), len(again.g_elements)) == (578, 2, 289)
+
+
+def test_braid_check_at_242_is_small():
+    # The benchmark's 2p2 structure at p = 11: 16-bit words and one x per
+    # block, 1.34 MiB of block arrays.  A whole call peaked at 2.63 MiB by
+    # tracemalloc; the full scan would hold several 242**3 int64 arrays,
+    # 108 MiB each.
+    s = solution_from(family(FamilyId("2p2-E2-noncyclic", 5, 11)))
+    tracemalloc.start()
+    try:
+        holds = check_braid(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds == (True, None)
+    assert peak < 3 * 2 ** 20
 
 
 def test_verify_leaves_numpy_ma_unloaded():

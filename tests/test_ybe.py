@@ -73,19 +73,28 @@ def test_braid_failure_detected_with_witness():
     assert not ok and witness == (0, 0, 0)
 
 
+def _braid_sides(s, x, y, z):
+    """Both sides of the braid relation at (x, y, z), one r at a time."""
+    u, v = s.apply(x, y)
+    w1, z1 = s.apply(v, z)
+    lhs = (*s.apply(u, w1), z1)
+    w2, z2 = s.apply(y, z)
+    u2, v2 = s.apply(x, w2)
+    rhs = (u2, *s.apply(v2, z2))
+    return lhs, rhs
+
+
+def _flip_map(n):
+    """The flip solution r(x, y) = (y, x) as an (n, n, 2) array."""
+    idx = np.arange(n)
+    return np.stack(np.broadcast_arrays(idx[None, :], idx[:, None]), axis=-1)
+
+
 def _braid_by_loops(s):
-    n = s.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                u, v = s.apply(x, y)
-                w1, z1 = s.apply(v, z)
-                lhs = (*s.apply(u, w1), z1)
-                w2, z2 = s.apply(y, z)
-                u2, v2 = s.apply(x, w2)
-                rhs = (u2, *s.apply(v2, z2))
-                if lhs != rhs:
-                    return False, (x, y, z)
+    for x, y, z in itertools.product(range(s.n), repeat=3):
+        lhs, rhs = _braid_sides(s, x, y, z)
+        if lhs != rhs:
+            return False, (x, y, z)
     return True, None
 
 
@@ -190,8 +199,7 @@ def test_braid_at_block_boundaries(monkeypatch):
     rng = np.random.default_rng(14)
     positions = set()
     for n in range(2, 8):
-        idx = np.arange(n)
-        flip = np.stack(np.broadcast_arrays(idx[None, :], idx[:, None]), axis=-1)
+        flip = _flip_map(n)
         for slab in (n * n, 2 * n * n, 3 * n * n - 1, n ** 3):
             monkeypatch.setattr(ybe, "BRAID_SLAB", slab)
             rows = slab // (n * n)
@@ -251,8 +259,7 @@ def test_packed_braid_matches_block_reference_past_the_first_block():
     # later block.
     rng = np.random.default_rng(6)
     n = 242
-    idx = np.arange(n)
-    flip = np.stack(np.broadcast_arrays(idx[None, :], idx[:, None]), axis=-1)
+    flip = _flip_map(n)
     got = []
     for _ in range(3):
         r = flip.copy()
@@ -262,7 +269,59 @@ def test_packed_braid_matches_block_reference_past_the_first_block():
         s = SolutionMap.of(r)
         got.append(check_braid(s))
         assert got[-1] == full_scans.check_braid_blocks(s)
+        # the witness is genuine: the two sides, applied literally, differ there
+        lhs, rhs = _braid_sides(s, *got[-1][1])
+        assert lhs != rhs, got[-1]
     assert all(not ok and witness[0] > 0 for ok, witness in got), got
+
+
+@pytest.mark.parametrize("n", (256, 257))
+def test_braid_at_the_word_width_boundary(n):
+    # n = 256 is the last order packed into 16-bit words and n = 257 the
+    # first in 32-bit words.  r(x, y) = (s(y), t(x)) with s(x) = x + 1 and
+    # t(x) = x + 2 mod n is a solution because s and t commute.  Each
+    # corruption writes n - 1, the largest entry, or touches row or column
+    # n - 1.  The flip map r(x, y) = (y, x) with r(0, 0) = (n - 1, 0) and
+    # r(n - 1, 0) = (0, 0) fails first in the last block.
+    idx = np.arange(n)
+    r = np.stack(np.broadcast_arrays((idx[None, :] + 1) % n, (idx[:, None] + 2) % n), axis=-1)
+    assert check_braid(SolutionMap.of(r)) == (True, None)
+    flip = _flip_map(n)
+    flip[0, 0, 0], flip[n - 1, 0, 1] = n - 1, 0
+    maps = [flip]
+    for x, y, k, value in ((0, 0, 0, n - 1), (n - 1, n - 1, 1, n - 1), (n - 1, 3, 0, 0),
+                           (5, n - 1, 1, n - 1), (n - 2, n - 1, 0, 7)):
+        bad = r.copy()
+        bad[x, y, k] = value
+        maps.append(bad)
+    got = [check_braid(SolutionMap.of(m)) for m in maps]
+    assert got == [full_scans.check_braid_blocks(SolutionMap.of(m)) for m in maps]
+    assert not any(ok for ok, _ in got) and got[0][1][0] == n - 1, got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_braid_verdict_is_invariant_under_relabelling(n, flip, seed):
+    # a random map, or a flip map r(x, y) = (y, x) with up to three cells
+    # overwritten; every seeded relabelling x -> perm[x] gets the same
+    # verdict, and each witness is a triple where the two sides differ
+    rng = np.random.default_rng(seed)
+    if flip:
+        r = _flip_map(n)
+        for _ in range(rng.integers(0, 4)):
+            r[rng.integers(n), rng.integers(n), rng.integers(2)] = rng.integers(n)
+    else:
+        r = rng.integers(0, n, size=(n, n, 2))
+    holds, _ = check_braid(SolutionMap.of(r))
+    for _ in range(3):
+        perm = rng.permutation(n)
+        inv = np.argsort(perm)
+        s = SolutionMap.of(perm[r[np.ix_(inv, inv)]])
+        ok, witness = check_braid(s)
+        assert ok == holds
+        if witness is not None:
+            lhs, rhs = _braid_sides(s, *witness)
+            assert lhs != rhs, witness
 
 
 def test_braid_refuses_unpackable_order():
