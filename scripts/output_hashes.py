@@ -102,7 +102,7 @@ def iso_witness_hash(seed: int = 1) -> str:
         tables = family(FamilyId(theorem, item, p)).to_json()
         perm = workloads.relabel_perm(seed, name, tables["n"])
         files.append(semibrace_from_json(workloads.relabel_tables(tables, perm)))
-    return json_hash(isomorphic(*files).images.tolist())
+    return json_hash(isomorphic(*files).tolist())
 
 
 def iso_witnesses_hash(seed: int = 1) -> str:
@@ -113,7 +113,7 @@ def iso_witnesses_hash(seed: int = 1) -> str:
         fams = [family(fid) for fid in fids]
         for fid, b in zip(fids, fams):
             copy = b.relabel(workloads.relabel_perm(seed, f"{fid.theorem}[{fid.item}] p={p} q={q}", b.n))
-            value.append(isomorphic(b, copy).images.tolist())
+            value.append(isomorphic(b, copy).tolist())
         for i, b in enumerate(fams):
             value += [isomorphic(b, other) for other in fams[i + 1:]]
     return json_hash(value)
@@ -199,12 +199,12 @@ def survivors_hash() -> str:
         table.tobytes()
         for n in range(1, 16) for circ in small_groups(n)
         for emin, esylow in ((1, False), (2, True))
-        for table in _survivor_tables(circ, emin, esylow, pruned=True)
+        for table in _survivor_tables(circ, emin, esylow)
     ))
 
 
 def funnel(n: int = 8) -> list[int]:
-    survivors = sum(len(_survivor_tables(circ, 1, False, pruned=True)) for circ in small_groups(n))
+    survivors = sum(len(_survivor_tables(circ, 1, False)) for circ in small_groups(n))
     return [survivors, len(enumerate_generic(n))]
 
 

@@ -41,7 +41,6 @@ from .core import (
     ParameterError,
     SemiBrace,
     brace_automorphism_group,
-    endomorphic_rows,
     isomorphic,
     semibrace_from_json,
     semidirect_tables,
@@ -50,11 +49,8 @@ from .core import (
 from .tables import (
     FiniteGroup,
     MalformedTableError,
-    ROW_BATCH,
     _bfs_tree,
     _compose_rows,
-    _homomorphic_rows,
-    _lambda_rows,
     _search_morphisms,
     automorphisms,
     cyclic_group,
@@ -67,9 +63,6 @@ from .tables import (
 )
 
 GENERIC_BOUND = 10
-UNPRUNED_BOUND = 6
-
-ALL_TAGS = PQ_THEOREMS + TWO_P2_THEOREMS + ("2p2",)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +201,6 @@ def _sylow_sizes(n: int) -> frozenset[int]:
 # permutation pools for the generic enumerator
 
 
-@lru_cache(maxsize=None)
-def _all_perms(n: int) -> np.ndarray:
-    """All permutations of range(n), lexicographic, shape (n!, n), int8."""
-    if n == 1:
-        out = np.zeros((1, 1), dtype=np.int8)
-        out.setflags(write=False)
-        return out
-    sub = _all_perms(n - 1)
-    blocks = []
-    for first in range(n):
-        rest = (sub + (sub >= first)).astype(np.int8)
-        head = np.full((sub.shape[0], 1), first, dtype=np.int8)
-        blocks.append(np.hstack([head, rest]))
-    out = np.ascontiguousarray(np.vstack(blocks))
-    out.setflags(write=False)
-    return out
-
-
 def _arrangements(values: np.ndarray, r: int) -> np.ndarray:
     """All ordered r-tuples of distinct entries of `values`, shape (count, r)."""
     out = np.zeros((1, 0), dtype=values.dtype)
@@ -238,8 +213,9 @@ def _arrangements(values: np.ndarray, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _order_divides_pool(n: int, k: int) -> np.ndarray:
-    """Permutations of range(n) whose order divides k, that is, whose cycle
-    lengths all divide k; lexicographic, shape (count, n), int8, read-only.
+    """The permutations of range(n) whose order divides k, that is, whose
+    cycle lengths all divide k; lexicographic, shape (count, n), int8,
+    read-only.
 
     Each is built once, by cycle type: the cycle of 0 has some length m
     dividing k, and its other m - 1 elements, in cycle order, are an
@@ -316,28 +292,6 @@ def _holomorph_representatives(m: int) -> dict[bytes, np.ndarray]:
     return out
 
 
-def _add_rows(circ: FiniteGroup, lam: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """add[r, i, b] = a + b = a o lam_{a^-}(b) for a = elements[i]; each
-    a^- must lie where lam is set."""
-    tab8 = circ.table.astype(np.int8)
-    return tab8[elements[None, :, None], lam[:, circ.inverse[elements], :]]
-
-
-def _lambda_maps(circ: FiniteGroup, gens: list[int]) -> Iterator[np.ndarray]:
-    """Blocks (rows, n, n) of every homomorphism lam: (B, o) -> Sym(B),
-    closed along the BFS tree of `gens`, which must generate B: every tuple
-    of generator images from Sym(n) is tried, ROW_BATCH tuples at a time."""
-    n = circ.n
-    perms = _all_perms(n)
-    tree = _bfs_tree(circ, gens)
-    shape = (perms.shape[0],) * len(gens)
-    total = math.prod(shape)
-    for start in range(0, total, ROW_BATCH):
-        picks = np.unravel_index(np.arange(start, min(start + ROW_BATCH, total)), shape)
-        lam = _lambda_rows(n, tree, [perms[p] for p in picks], _compose_rows)
-        yield lam[_homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)]
-
-
 def _regular_tables(
     circ: FiniteGroup, gens: list[int], group: FiniteGroup, k: int
 ) -> Iterator[np.ndarray]:
@@ -372,12 +326,10 @@ def _regular_tables(
         yield pulled.astype(np.int8)
 
 
-def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -> list[np.ndarray]:
+def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool) -> list[np.ndarray]:
     """Addition tables of every semi-brace (B, +, o) whose circle table is
-    `circ` and whose idempotent count |E| passes the filter.  Unpruned, each
-    lambda map from `_lambda_maps` is tested by `core.endomorphic_rows`, in
-    the order they come.  Pruned, the tables are built from regular
-    embeddings and returned sorted by their bytes, on these facts:
+    `circ` and whose idempotent count |E| passes the filter, built from
+    regular embeddings and returned sorted by their bytes, on these facts:
 
     - Right group.  A finite left cancellative (B, +) has a + B = B.  An
       idempotent e is a left identity (e + e + x = e + x, cancel e), so E,
@@ -426,26 +378,17 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool, pruned: bool) -
     gens = circ.generating_sequence()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
-    if pruned:
-        found: set[bytes] = set()
-        for k in range(1, n + 1):
-            if n % k or not allowed[k]:
-                continue
-            if k == n:
-                found.add(np.arange(n, dtype=np.int8).tobytes() * n)
-                continue
-            for group in small_groups(n // k):
-                for block in _regular_tables(circ, gens, group, k):
-                    found.update(table.tobytes() for table in block)
-        return [np.frombuffer(key, np.int8).reshape(n, n).astype(np.int64) for key in sorted(found)]
-    arange_n = np.arange(n)
-    out: list[np.ndarray] = []
-    for lam in _lambda_maps(circ, gens):
-        add = _add_rows(circ, lam, arange_n)
-        emask = allowed[(add[:, arange_n, arange_n] == arange_n).sum(axis=1)]
-        add, lam = add[emask], lam[emask]
-        out.extend(table.astype(np.int64) for table in add[endomorphic_rows(lam, add, gens)])
-    return out
+    found: set[bytes] = set()
+    for k in range(1, n + 1):
+        if n % k or not allowed[k]:
+            continue
+        if k == n:
+            found.add(np.arange(n, dtype=np.int8).tobytes() * n)
+            continue
+        for group in small_groups(n // k):
+            for block in _regular_tables(circ, gens, group, k):
+                found.update(table.tobytes() for table in block)
+    return [np.frombuffer(key, np.int8).reshape(n, n).astype(np.int64) for key in sorted(found)]
 
 
 def _orbit_representatives(circ: FiniteGroup, tables: list[np.ndarray]) -> list[SemiBrace]:
@@ -477,7 +420,6 @@ def enumerate_generic(
     n: int,
     emin: int = 1,
     esylow: bool = False,
-    pruned: bool = True,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> list[CensusEntry]:
     """Complete census of semi-braces of order n (up to isomorphism) whose
@@ -488,16 +430,14 @@ def enumerate_generic(
         raise ParameterError("n and emin must be positive")
     if n > GENERIC_BOUND:
         raise ParameterError(f"generic enumeration is bounded at n <= {GENERIC_BOUND}")
-    if not pruned and n > UNPRUNED_BOUND:
-        raise ParameterError(f"the unpruned sweep is bounded at n <= {UNPRUNED_BOUND}")
     params = dict(enumerator="generic", n=n, emin=emin, esylow=esylow)
-    key = _cache_key(params, pruned=pruned)
+    key = _cache_key(params)
     cached = _cache_load(cache_dir, key, params)
     if cached is not None:
         return cached
     entries = []
     for gi, group in enumerate(small_groups(n)):
-        for b in _orbit_representatives(group, _survivor_tables(group, emin, esylow, pruned)):
+        for b in _orbit_representatives(group, _survivor_tables(group, emin, esylow)):
             entries.append(CensusEntry(semibrace=b, provenance=f"generic:n={n}:group{gi}"))
     entries.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
     _cache_store(cache_dir, key, params, entries)
@@ -803,14 +743,11 @@ def _code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def _cache_key(params: dict, pruned: Optional[bool] = None) -> str:
+def _cache_key(params: dict) -> str:
     """The file name of the census built with `params` (enumerator, n, emin
     and esylow, which the file records too)."""
     parts = [params["enumerator"], *(f"{k}{int(params[k])}" for k in ("n", "emin", "esylow"))]
-    if pruned is not None:
-        parts.append(f"pruned{int(pruned)}")
-    parts.append(_code_version())
-    return "-".join(parts) + ".json"
+    return "-".join([*parts, _code_version()]) + ".json"
 
 
 def _cache_load(cache_dir, key: str, params: dict) -> Optional[list[CensusEntry]]:

@@ -259,10 +259,10 @@ def cmd_iso(args) -> int:
     witness = isomorphic(b1, b2)
     payload = {
         "isomorphic": witness is not None,
-        "witness": witness.images.tolist() if witness is not None else None,
+        "witness": witness.tolist() if witness is not None else None,
     }
     lines = (
-        [f"isomorphic, witness {witness.images.tolist()}"]
+        [f"isomorphic, witness {witness.tolist()}"]
         if witness is not None
         else ["not isomorphic"]
     )

@@ -24,7 +24,6 @@ from .tables import (
     CayleyTable,
     FiniteGroup,
     MalformedTableError,
-    Permutation,
     _first_morphisms,
     _freeze,
     automorphisms,
@@ -110,10 +109,10 @@ class SemiBrace:
         return tuple(sorted(self.signatures))
 
     def relabel(self, perm) -> "SemiBrace":
-        perm = np.asarray(perm, dtype=np.int64)
+        add = self.add.relabel(perm)  # rejects a non-permutation first
         if perm[0] != 0:
             raise MalformedTableError("relabeling must keep the identity at 0")
-        return verify(self.add.relabel(perm).table, self.circ.op.relabel(perm).table)
+        return verify(add.table, self.circ.op.relabel(perm).table)
 
     def to_json(self) -> dict:
         return {"n": self.n, "add": self.add.table.tolist(), "circ": self.circ.table.tolist()}
@@ -148,8 +147,8 @@ def endomorphic_rows(lam: np.ndarray, add: np.ndarray, gens) -> np.ndarray:
     Any table pair has a + b = a o lam_{a^-}(b) for lam_a(b) := a o (a^- + b).
     If lam_0 = id and lam_(x o g) = lam_x . lam_g for all x and g in S, lam
     is a homomorphism, so + is left cancellative and 0 + b = b.  The lambda
-    map of a semi-brace has these properties, so `verify` and the generic
-    sweep decide validity by them and this test on S."""
+    map of a semi-brace has these properties, so `verify` decides validity
+    by them and this test on S."""
     rows, n, _ = add.shape
     flat = add.reshape(rows, n * n)
     ok = np.ones(rows, dtype=bool)
@@ -241,18 +240,18 @@ def semibrace_from_json(obj) -> SemiBrace:
 # isomorphism testing
 
 
-def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
+def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[np.ndarray]:
     """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
-    or None.  Equal tables short-circuit to the identity witness, and
-    unequal signature multisets rule an isomorphism out.  Otherwise the
-    witness is the first circle-group isomorphism, in generator-image
-    order, that also preserves +, with each generator's images drawn from
-    the elements of its signature; equal multisets make every pool
-    non-empty."""
+    as a read-only int64 image array, or None.  Equal tables short-circuit
+    to the identity witness, and unequal signature multisets rule an
+    isomorphism out.  Otherwise the witness is the first circle-group
+    isomorphism, in generator-image order, that also preserves +, with each
+    generator's images drawn from the elements of its signature; equal
+    multisets make every pool non-empty."""
     if b1.n != b2.n:
         return None
     if b1.key() == b2.key():
-        return Permutation.identity(b1.n)
+        return _freeze(np.arange(b1.n))
     if b1.signature_key != b2.signature_key:
         return None
     gens = b1.circ.generating_sequence()
@@ -265,7 +264,7 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[Permutation]:
     found = _first_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
     )
-    return Permutation.of(found[0]) if len(found) else None
+    return _freeze(found[0]) if len(found) else None
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,7 @@ class SemidirectData:
     brace: SemiBrace  # the skew brace factor G, relabeled
     trivial_group: FiniteGroup  # the circle group of the trivial factor E
     alpha: np.ndarray
-    witness: Permutation  # isomorphism from the original B onto `product`
+    witness: np.ndarray  # read-only image array of an isomorphism from B onto `product`
     product: SemiBrace
 
 
@@ -621,7 +620,7 @@ def decompose(b: SemiBrace) -> Optional[SemidirectData]:
         brace=gp.semibrace,
         trivial_group=ep.group,
         alpha=alpha,
-        witness=Permutation.of(f),
+        witness=_freeze(f),
         product=product,
     )
 
@@ -676,6 +675,6 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
         brace=gp.semibrace,
         trivial_group=ep.group,
         alpha=alpha,
-        witness=Permutation.of(f),
+        witness=_freeze(f),
         product=product,
     )

@@ -51,10 +51,12 @@ class CayleyTable:
         return int(self.table[a, b])
 
     def relabel(self, perm: np.ndarray) -> "CayleyTable":
-        """Transport the operation along x -> perm[x]."""
+        """Transport the operation along x -> perm[x], a permutation of
+        range(n)."""
         perm = np.asarray(perm, dtype=np.int64)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n)
+        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
+            raise MalformedTableError(f"relabelling is not a permutation of range({self.n})")
+        inv = np.argsort(perm)
         new = perm[self.table[np.ix_(inv, inv)]]
         return CayleyTable(n=self.n, table=_freeze(new))
 
@@ -72,54 +74,6 @@ class CayleyTable:
         if t.n != obj["n"]:
             raise MalformedTableError(f"declared n={obj['n']} but table has n={t.n}")
         return t
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of 0..n-1 stored as its image array."""
-
-    images: np.ndarray
-
-    @classmethod
-    def of(cls, images) -> "Permutation":
-        arr = np.asarray(images, dtype=np.int64)
-        n = arr.shape[0]
-        if arr.ndim != 1 or not np.array_equal(np.sort(arr), np.arange(n)):
-            raise MalformedTableError("not a permutation")
-        return cls(images=_freeze(arr.copy()))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(images=_freeze(np.arange(n)))
-
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
-    def apply(self, x: int) -> int:
-        return int(self.images[x])
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(x) = self(other(x))."""
-        return Permutation(images=_freeze(self.images[other.images]))
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.n)
-        return Permutation(images=_freeze(inv))
-
-    def order(self) -> int:
-        k, cur, ident = 1, self.images, np.arange(self.n)
-        while not np.array_equal(cur, ident):
-            cur = self.images[cur]
-            k += 1
-        return k
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.n)))
-
-    def key(self) -> bytes:
-        return self.images.tobytes()
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,14 @@ a stack of tables, a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
-unpacked block scan of the braid relation, and the structural census with
-one product for every action homomorphism."""
+unpruned sweep that tests every lambda map from Sym(n) (a route to the
+generic census independent of regular embeddings, for n <= 6), the order
+of a permutation by walking its powers, the unpacked block scan of the
+braid relation, and the structural census with one product for every
+action homomorphism."""
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +23,7 @@ from semibrace.classify import (
     _merge_classes,
     _order_divides_pool,
     _structural_e_sizes,
+    _sylow_sizes,
     skew_braces,
     small_groups,
 )
@@ -28,11 +35,15 @@ from semibrace.construct import (
     theorems_for_order_pq,
     trivial_semibrace,
 )
-from semibrace.core import brace_automorphism_group
+from semibrace.core import InternalInvariantError, brace_automorphism_group, endomorphic_rows
 from semibrace.nilpotency import dot_table
 from semibrace.tables import (
+    ROW_BATCH,
     CayleyTable,
+    _bfs_tree,
     _compose_rows,
+    _homomorphic_rows,
+    _lambda_rows,
     _search_morphisms,
     automorphisms,
     homomorphisms,
@@ -234,6 +245,16 @@ def cycle_lengths(images) -> list[int]:
     return lengths
 
 
+def permutation_order(images) -> int:
+    """The least k >= 1 with images**k the identity, by walking the powers."""
+    images = np.asarray(images)
+    k, cur, ident = 1, images, np.arange(len(images))
+    while not np.array_equal(cur, ident):
+        cur = images[cur]
+        k += 1
+    return k
+
+
 def set_dot_plus_E(b, xs, ys):
     """(X.Y) + E: the dots and 0, closed under x + y and y + x on both
     sides until nothing new appears, each member summed with every
@@ -281,6 +302,69 @@ def regular_tables(circ, gens, group, k):
         rows = np.arange(psi.shape[0])[:, None, None]
         pulled = np.argsort(psi, axis=1)[rows, right_group[psi[:, :, None], psi[:, None, :]]]
         yield pulled.astype(np.int8)
+
+
+@lru_cache(maxsize=None)
+def all_perms(n: int) -> np.ndarray:
+    """All permutations of range(n), lexicographic, shape (n!, n), int8."""
+    if n == 1:
+        out = np.zeros((1, 1), dtype=np.int8)
+        out.setflags(write=False)
+        return out
+    sub = all_perms(n - 1)
+    blocks = []
+    for first in range(n):
+        rest = (sub + (sub >= first)).astype(np.int8)
+        head = np.full((sub.shape[0], 1), first, dtype=np.int8)
+        blocks.append(np.hstack([head, rest]))
+    out = np.ascontiguousarray(np.vstack(blocks))
+    out.setflags(write=False)
+    return out
+
+
+def add_rows(circ, lam: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """add[r, i, b] = a + b = a o lam_{a^-}(b) for a = elements[i]; each
+    a^- must lie where lam is set."""
+    tab8 = circ.table.astype(np.int8)
+    return tab8[elements[None, :, None], lam[:, circ.inverse[elements], :]]
+
+
+def lambda_maps(circ, gens):
+    """Blocks (rows, n, n) of every homomorphism lam: (B, o) -> Sym(B),
+    closed along the BFS tree of `gens`, which must generate B: every tuple
+    of generator images from Sym(n) is tried, ROW_BATCH tuples at a time."""
+    n = circ.n
+    perms = all_perms(n)
+    tree = _bfs_tree(circ, gens)
+    shape = (perms.shape[0],) * len(gens)
+    total = math.prod(shape)
+    for start in range(0, total, ROW_BATCH):
+        picks = np.unravel_index(np.arange(start, min(start + ROW_BATCH, total)), shape)
+        lam = _lambda_rows(n, tree, [perms[p] for p in picks], _compose_rows)
+        yield lam[_homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)]
+
+
+def unpruned_survivor_tables(circ, emin, esylow):
+    """`classify._survivor_tables` by the unpruned route: each lambda map
+    from `lambda_maps` is tested by `core.endomorphic_rows`, in the order
+    they come, so the tables are not sorted.  Drop-in for
+    `classify._survivor_tables` at n <= 6."""
+    n = circ.n
+    sylow = _sylow_sizes(n)
+    allowed = np.array([e >= emin and (e in sylow or not esylow) for e in range(n + 1)])
+    if n == 1:
+        return [np.zeros((1, 1), dtype=np.int64)] if allowed[1] else []
+    gens = circ.generating_sequence()
+    if len(_bfs_tree(circ, gens)) + 1 != n:
+        raise InternalInvariantError("generating sequence fails to generate")
+    arange_n = np.arange(n)
+    out = []
+    for lam in lambda_maps(circ, gens):
+        add = add_rows(circ, lam, arange_n)
+        emask = allowed[(add[:, arange_n, arange_n] == arange_n).sum(axis=1)]
+        add, lam = add[emask], lam[emask]
+        out.extend(table.astype(np.int64) for table in add[endomorphic_rows(lam, add, gens)])
+    return out
 
 
 def structural_census(n, emin=2, esylow=False):

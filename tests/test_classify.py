@@ -26,8 +26,6 @@ from semibrace.classify import (
     skew_braces,
     small_groups,
     verify_classification,
-    _add_rows,
-    _lambda_maps,
     _merge_classes,
     _orbit_representatives,
     _survivor_tables,
@@ -61,8 +59,8 @@ from semibrace.ybe import check_braid, solution_from
 
 
 @lru_cache(maxsize=None)
-def generic(n, emin=1, pruned=True):
-    return tuple(enumerate_generic(n, emin=emin, pruned=pruned))
+def generic(n, emin=1):
+    return tuple(enumerate_generic(n, emin=emin))
 
 
 @lru_cache(maxsize=None)
@@ -120,14 +118,19 @@ def test_skew_brace_catalog_rejects_other_orders():
 # isomorphism testing
 
 
+def _is_witness_array(f, n):
+    """f is a read-only int64 image array of shape (n,)."""
+    return f.dtype == np.int64 and f.shape == (n,) and not f.flags.writeable
+
+
 def test_isomorphic_reflexive_and_detects_relabeling():
     b = family(FamilyId("pq-congruent", 3, 3, 2))
-    assert isomorphic(b, b) is not None
+    same = isomorphic(b, b)
+    assert _is_witness_array(same, b.n) and same.tolist() == list(range(b.n))
     perm = np.array([0, 3, 1, 5, 2, 4])
     relabeled = b.relabel(perm)
-    f = isomorphic(b, relabeled)
-    assert f is not None
-    img = f.images
+    img = isomorphic(b, relabeled)
+    assert img is not None and _is_witness_array(img, b.n)
     for x in range(b.n):
         for y in range(b.n):
             assert img[b.add_of(x, y)] == relabeled.add_of(img[x], img[y])
@@ -219,9 +222,9 @@ def test_isomorphic_returns_the_least_isomorphism():
         relabeled = b.relabel(perm)
         witness = isomorphic(b, relabeled)
         if b.key() == relabeled.key():
-            assert witness.is_identity()
+            assert witness.tolist() == list(range(b.n))
         else:
-            assert witness.images.tolist() == _least_isomorphism(b, relabeled).tolist()
+            assert witness.tolist() == _least_isomorphism(b, relabeled).tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,9 +233,8 @@ def test_relabeled_family_is_isomorphic_with_a_genuine_witness(data):
     b = family(data.draw(st.sampled_from(full_scans.families_up_to_fifty())))
     rest = data.draw(st.permutations(range(1, b.n)))
     relabeled = b.relabel([0, *rest])
-    witness = isomorphic(b, relabeled)
-    assert witness is not None
-    f = witness.images
+    f = isomorphic(b, relabeled)
+    assert f is not None
     assert is_morphism(f, b.add.table, relabeled.add.table)
     assert is_morphism(f, b.circ.table, relabeled.circ.table)
 
@@ -276,14 +278,14 @@ def test_generic_parameter_errors():
         enumerate_generic(0)
     with pytest.raises(ParameterError):
         enumerate_generic(4, emin=0)
-    with pytest.raises(ParameterError):
-        enumerate_generic(7, pruned=False)
 
 
-def test_pruned_and_unpruned_sweeps_agree():
-    for n in (4, 5, 6):
-        a = census_to_json(generic(n, emin=1, pruned=True))
-        b = census_to_json(generic(n, emin=1, pruned=False))
+def test_pruned_and_unpruned_sweeps_agree(monkeypatch):
+    orders = (4, 5, 6)
+    pruned = [census_to_json(generic(n, emin=1)) for n in orders]
+    monkeypatch.setattr(classify, "_survivor_tables", full_scans.unpruned_survivor_tables)
+    for n, a in zip(orders, pruned):
+        b = census_to_json(enumerate_generic(n, emin=1))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -297,15 +299,15 @@ def test_survivor_tables_match_the_unpruned_route():
         for circ in small_groups(n):
             every = [
                 (t.tobytes(), int((np.diagonal(t) == np.arange(n)).sum()))
-                for t in _survivor_tables(circ, 1, False, pruned=False)
+                for t in full_scans.unpruned_survivor_tables(circ, 1, False)
             ]
             assert every
             for emin, esylow in itertools.product(sorted({1, 2, n}), (False, True)):
                 want = [key for key, e in every if e >= emin and (e in sylow[n] or not esylow)]
-                got = [t.tobytes() for t in _survivor_tables(circ, emin, esylow, pruned=True)]
+                got = [t.tobytes() for t in _survivor_tables(circ, emin, esylow)]
                 assert len(got) == len(want)
                 assert set(got) == set(want)
-    assert _survivor_tables(small_groups(1)[0], 1, True, pruned=True) == []
+    assert _survivor_tables(small_groups(1)[0], 1, True) == []
 
 
 def test_reduced_first_pool_keeps_every_table(monkeypatch):
@@ -313,10 +315,10 @@ def test_reduced_first_pool_keeps_every_table(monkeypatch):
     # reference takes all of Hol(G) x {pi : ord pi | ord c} there.
     groups = [g for n in range(1, 16) for g in small_groups(n)]
     filters = ((1, False), (2, True))
-    reduced = [[t.tobytes() for t in _survivor_tables(g, *f, pruned=True)]
+    reduced = [[t.tobytes() for t in _survivor_tables(g, *f)]
                for g in groups for f in filters]
     monkeypatch.setattr(classify, "_regular_tables", full_scans.regular_tables)
-    full = [[t.tobytes() for t in _survivor_tables(g, *f, pruned=True)]
+    full = [[t.tobytes() for t in _survivor_tables(g, *f)]
             for g in groups for f in filters]
     assert reduced == full
 
@@ -357,32 +359,37 @@ def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
         arange = np.arange(n)
         for circ in small_groups(n):
             gens = circ.generating_sequence()
-            for lam in _lambda_maps(circ, gens):
-                add = _add_rows(circ, lam, arange)
+            for lam in full_scans.lambda_maps(circ, gens):
+                add = full_scans.add_rows(circ, lam, arange)
                 endo = endomorphic_rows(lam, add, gens)
                 assert (endo == full_scans.associative_rows(add)).all()
                 rejected += int((~endo).sum())
     assert rejected > 0
 
 
-def _dedup_census(n, emin, pruned):
-    """The census by the merge the structural census uses: every survivor
-    table verified and offered to `_merge_classes`, which decides each
-    class by `isomorphic`."""
+def _dedup_census(n, emin):
+    """The census by the merge the structural census uses: every table of
+    `classify._survivor_tables` verified and offered to `_merge_classes`,
+    which decides each class by `isomorphic`."""
     return _merge_classes(
         (verify(table, circ.table), f"generic:n={n}:group{gi}")
         for gi, circ in enumerate(small_groups(n))
-        for table in _survivor_tables(circ, emin, False, pruned)
+        for table in classify._survivor_tables(circ, emin, False)
     )
 
 
-def test_orbit_census_matches_the_signature_and_search_merge():
-    cases = [(n, emin, True) for n in range(1, 11) for emin in (1, 2)]
-    cases += [(n, emin, False) for n in range(1, 7) for emin in (1, 2)]
-    for n, emin, pruned in cases:
-        want = json.dumps(census_to_json(_dedup_census(n, emin, pruned)), sort_keys=True)
-        got = json.dumps(census_to_json(generic(n, emin, pruned)), sort_keys=True)
-        assert got == want, (n, emin, pruned)
+def _assert_orbit_census_is_the_merge(orders, census):
+    for n in orders:
+        for emin in (1, 2):
+            want = json.dumps(census_to_json(_dedup_census(n, emin)), sort_keys=True)
+            got = json.dumps(census_to_json(census(n, emin)), sort_keys=True)
+            assert got == want, (n, emin)
+
+
+def test_orbit_census_matches_the_signature_and_search_merge(monkeypatch):
+    _assert_orbit_census_is_the_merge(range(1, 11), generic)
+    monkeypatch.setattr(classify, "_survivor_tables", full_scans.unpruned_survivor_tables)
+    _assert_orbit_census_is_the_merge(range(1, 7), lambda n, emin: enumerate_generic(n, emin=emin))
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -392,7 +399,7 @@ def test_orbit_representatives_of_a_partial_input(n):
     # of each kept.
     rng = np.random.default_rng(n)
     for circ in small_groups(n):
-        tables = _survivor_tables(circ, 1, False, pruned=True)
+        tables = _survivor_tables(circ, 1, False)
         part = [tables[i] for i in rng.permutation(len(tables))[: len(tables) // 2 + 1]]
         merged = _merge_classes((verify(table, circ.table), "") for table in part)
         want = sorted(entry.semibrace.key() for entry in merged)
@@ -412,7 +419,7 @@ def test_orbit_representatives_verify_every_table_outside_the_orbits():
     # when every table was verified.
     rng = np.random.default_rng(8)
     for circ in small_groups(8):
-        tables = _survivor_tables(circ, 1, False, pruned=True)
+        tables = _survivor_tables(circ, 1, False)
         bad = []
         for _ in range(2):
             table = tables[rng.integers(len(tables))].copy()
@@ -441,7 +448,7 @@ def test_orbit_classes_above_the_generic_bound(n, by_e_size):
     counts = collections.Counter(
         len(b.e_elements)
         for circ in small_groups(n)
-        for b in _orbit_representatives(circ, _survivor_tables(circ, 1, False, pruned=True))
+        for b in _orbit_representatives(circ, _survivor_tables(circ, 1, False))
     )
     assert dict(counts) == by_e_size
 
@@ -830,7 +837,7 @@ def test_cache_file_of_another_filter_is_a_logged_miss(tmp_path, caplog):
 
 def _order_divides_by_filter(n, k):
     """The old pool: every permutation of range(n), raised to the k-th power."""
-    perms = classify._all_perms(n)
+    perms = full_scans.all_perms(n)
     ident = np.arange(n, dtype=perms.dtype)
     mask = (_row_powers(perms, k, _compose_rows) == ident[None, :]).all(axis=1)
     return np.ascontiguousarray(perms[mask])

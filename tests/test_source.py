@@ -1,12 +1,16 @@
 """Checks on the package source that need no linter: every name a
-`semibrace` module imports is used in that module."""
+`semibrace` module imports is used in that module, and every name a
+module defines at top level is read somewhere: in the package, the tests
+or the scripts, and in the package itself when the name is private."""
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "semibrace"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "semibrace"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -22,6 +26,49 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return sorted(imported - used)
 
 
+def _definitions(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment stores."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """The names `tree` reads: loaded names, attribute names and the names
+    a `from` import takes.  A top-level definition reading its own name, as
+    a recursion does, does not count."""
+    read = set()
+    for top in tree.body:
+        found = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        read |= found - _definitions(top)
+    return read
+
+
+def _unread_definitions(module: ast.Module, readers: list[ast.Module]) -> list[str]:
+    """The top-level names `module` defines, dunder names aside, that no
+    tree in `readers` reads."""
+    defined = set().union(*map(_definitions, module.body))
+    defined = {name for name in defined if not (name.startswith("__") and name.endswith("__"))}
+    return sorted(defined - set().union(*map(_names_read, readers)))
+
+
+@lru_cache(maxsize=None)
+def _trees(*dirs: str) -> tuple[ast.Module, ...]:
+    paths = sorted(p for d in dirs for p in (ROOT / d).rglob("*.py"))
+    return tuple(ast.parse(p.read_text()) for p in paths)
+
+
 def test_unused_import_check_finds_an_unused_name():
     tree = ast.parse(
         "import os\nimport numpy as np\nfrom typing import Optional, Sequence\n"
@@ -30,6 +77,29 @@ def test_unused_import_check_finds_an_unused_name():
     assert _unused_imports(tree) == ["Sequence", "json"]
 
 
+def test_unread_definition_check_finds_unread_names():
+    module = ast.parse(
+        "__version__ = '1'\nLIMIT, _SLACK = 3, 4\nTABLE: dict = {}\n"
+        "def used():\n    return LIMIT + _SLACK\n"
+        "def _for_tests():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class Unused:\n    pass\n"
+    )
+    tests = ast.parse("from pkg import used, _for_tests\nimport pkg\nprint(pkg.TABLE)\n")
+    assert _unread_definitions(module, [module, tests]) == ["Unused", "_recursive"]
+    assert _unread_definitions(module, [module]) == ["TABLE", "Unused", "_for_tests", "_recursive", "used"]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_name_is_read(path):
+    # a public name may serve the tests or the scripts; a private helper
+    # that only the tests need belongs in tests/full_scans.py
+    module = ast.parse(path.read_text())
+    assert _unread_definitions(module, list(_trees("src", "tests", "scripts"))) == []
+    private = _unread_definitions(module, list(_trees("src")))
+    assert [name for name in private if name.startswith("_")] == []

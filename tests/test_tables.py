@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from semibrace import tables
 from semibrace.classify import SUPPORTED_GROUP_ORDERS, group_isomorphic, small_groups
-from semibrace.construct import family
+from semibrace.construct import FamilyId, family
 from semibrace.core import SemiBraceAxiomError, verify
 from semibrace.tables import (
     CayleyTable,
     FiniteGroup,
     MalformedTableError,
-    Permutation,
     automorphisms,
     check_group,
     cyclic_group,
@@ -123,13 +122,13 @@ def test_automorphisms_z4_and_gl23():
 
 def test_automorphisms_closed_under_composition_and_inverse():
     g = dicyclic_group(2)  # quaternion group
-    auts = [Permutation.of(row) for row in automorphisms(g)]
-    keys = {a.key() for a in auts}
+    auts = automorphisms(g)
+    keys = {a.tobytes() for a in auts}
     assert len(auts) == 24  # Aut(Q8) = S4
     for a in auts[:6]:
-        assert a.inverse().key() in keys
+        assert np.argsort(a).tobytes() in keys  # the inverse
         for b in auts[:6]:
-            assert a.compose(b).key() in keys
+            assert a[b].tobytes() in keys  # a after b
 
 
 def test_homomorphism_counts_against_exhaustive_search():
@@ -248,18 +247,18 @@ def test_involutions_of_gl27():
     actions = homomorphisms(cyclic_group(2), auts)
     assert len(actions) == 58
     assert (actions[:, 0] == np.arange(49)).all()
-    involutions = [Permutation.of(p).order() <= 2 for p in auts]
+    involutions = (np.take_along_axis(auts, auts, axis=1) == np.arange(49)).all(axis=1)
     assert sorted(a.tobytes() for a in actions[:, 1]) == sorted(p.tobytes() for p in auts[involutions])
 
 
 def test_cycle_lengths_give_the_order_of_every_catalogue_automorphism():
     # `homomorphisms` reads each target permutation's order as the lcm of
-    # its `orbit_lengths` row; `Permutation.order` walks the powers
+    # its `orbit_lengths` row; `full_scans.permutation_order` walks the powers
     for n in range(1, 13):
         for g in small_groups(n):
             auts = automorphisms(g)
             orders = np.lcm.reduce(orbit_lengths(auts), axis=1)
-            assert orders.tolist() == [Permutation.of(a).order() for a in auts]
+            assert orders.tolist() == [full_scans.permutation_order(a) for a in auts]
 
 
 def test_homomorphisms_need_identity_first():
@@ -428,23 +427,36 @@ def test_orbit_lengths_match_a_cycle_walk(perms):
     assert got.tolist() == [full_scans.cycle_lengths(p) for p in perms]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.permutations(list(range(6))), st.permutations(list(range(6))))
-def test_permutation_compose_inverse(p, q):
-    pp, qq = Permutation.of(p), Permutation.of(q)
-    assert pp.compose(pp.inverse()).is_identity()
-    composed = pp.compose(qq)
-    for x in range(6):
-        assert composed.apply(x) == pp.apply(qq.apply(x))
-
-
 def test_relabel_transports_structure():
-    g = cyclic_group(6)
+    # S3 is not abelian, so a relabelling that swapped the operands would fail
     perm = np.array([3, 1, 4, 5, 0, 2])
-    relabeled = g.op.relabel(perm)
-    for a in range(6):
-        for b in range(6):
-            assert relabeled.apply(int(perm[a]), int(perm[b])) == int(perm[g.mul(a, b)])
+    for g in (cyclic_group(6), FiniteGroup.from_table(s3_table())):
+        relabeled = g.op.relabel(perm)
+        for a in range(6):
+            for b in range(6):
+                assert relabeled.apply(int(perm[a]), int(perm[b])) == int(perm[g.mul(a, b)])
+
+
+@pytest.mark.parametrize(
+    "perm", [[0, 1, 2], [0, 1, 2, 3, 0], [0, 0, 1, 2], [0, 1, 2, 4], [[0, 1], [2, 3]]]
+)
+def test_relabel_rejects_a_non_permutation(perm):
+    # too short, too long, a repeated entry, an entry out of range, a 2-d array
+    g = cyclic_group(4)
+    with pytest.raises(MalformedTableError):
+        g.op.relabel(perm)
+    with pytest.raises(MalformedTableError):
+        g.relabel(perm)
+
+
+def test_semibrace_relabel_rejects_a_non_permutation():
+    b = family(FamilyId("pq-congruent", 3, 3, 2))
+    with pytest.raises(MalformedTableError):
+        b.relabel([0, 1, 1, 2, 3, 4])
+    with pytest.raises(MalformedTableError):
+        b.relabel([0, 1, 2, 3, 4])
+    with pytest.raises(MalformedTableError):
+        b.relabel([[0, 1, 2], [3, 4, 5]])
 
 
 # ---------------------------------------------------------------------------
