@@ -13,13 +13,11 @@ other and against the explicit families.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,8 +138,7 @@ def skew_braces(m: int) -> list[SemiBrace]:
 # census entries and merging
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     semibrace: SemiBrace
     provenance: str
 
@@ -431,8 +428,7 @@ def enumerate_generic(
     if n > GENERIC_BOUND:
         raise ParameterError(f"generic enumeration is bounded at n <= {GENERIC_BOUND}")
     params = dict(enumerator="generic", n=n, emin=emin, esylow=esylow)
-    key = _cache_key(params)
-    cached = _cache_load(cache_dir, key, params)
+    cached = _cache_load(cache_dir, params)
     if cached is not None:
         return cached
     entries = []
@@ -440,7 +436,7 @@ def enumerate_generic(
         for b in _orbit_representatives(group, _survivor_tables(group, emin, esylow)):
             entries.append(CensusEntry(semibrace=b, provenance=f"generic:n={n}:group{gi}"))
     entries.sort(key=lambda e: (len(e.semibrace.e_elements), e.semibrace.key()))
-    _cache_store(cache_dir, key, params, entries)
+    _cache_store(cache_dir, params, entries)
     return entries
 
 
@@ -551,12 +547,11 @@ def enumerate_structural(
     builds every product and is the reference."""
     e_sizes = _structural_e_sizes(n, emin, esylow)
     params = dict(enumerator="structural", n=n, emin=emin, esylow=esylow)
-    key = _cache_key(params)
-    cached = _cache_load(cache_dir, key, params)
+    cached = _cache_load(cache_dir, params)
     if cached is not None:
         return cached
     entries = _merge_classes(_structural_products(n, e_sizes))
-    _cache_store(cache_dir, key, params, entries)
+    _cache_store(cache_dir, params, entries)
     return entries
 
 
@@ -593,8 +588,7 @@ def _g_is_cyclic(b: SemiBrace) -> bool:
     return int(b.circ.element_orders()[list(b.g_elements)].max()) == len(b.g_elements)
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     theorem: str
     p: int
     q: Optional[int]
@@ -735,6 +729,8 @@ def verify_classification(
 
 @lru_cache(maxsize=1)
 def _code_version() -> str:
+    import hashlib  # loads _hashlib, which a process without a cache never needs
+
     digest = hashlib.sha256()
     here = Path(__file__).resolve().parent
     for path in sorted(here.glob("*.py")):
@@ -750,14 +746,14 @@ def _cache_key(params: dict) -> str:
     return "-".join([*parts, _code_version()]) + ".json"
 
 
-def _cache_load(cache_dir, key: str, params: dict) -> Optional[list[CensusEntry]]:
-    """The census built with `params` stored under `key`, or None on a
-    miss.  A file is `{"params": ..., "entries": ...}`; one that does not
-    parse, records other parameters or holds an entry of another order is
-    unreadable, logged and a miss."""
+def _cache_load(cache_dir, params: dict) -> Optional[list[CensusEntry]]:
+    """The census built with `params` stored under `_cache_key(params)`, or
+    None on a miss.  A file is `{"params": ..., "entries": ...}`; one that
+    does not parse, records other parameters or holds an entry of another
+    order is unreadable, logged and a miss."""
     if cache_dir is None:
         return None
-    path = Path(cache_dir) / key
+    path = Path(cache_dir) / _cache_key(params)
     if not path.is_file():
         return None
     try:
@@ -779,9 +775,10 @@ def _cache_load(cache_dir, key: str, params: dict) -> Optional[list[CensusEntry]
         return None
 
 
-def _cache_store(cache_dir, key: str, params: dict, entries: list[CensusEntry]) -> None:
+def _cache_store(cache_dir, params: dict, entries: list[CensusEntry]) -> None:
     if cache_dir is None:
         return
+    key = _cache_key(params)
     root = Path(cache_dir)
     root.mkdir(parents=True, exist_ok=True)
     tmp = root / (key + ".tmp")

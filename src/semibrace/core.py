@@ -10,13 +10,16 @@ with a' the circle inverse of a. Derived objects: the lambda action
 lambda_a(b) = a o (a' + b), the idempotent part E = {e : e + e = e}, and
 the skew brace part G = B + 0.  `isomorphic` decides whether two
 semi-braces are isomorphic and gives a witness.
+
+`SemiBrace` is a frozen dataclass for its `cached_property` signatures; the
+other records are NamedTuples, which generate no code at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -228,9 +231,12 @@ def verify(add_rows, circ_rows) -> SemiBrace:
 
 
 def semibrace_from_json(obj) -> SemiBrace:
+    """Verify a `to_json` object; an `n` that is not a JSON integer is malformed."""
     if not isinstance(obj, dict) or not {"n", "add", "circ"} <= set(obj):
         raise SemiBraceAxiomError("malformed-table")
     b = verify(obj["add"], obj["circ"])
+    if type(obj["n"]) is not int:
+        raise SemiBraceAxiomError("malformed-table")
     if b.n != obj["n"]:
         raise SemiBraceAxiomError("malformed-table", (obj["n"], b.n))
     return b
@@ -284,16 +290,14 @@ def _induced_table(table: np.ndarray, elements: Sequence[int]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EPart:
+class EPart(NamedTuple):
     """The additive idempotents with their circle group structure."""
 
     elements: tuple[int, ...]
     group: FiniteGroup  # (E, o) relabeled to 0..|E|-1 following `elements`
 
 
-@dataclass(frozen=True)
-class GPart:
+class GPart(NamedTuple):
     """The skew brace part G = B + 0 with its induced tables."""
 
     elements: tuple[int, ...]
@@ -335,8 +339,7 @@ def skew_part(b: SemiBrace) -> GPart:
     return GPart(elements=elems, semibrace=semibrace)
 
 
-@dataclass(frozen=True)
-class LambdaMap:
+class LambdaMap(NamedTuple):
     """The lambda action of (B, o) by additive automorphisms."""
 
     owner: SemiBrace
@@ -394,8 +397,7 @@ def additive_decomposition(b: SemiBrace, x: int) -> tuple[int, int]:
 # ideals
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(NamedTuple):
     elements: tuple[int, ...]
     normal_in_circ: bool
     intersection_normal_in_g: bool
@@ -526,8 +528,7 @@ def semidirect_tables(
     return add, circ
 
 
-@dataclass(frozen=True)
-class SemidirectData:
+class SemidirectData(NamedTuple):
     """A semidirect product presentation of a semi-brace.
 
     direction "skew-by-trivial": product = G x| E, alpha: (E, o) -> Aut(G)

@@ -10,8 +10,7 @@ so a repeat proves the chain cycles without reaching E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,8 +22,7 @@ class NotASkewBraceError(ValueError):
     """The socle is only defined here for skew braces (|E| = 1)."""
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     kind: str  # "right" or "left"
     chain: tuple[tuple[int, ...], ...]
     verdict: str
@@ -179,8 +177,7 @@ def socle(b: SemiBrace) -> tuple[tuple[int, ...], int]:
     return elems, n // len(elems)
 
 
-@dataclass(frozen=True)
-class Rnilp1Report:
+class Rnilp1Report(NamedTuple):
     """Both sides of the right-nilpotency criterion for decomposable semi-braces,
     computed independently: the chain verdict versus (alpha trivial and the
     skew brace part right nilpotent)."""

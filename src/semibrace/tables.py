@@ -3,13 +3,15 @@
 Everything lives on the carrier {0, ..., n-1}: a binary operation is an n x n
 integer table, a permutation is an image array. Groups are canonicalized so
 that the identity sits at index 0.
+
+The records are NamedTuples, which, unlike dataclasses, generate no code at
+import (`import semibrace.cli` loads this module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,8 +26,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(NamedTuple):
     """An n x n operation table over the carrier 0..n-1."""
 
     n: int
@@ -76,8 +77,7 @@ class CayleyTable:
         return t
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     is_group: bool
     identity: Optional[int]
     inverses: Optional[np.ndarray]
@@ -222,8 +222,7 @@ def identity_swap(n: int, identity: int) -> np.ndarray:
     return swap
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     """A finite group given by its Cayley table; identity is index 0."""
 
     op: CayleyTable
@@ -318,8 +317,7 @@ class FiniteGroup:
         return self.op.key()
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     elements: tuple[int, ...]
     normal: bool
 

@@ -3,8 +3,7 @@ induced by a semi-brace, with braid-relation and property checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -12,8 +11,7 @@ from .core import SemiBrace
 from .tables import MalformedTableError, _freeze
 
 
-@dataclass(frozen=True)
-class SolutionMap:
+class SolutionMap(NamedTuple):
     """A total map r on pairs: r[x, y] = (r[x, y, 0], r[x, y, 1])."""
 
     n: int
@@ -127,8 +125,7 @@ def check_braid(s: SolutionMap) -> tuple[bool, Optional[tuple[int, int, int]]]:
     return True, None
 
 
-@dataclass(frozen=True)
-class SolutionProperties:
+class SolutionProperties(NamedTuple):
     left_nondegenerate: bool
     nondegenerate: bool
     bijective: bool

@@ -1,6 +1,7 @@
 """Tests for the isomorphism machinery and the two census enumerators."""
 
 import collections
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -809,6 +810,45 @@ def test_cache_file_of_another_order_is_a_logged_miss(tmp_path, caplog, enumerat
     (record,) = caplog.records
     assert str(path) in record.getMessage()
     assert f"order {stored}, not {n}" in record.getMessage()
+
+
+def test_cache_entry_of_infinite_order_is_a_logged_miss(tmp_path, caplog):
+    # json writes float("inf") as Infinity and reads it back; the declared
+    # order is not an integer, so the entry is malformed
+    first = enumerate_generic(4, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("generic-*.json")
+    stored = json.loads(path.read_text())
+    stored["entries"][0]["semibrace"]["n"] = float("inf")
+    path.write_text(json.dumps(stored))
+    with caplog.at_level(logging.WARNING, logger="semibrace.classify"):
+        again = enumerate_generic(4, cache_dir=tmp_path)
+    assert census_to_json(again) == census_to_json(first)
+    (record,) = caplog.records
+    assert str(path) in record.getMessage()
+    assert "malformed-table" in record.getMessage()
+
+
+def test_no_cache_dir_hashes_no_source(monkeypatch):
+    def unreachable():
+        raise AssertionError("_code_version called without a cache dir")
+
+    monkeypatch.setattr(classify, "_code_version", unreachable)
+    assert len(enumerate_generic(4, cache_dir=None)) == 7
+    assert len(enumerate_structural(6, cache_dir=None)) == 6
+
+
+def test_cache_file_names_carry_the_source_hash(tmp_path):
+    digest = hashlib.sha256()
+    for path in sorted(Path(classify.__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    version = digest.hexdigest()[:16]
+    enumerate_generic(4, emin=2, cache_dir=tmp_path)
+    enumerate_structural(6, cache_dir=tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"generic-n4-emin2-esylow0-{version}.json",
+        f"structural-n6-emin2-esylow0-{version}.json",
+    ]
 
 
 def test_cache_separates_filters(tmp_path):

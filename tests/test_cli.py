@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import gc
 import json
 import os
 import shutil
@@ -79,6 +80,15 @@ def test_verify_malformed_inputs_exit_3(tmp_path, capsys):
                      ["solution", str(path)], ["nilpotency", str(path)]):
             rc, _, err = run(capsys, argv)
             assert rc == 3 and "malformed input" in err, (argv, err)
+
+
+@pytest.mark.parametrize("n", ['"abc"', "null", "[1]", '{"a": 1}', "1e400", "1.5", "true"])
+def test_verify_non_integer_order_exits_3(tmp_path, capsys, n):
+    path = tmp_path / "n.json"
+    path.write_text(f'{{"n": {n}, "add": [[0]], "circ": [[0]]}}')
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert (rc, out) == (3, "")
+    assert err == "malformed input: malformed-table at ()\n"
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -311,10 +321,13 @@ print(json.dumps(seen))
 """
 
 
+def _package_env():
+    return {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
+
+
 def _modules_loaded_by(*argvs):
-    env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_package_env(), capture_output=True, text=True, check=True)
     return [tuple(step) for step in json.loads(proc.stdout)]
 
 
@@ -344,3 +357,66 @@ def test_console_script_is_wired(triv2):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m semibrace.cli`, which runs `run`
+
+
+def _cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "semibrace.cli", *argv],
+                          env=_package_env(), capture_output=True)
+
+
+def test_process_output_equals_in_process_main(triv2, capsys):
+    argv = ["verify", str(triv2), "--format", "json"]
+    rc, out, err = run(capsys, argv)
+    proc = _cli_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
+    assert rc == 0
+
+
+def test_process_exit_codes(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "add": [[0, 1], [1, 0]], "circ": [[0, 0], [0, 0]]}))
+    proc = _cli_process("verify", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout.startswith(b"invalid: ")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{nope")
+    proc = _cli_process("verify", str(malformed))
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"malformed input: ")
+
+
+def test_process_writes_a_complete_artifact(triv2, tmp_path):
+    out = tmp_path / "out"
+    proc = _cli_process("verify", str(triv2), "--out", str(out))
+    assert proc.returncode == 0
+    payload = {"e_size": 2, "g_size": 1, "n": 2, "valid": True}
+    assert (out / "verify.json").read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_process_entry_freezes_the_heap_after_main(triv2):
+    # run() returns main's exit code after gc.freeze(); atexit handlers
+    # still run and stdout is still flushed
+    code = ("import atexit, gc\n"
+            "from semibrace.cli import run\n"
+            "atexit.register(lambda: print('atexit ran'))\n"
+            "rc = run()\n"
+            "print(rc, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "verify", str(triv2)],
+                          env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:] == ["0 True", "atexit ran"]
+
+
+def test_main_in_process_freezes_nothing(triv2, capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, ["verify", str(triv2)])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_names_the_process_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\nsemibrace = "semibrace.cli:run"\n' in pyproject

@@ -1,7 +1,8 @@
 """Checks on the package source that need no linter: every name a
-`semibrace` module imports is used in that module, and every name a
-module defines at top level is read somewhere: in the package, the tests
-or the scripts, and in the package itself when the name is private."""
+`semibrace` module imports is used in that module, every name a module
+defines at top level is read somewhere (in the package, the tests or the
+scripts, and in the package itself when the name is private), and the
+modules `import semibrace.cli` loads define no dataclass but `SemiBrace`."""
 
 import ast
 from functools import lru_cache
@@ -63,6 +64,19 @@ def _unread_definitions(module: ast.Module, readers: list[ast.Module]) -> list[s
     return sorted(defined - set().union(*map(_names_read, readers)))
 
 
+def _dataclasses(tree: ast.Module) -> list[str]:
+    """The classes in `tree` that a `dataclass` decorator, called or not,
+    decorates."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                    names.append(node.name)
+    return sorted(names)
+
+
 @lru_cache(maxsize=None)
 def _trees(*dirs: str) -> tuple[ast.Module, ...]:
     paths = sorted(p for d in dirs for p in (ROOT / d).rglob("*.py"))
@@ -88,6 +102,31 @@ def test_unread_definition_check_finds_unread_names():
     tests = ast.parse("from pkg import used, _for_tests\nimport pkg\nprint(pkg.TABLE)\n")
     assert _unread_definitions(module, [module, tests]) == ["Unused", "_recursive"]
     assert _unread_definitions(module, [module]) == ["TABLE", "Unused", "_for_tests", "_recursive", "used"]
+
+
+def test_dataclass_check_finds_decorated_classes():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\nfrom typing import NamedTuple\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n"
+        "class D(NamedTuple):\n    x: int\n"
+        "@staticmethod\nclass E:\n    pass\n"
+    )
+    assert _dataclasses(tree) == ["A", "B", "C"]
+
+
+# What `import semibrace.cli` loads (see test_cli).  A dataclass generates
+# and compiles its methods when its module is imported, so on the start-up
+# path a record is a NamedTuple; `SemiBrace` caches its signatures in
+# cached_property, which needs a class.
+@pytest.mark.parametrize("name, allowed", [
+    ("cli.py", []),
+    ("core.py", ["SemiBrace"]),
+    ("tables.py", []),
+])
+def test_start_up_modules_define_no_other_dataclass(name, allowed):
+    assert _dataclasses(ast.parse((SRC / name).read_text())) == allowed
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
