@@ -16,6 +16,10 @@ Each hash is the first 16 hex digits of the sha256 of
 * nilpotency, over every class of `enumerate_generic(8)` and then every 2p^2
   family at p = 5: value `[[right.to_json(), left.to_json(), [nil,
   orders]], ...]` with the right and left series and `is_right_nil`;
+* decompositions, over the same structures: value, for `decompose` and
+  then `decompose_E_ideal` of each, `[direction, alpha, witness, product
+  add, product circ]` as lists, or None where the decomposition does not
+  exist;
 * braid, over every family at p = 5 (pq-congruent at q = 2, pq-noncongruent
   at q = 3 and 5, every 2p^2 theorem) and then every class of
   `enumerate_generic(8)`: value the `[holds, witness]` of `check_braid` on
@@ -77,7 +81,7 @@ from semibrace.construct import (  # noqa: E402
     applicable_items,
     family,
 )
-from semibrace.core import semibrace_from_json  # noqa: E402
+from semibrace.core import decompose, decompose_E_ideal, semibrace_from_json  # noqa: E402
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
 from semibrace.tables import CayleyTable, check_group  # noqa: E402
 from semibrace.ybe import SolutionMap, check_braid, solution_from  # noqa: E402
@@ -119,12 +123,28 @@ def iso_witnesses_hash(seed: int = 1) -> str:
     return json_hash(value)
 
 
-def nilpotency_hash() -> str:
+def _series_structures() -> list:
+    """Every class of `enumerate_generic(8)`, then every 2p^2 family at p = 5."""
     structures = [e.semibrace for e in enumerate_generic(8)]
-    structures += [family(fid) for t in TWO_P2_THEOREMS for fid in applicable_items(t, 5)]
+    return structures + [family(fid) for t in TWO_P2_THEOREMS for fid in applicable_items(t, 5)]
+
+
+def nilpotency_hash() -> str:
     return json_hash([
         [right_series(b).to_json(), left_series(b).to_json(), is_right_nil(b)]
-        for b in structures
+        for b in _series_structures()
+    ])
+
+
+def decompositions_hash() -> str:
+    def value(data):
+        if data is None:
+            return None
+        return [data.direction, data.alpha.tolist(), data.witness.tolist(),
+                data.product.add.table.tolist(), data.product.circ.table.tolist()]
+
+    return json_hash([
+        value(split(b)) for b in _series_structures() for split in (decompose, decompose_E_ideal)
     ])
 
 
@@ -249,6 +269,7 @@ def main() -> int:
         "funnel_n8": funnel(),
         "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),
+        "decompositions": decompositions_hash(),
         "braid": braid_hash(),
         "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),

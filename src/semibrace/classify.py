@@ -30,7 +30,6 @@ from .construct import (
     brace_p2,
     family,
     is_prime,
-    semidirect,
     trivial_semibrace,
     trivial_skewbrace,
 )
@@ -41,7 +40,7 @@ from .core import (
     brace_automorphism_group,
     isomorphic,
     semibrace_from_json,
-    semidirect_tables,
+    semidirect,
     verify,
 )
 from .tables import (
@@ -486,6 +485,12 @@ def _structural_e_sizes(n: int, emin: int, esylow: bool) -> list[int]:
     return e_sizes
 
 
+def _circle_rows(act: np.ndarray, circ2: np.ndarray) -> bytes:
+    """The first |B2| rows of the circ table of B1 x|_act B2, as bytes: row
+    (0, x2) holds act[x2, y1] * |B2| + circ2[x2, y2] at column (y1, y2)."""
+    return (act[:, :, None] * len(circ2) + circ2[:, None, :]).tobytes()
+
+
 def _orbit_leaders(
     b1: SemiBrace, b2: SemiBrace, acts: np.ndarray, phi: np.ndarray, psi: np.ndarray
 ) -> list[int]:
@@ -494,15 +499,19 @@ def _orbit_leaders(
     the orbits' first members: the member whose product has the least (add,
     circ) key, the earliest on ties.  (phi, psi) sends alpha to
     alpha'[psi(c), phi(y)] = phi(alpha[c, y]); see `enumerate_structural`.
-    The moved actions are built at most `tables.SLAB` entries at a time."""
+    The moved actions are built at most `tables.SLAB` entries at a time.
+
+    No product is built to find that member.  The + table of B1 x|_alpha B2
+    is the same for every alpha in the list, so the circ tables decide the
+    key.  Row 0 of B1's circ table is the identity, so the product's circ
+    rows (0, x2), which are its first |B2| rows, are `_circle_rows`: they
+    hold alpha[x2, y1] * |B2| + circ2[x2, y2] at column (y1, y2).  These
+    rows determine alpha, so two distinct actions of the list first differ
+    inside them, and their bytes order the members as the whole key does."""
     index = {a.tobytes(): i for i, a in enumerate(acts)}
     phi_inv = np.argsort(phi, axis=1)
     psi_inv = np.argsort(psi, axis=1)[None, :, :, None]
-    factors = (b1.add.table, b1.circ.table, b2.add.table, b2.circ.table)
-
-    def product_key(i: int) -> tuple:
-        return [t.tobytes() for t in semidirect_tables(*factors, acts[i])], i
-
+    circ2 = b2.circ.table
     leaders, done = [], np.zeros(len(acts), dtype=bool)
     for first in range(len(acts)):
         if done[first]:
@@ -514,7 +523,7 @@ def _orbit_leaders(
         if None in members:
             raise InternalInvariantError("an orbit of actions leaves the homomorphism list")
         done[list(members)] = True
-        leaders.append(min(members, key=product_key))
+        leaders.append(min(members, key=lambda i: (_circle_rows(acts[i], circ2), i)))
     return leaders
 
 

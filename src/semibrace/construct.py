@@ -1,6 +1,7 @@
-"""Named constructions: trivial structures, semidirect products, size-p^2
-skew braces, Rump cyclic braces, and the classification families at orders
-pq and 2p^2 with E a Sylow subgroup.
+"""Named constructions: trivial structures, direct products (through
+`core.semidirect`, which this module re-exports), size-p^2 skew braces,
+Rump cyclic braces, and the classification families at orders pq and 2p^2
+with E a Sylow subgroup.
 
 Every constructor routes its tables through core.verify; nothing is trusted.
 Family tables are written as literal coordinate formulas so they stay an
@@ -14,15 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InternalInvariantError, ParameterError, SemiBrace, semidirect_tables, verify
-from .tables import (
-    FiniteGroup,
-    cyclic_group,
-    direct_product,
-    is_action,
-    is_morphism,
-    is_normal_subset,
-)
+from .core import InternalInvariantError, ParameterError, SemiBrace, semidirect, verify
+from .tables import FiniteGroup, cyclic_group, direct_product, is_normal_subset
 
 
 def is_prime(n: int) -> bool:
@@ -59,30 +53,6 @@ def trivial_semibrace(g: FiniteGroup) -> SemiBrace:
 def trivial_skewbrace(g: FiniteGroup) -> SemiBrace:
     """a + b := a o b; a skew brace with E = {0}."""
     return verify(g.table, g.table)
-
-
-def semidirect(b1: SemiBrace, b2: SemiBrace, alpha: np.ndarray) -> SemiBrace:
-    """Semidirect product B1 x| B2, with B2 acting on B1 through alpha.
-
-    alpha is a (|B2|, |B1|) array: alpha[c], the image array of the map
-    attached to c, must be an automorphism of B1 (preserving both tables)
-    for every c in B2, and c -> alpha[c] a homomorphism from (B2, o). Pair
-    (x1, x2) receives index x1 * |B2| + x2.
-    """
-    images = np.asarray(alpha, dtype=np.int64)
-    if images.shape != (b2.n, b1.n):
-        raise ParameterError("alpha must give one map on B1 per element of B2")
-    add1, circ1 = b1.add.table, b1.circ.table
-    for c in range(b2.n):
-        f = images[c]
-        if not np.array_equal(np.sort(f), np.arange(b1.n)):
-            raise ParameterError(f"alpha[{c}] is not a bijection")
-        if not (is_morphism(f, add1, add1) and is_morphism(f, circ1, circ1)):
-            raise ParameterError(f"alpha[{c}] is not a semi-brace automorphism of B1")
-    if not is_action(images, b2.circ.table):
-        raise ParameterError("alpha is not a homomorphism from (B2, o)")
-    add, circ = semidirect_tables(add1, circ1, b2.add.table, b2.circ.table, images)
-    return verify(add, circ)
 
 
 def direct_product_semibrace(b1: SemiBrace, b2: SemiBrace) -> SemiBrace:

@@ -31,6 +31,7 @@ from .tables import (
     _freeze,
     automorphisms,
     check_group,
+    checked_action,
     first_nonassociative,
     identity_swap,
     is_action,
@@ -38,6 +39,7 @@ from .tables import (
     is_normal_subset,
     left_nested_generators,
     orbit_lengths,
+    semidirect_table,
     slab_chunks,
 )
 
@@ -216,11 +218,7 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     n, add, tab = add_t.n, add_t.table, circ.table
     lam = tab[np.arange(n)[:, None], add[circ.inverse]]  # lam[a,b] = a o (a' + b)
     gens = np.array(left_nested_generators(tab)[1:], dtype=np.int64)  # [0] is the identity
-    if not (
-        np.array_equal(add[0], np.arange(n))
-        and np.array_equal(lam[tab[:, gens]], lam[np.arange(n)[:, None, None], lam[gens]])
-        and endomorphic_rows(lam[None], add[None], gens)[0]
-    ):
+    if not (is_action(lam, tab, gens) and endomorphic_rows(lam[None], add[None], gens)[0]):
         raise _first_failure(add, tab, lam)
 
     e_elements = tuple(int(i) for i in np.flatnonzero(np.diagonal(add) == np.arange(n)))
@@ -265,7 +263,7 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[np.ndarray]:
     pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
 
     def keeps_add(f: np.ndarray) -> bool:
-        return is_morphism(f, b1.add.table, b2.add.table)
+        return is_morphism(f[None], b1.add.table, b2.add.table)[0]
 
     found = _first_morphisms(
         b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
@@ -339,40 +337,17 @@ def skew_part(b: SemiBrace) -> GPart:
     return GPart(elements=elems, semibrace=semibrace)
 
 
-class LambdaMap(NamedTuple):
-    """The lambda action of (B, o) by additive automorphisms."""
-
-    owner: SemiBrace
-
-    def apply(self, a: int, x: int) -> int:
-        return int(self.owner.lam[a, x])
-
-
-def lambda_map(b: SemiBrace) -> LambdaMap:
-    """lambda_a(x) = a o (a' + x); validates the action laws."""
-    lam = b.lam
-    n = b.n
-    add = b.add.table
-    if not (np.sort(lam, axis=1) == np.arange(n)).all():
-        raise InternalInvariantError("lambda_a is not a bijection")
-    # additive automorphism: lambda_a(x + y) = lambda_a(x) + lambda_a(y)
-    for a in range(n):
-        if not is_morphism(lam[a], add, add):
-            raise InternalInvariantError("lambda_a does not preserve +")
-    # homomorphism from (B, o): lambda_(a o b) = lambda_a . lambda_b
-    tab = b.circ.table
-    for a in range(n):
-        for c in range(n):
-            if not np.array_equal(lam[tab[a, c]], lam[a][lam[c]]):
-                raise InternalInvariantError("lambda is not a circle homomorphism")
-    eset = set(b.e_elements)
-    gset = set(b.g_elements)
-    for a in range(n):
-        if {int(lam[a, e]) for e in eset} != eset:
-            raise InternalInvariantError("lambda_a does not preserve E")
-        if (int(lam[a, 0]) == 0) != (a in gset):
-            raise InternalInvariantError("lambda_a fixes 0 exactly on G")
-    return LambdaMap(owner=b)
+def lambda_map(b: SemiBrace) -> np.ndarray:
+    """lambda_a(x) = a o (a' + x), as `b.lam`, after checking that it is an
+    action of (B, o) by automorphisms of (B, +) that keeps E and fixes 0
+    exactly on G."""
+    checked_action(b.lam, b.circ.table, b.add.table, InternalInvariantError)
+    e = np.array(b.e_elements)
+    if not (np.sort(b.lam[:, e], axis=1) == e).all():
+        raise InternalInvariantError("lambda_a does not preserve E")
+    if not np.array_equal(b.lam[:, 0] == 0, np.isin(np.arange(b.n), b.g_elements)):
+        raise InternalInvariantError("lambda_a fixes 0 exactly on G")
+    return b.lam
 
 
 def factorize(b: SemiBrace, x: int) -> tuple[int, int]:
@@ -508,24 +483,26 @@ def kernel_lambda_on_E(b: SemiBrace) -> tuple[int, ...]:
 # semidirect products and decompositions
 
 
-def semidirect_tables(
-    add1: np.ndarray, circ1: np.ndarray, add2: np.ndarray, circ2: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw product tables of B1 x| B2 with B2 acting on B1 through alpha.
+def semidirect(b1: SemiBrace, b2: SemiBrace, alpha) -> SemiBrace:
+    """Semidirect product B1 x| B2, with B2 acting on B1 through alpha.
 
-    alpha[c] is the image array of the automorphism attached to c in B2.
-    Pair (x1, x2) gets index x1 * n2 + x2.
+    alpha is a (|B2|, |B1|) array: alpha[c], the image array of the map
+    attached to c, must be an automorphism of B1 (preserving both tables)
+    for every c in B2, and c -> alpha[c] a homomorphism from (B2, o);
+    `checked_action` raises ParameterError otherwise.  Pair (x1, x2)
+    receives index x1 * |B2| + x2, and `tables.semidirect_table` gives both
+    operations: + with the identity action, o with alpha.
 
         (x1, x2) + (y1, y2) = (x1 + y1, x2 + y2)
         (x1, x2) o (y1, y2) = (x1 o alpha[x2](y1), x2 o y2)
     """
-    n1, n2 = add1.shape[0], add2.shape[0]
-    idx1, idx2 = np.divmod(np.arange(n1 * n2), n2)
-    a, x = idx1[:, None], idx2[:, None]
-    bb, yy = idx1[None, :], idx2[None, :]
-    add = add1[a, bb] * n2 + add2[x, yy]
-    circ = circ1[a, alpha[x, bb]] * n2 + circ2[x, yy]
-    return add, circ
+    kept = np.stack((b1.add.table, b1.circ.table))
+    acted = checked_action(alpha, b2.circ.table, kept, ParameterError)
+    identity = np.broadcast_to(np.arange(b1.n), acted.shape)
+    return verify(
+        semidirect_table(b1.add.table, b2.add.table, identity),
+        semidirect_table(b1.circ.table, b2.circ.table, acted),
+    )
 
 
 class SemidirectData(NamedTuple):
@@ -554,31 +531,25 @@ def brace_automorphism_group(b: SemiBrace) -> np.ndarray:
     `automorphisms(b.circ)` that preserve +, so sorted with the identity
     first."""
     auts, add = automorphisms(b.circ), b.add.table
-    return auts[[is_morphism(f, add, add) for f in auts]]
+    return auts[is_morphism(auts, add, add)]
 
 
 def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
     if not (
         np.array_equal(np.sort(f), np.arange(b.n))
-        and is_morphism(f, b.add.table, product.add.table)
-        and is_morphism(f, b.circ.table, product.circ.table)
+        and is_morphism(f[None], b.add.table, product.add.table)[0]
+        and is_morphism(f[None], b.circ.table, product.circ.table)[0]
     ):
         raise InternalInvariantError("semidirect witness is not an isomorphism")
 
 
-def _checked_action(
-    images: np.ndarray, acting: np.ndarray, add: np.ndarray, circ: np.ndarray
-) -> np.ndarray:
-    """`images`, read-only, after checking that each row is a bijection
-    preserving both tables (add, circ) of the acted-on factor and that
-    x -> images[x] is a homomorphism from the group table `acting`."""
-    bijective = (np.sort(images, axis=1) == np.arange(images.shape[1])).all()
-    automorphic = all(is_morphism(f, add, add) and is_morphism(f, circ, circ) for f in images)
-    if not (bijective and automorphic):
-        raise InternalInvariantError("conjugation is not an automorphism of its factor")
-    if not is_action(images, acting):
-        raise InternalInvariantError("conjugation action is not a homomorphism")
-    return _freeze(images)
+def _product(b1: SemiBrace, b2: SemiBrace, images: np.ndarray) -> SemiBrace:
+    """`semidirect` for a decomposition, where a conjugation action that
+    fails the action check breaks a proven invariant."""
+    try:
+        return semidirect(b1, b2, images)
+    except ParameterError as err:
+        raise InternalInvariantError(f"conjugation: {err}") from err
 
 
 def decompose(b: SemiBrace) -> Optional[SemidirectData]:
@@ -604,12 +575,8 @@ def decompose(b: SemiBrace) -> Optional[SemidirectData]:
             if conj not in gpos:
                 raise InternalInvariantError("conjugation by an idempotent escapes G")
             images[ei, gpos[g]] = gpos[conj]
-    gadd, gcirc = gp.semibrace.add.table, gp.semibrace.circ.table
-    alpha = _checked_action(images, ep.group.table, gadd, gcirc)
-
-    tadd = np.tile(np.arange(m), (m, 1))  # trivial factor: a + b = b
-    padd, pcirc = semidirect_tables(gadd, gcirc, tadd, ep.group.table, images)
-    product = verify(padd, pcirc)
+    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
+    product = _product(gp.semibrace, etriv, images)
 
     f = np.zeros(b.n, dtype=np.int64)
     for x in range(b.n):
@@ -620,7 +587,7 @@ def decompose(b: SemiBrace) -> Optional[SemidirectData]:
         direction="skew-by-trivial",
         brace=gp.semibrace,
         trivial_group=ep.group,
-        alpha=alpha,
+        alpha=_freeze(images),
         witness=_freeze(f),
         product=product,
     )
@@ -650,13 +617,8 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
             if conj not in eset:
                 raise InternalInvariantError("conjugation by a skew element escapes E")
             images[gi, epos[e]] = epos[conj]
-    tadd = np.tile(np.arange(m), (m, 1))
-    alpha = _checked_action(images, gp.semibrace.circ.table, tadd, ep.group.table)
-
-    padd, pcirc = semidirect_tables(
-        tadd, ep.group.table, gp.semibrace.add.table, gp.semibrace.circ.table, images
-    )
-    product = verify(padd, pcirc)
+    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
+    product = _product(etriv, gp.semibrace, images)
 
     f = np.full(b.n, -1, dtype=np.int64)
     gset = set(gp.elements)
@@ -675,7 +637,7 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
         direction="trivial-by-skew",
         brace=gp.semibrace,
         trivial_group=ep.group,
-        alpha=alpha,
+        alpha=_freeze(images),
         witness=_freeze(f),
         product=product,
     )

@@ -326,18 +326,67 @@ class Subgroup(NamedTuple):
 # hom / iso search
 
 
-def is_morphism(f: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
-    """f(x * y) = f(x) * f(y), with * from the table `src` on the left and
-    from `dst` on the right."""
-    return bool(np.array_equal(f[src], dst[f[:, None], f[None, :]]))
+def is_morphism(maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One bool per row f of `maps` (rows, n): whether f(x * y) = f(x) * f(y)
+    for all x and y, with * from the table `src` on the left and from `dst`
+    on the right.  `src` and `dst` may also be stacks (t, n, n) of tables,
+    and then f must be a morphism for each pair of tables at one index.  The
+    rows are compared at most SLAB entries at a time."""
+    n = src.shape[-1]
+    src, dst = src.reshape(-1, n, n), dst.reshape(-1, n, n)
+    ok = np.empty(len(maps), dtype=bool)
+    for rows in slab_chunks(np.arange(len(maps)), src.size):
+        f = maps[rows]
+        image = dst[:, f[:, :, None], f[:, None, :]]  # [t, r, x, y] = f(x) * f(y)
+        ok[rows] = (f[:, src] == image.swapaxes(0, 1)).all(axis=(1, 2, 3))
+    return ok
 
 
-def is_action(images: np.ndarray, table: np.ndarray) -> bool:
-    """images[x o y] = images[x] . images[y] for a group table `table`, with
-    images[x] the image array of the permutation attached to x."""
-    k = table.shape[0]
-    composed = images[np.arange(k)[:, None, None], images[None, :, :]]  # [x, y] = x . y
-    return bool(np.array_equal(images[table], composed))
+def is_action(images: np.ndarray, table: np.ndarray, gens: Sequence[int]) -> bool:
+    """Whether x -> images[x] is a homomorphism from the group table `table`
+    (identity 0) into the maps of range(d) under composition, with images[x]
+    the (d,) image array attached to x and `gens` generating the group:
+    images[0] is the identity and images[x o g] = images[x] . images[g] for
+    every x and every g in `gens`, at O(k |gens| d) memory.  That is the
+    whole law: y = g_1 o ... o g_m gives, by induction on m,
+    images[x o y] = images[x] . images[g_1] ... images[g_m], and with x = 0
+    the right side is images[x] . images[y]."""
+    k, d = images.shape
+    gens = np.asarray(gens, dtype=np.int64)
+    return bool(
+        np.array_equal(images[0], np.arange(d))
+        and np.array_equal(images[table[:, gens]], images[np.arange(k)[:, None, None], images[gens]])
+    )
+
+
+def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) -> np.ndarray:
+    """`action` as a read-only int64 (k, d) array, with k the order of the
+    group table `acting` and d that of `kept`, a (d, d) table or a stack
+    (t, d, d) of them, after checking that it is an action of that group by
+    automorphisms of every table in `kept`: integer entries in range(d),
+    rows that are bijections preserving each table, and `is_action` on the
+    generators of `acting`.  Raises `error`, the caller's exception class,
+    naming the first failure."""
+    k, d = acting.shape[0], kept.shape[-1]
+    try:
+        arr = np.array(action)
+    except ValueError as err:  # ragged rows: numpy's inhomogeneous shape
+        raise error(f"action rows are ragged ({err})") from err
+    if arr.shape != (k, d):
+        raise error(
+            f"the action must give one map of range({d}) per element of the acting group, "
+            f"got shape {arr.shape}"
+        )
+    if not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() >= d:
+        raise error(f"action entries must be integers in range({d})")
+    arr = _freeze(arr)
+    automorphic = (np.sort(arr, axis=1) == np.arange(d)).all(axis=1) & is_morphism(arr, kept, kept)
+    if not automorphic.all():
+        bad = int(np.argmin(automorphic))
+        raise error(f"action[{bad}] is not an automorphism of the acted-on factor")
+    if not is_action(arr, acting, left_nested_generators(acting)[1:]):
+        raise error("the action is not a homomorphism from the acting group")
+    return arr
 
 
 # A search target stores each element along a last axis of width w. A
@@ -648,28 +697,25 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_table(CayleyTable.of((a[:, None] + a[None, :]) % n))
 
 
+def semidirect_table(t1: np.ndarray, t2: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The one product formula: (x1, x2)(y1, y2) = (x1 alpha[x2](y1), x2 y2),
+    with the operations of the tables t1 and t2 and the pair (x1, x2) at
+    index x1 * n2 + x2; alpha[x2] is the image array of the map attached to
+    x2."""
+    n2 = t2.shape[0]
+    x1, x2 = np.divmod(np.arange(t1.shape[0] * n2), n2)
+    return t1[x1[:, None], alpha[x2[:, None], x1[None, :]]] * n2 + t2[x2[:, None], x2[None, :]]
+
+
 def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: np.ndarray) -> FiniteGroup:
     """H x| K with K acting on H: (a, x)(b, y) = (a o action[x](b), x o y).
 
     Pair (a, x) gets index a * |K| + x. The action is a (|K|, |H|) array,
     row x the image array of the automorphism attached to x; it must be a
-    homomorphism from K into Aut(H), and this is validated.
+    homomorphism from K into Aut(H), which `checked_action` validates.
     """
-    acted = np.asarray(action, dtype=np.int64)  # acted[x, b]
-    if acted.shape != (k.n, h.n):
-        raise MalformedTableError("action must assign one automorphism per element of K")
-    for x in range(k.n):
-        if not is_morphism(acted[x], h.table, h.table):
-            raise MalformedTableError(f"action[{x}] is not an automorphism of H")
-    if not is_action(acted, k.table):
-        raise MalformedTableError("action is not a homomorphism of K into Aut(H)")
-    nh, nk = h.n, k.n
-    n = nh * nk
-    a, x = np.divmod(np.arange(n), nk)
-    bb, yy = a[None, :], x[None, :]
-    first = h.table[a[:, None], acted[x[:, None], bb]]
-    second = k.table[x[:, None], yy]
-    return FiniteGroup.from_table(CayleyTable.of(first * nk + second))
+    acted = checked_action(action, k.table, h.table, MalformedTableError)
+    return FiniteGroup.from_table(CayleyTable.of(semidirect_table(h.table, k.table, acted)))
 
 
 def direct_product(h: FiniteGroup, k: FiniteGroup) -> FiniteGroup:

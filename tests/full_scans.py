@@ -3,7 +3,8 @@ associativity, left cancellation, compatibility and the braid relation,
 kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
-a stack of tables, a cycle walk, the reference for the vectorised
+a stack of tables, the action law on every pair of a group's elements
+(the reference for the generator test `tables.is_action`), a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
@@ -224,6 +225,15 @@ def associative_rows(add: np.ndarray) -> np.ndarray:
     left = add[r, add[:, :, :, None], np.arange(n)]
     right = add[r, np.arange(n)[:, None, None], add[:, None, :, :]]
     return (left == right).reshape(rows, n ** 3).all(axis=1)
+
+
+def is_action(images: np.ndarray, table: np.ndarray) -> bool:
+    """images[x o y] = images[x] . images[y] for a group table `table`, with
+    images[x] the image array of the permutation attached to x: all k**2
+    products at once."""
+    k = table.shape[0]
+    composed = images[np.arange(k)[:, None, None], images[None, :, :]]  # [x, y] = x . y
+    return bool(np.array_equal(images[table], composed))
 
 
 def cycle_lengths(images) -> list[int]:

@@ -43,7 +43,6 @@ from semibrace.core import (
     SemiBraceAxiomError,
     brace_automorphism_group,
     endomorphic_rows,
-    semidirect_tables,
     verify,
 )
 from semibrace.tables import (
@@ -55,6 +54,7 @@ from semibrace.tables import (
     homomorphisms,
     is_morphism,
     orbit_lengths,
+    semidirect_table,
 )
 from semibrace.ybe import check_braid, solution_from
 
@@ -236,8 +236,8 @@ def test_relabeled_family_is_isomorphic_with_a_genuine_witness(data):
     relabeled = b.relabel([0, *rest])
     f = isomorphic(b, relabeled)
     assert f is not None
-    assert is_morphism(f, b.add.table, relabeled.add.table)
-    assert is_morphism(f, b.circ.table, relabeled.circ.table)
+    assert is_morphism(f[None], b.add.table, relabeled.add.table)[0]
+    assert is_morphism(f[None], b.circ.table, relabeled.circ.table)[0]
 
 
 def test_size_mismatch_is_not_isomorphic():
@@ -566,10 +566,12 @@ def _generating_set(perms):
     return gens
 
 
-def _action_lists(n):
+def _action_lists(n, esylow=True):
     """(B1, B2, Aut(B1), Aut(B2), homs) for every action list of the
-    2p^2 structural census at order n, as `enumerate_structural` forms them."""
-    for e in classify._structural_e_sizes(n, 2, True):
+    structural census at order n, as `enumerate_structural` forms them."""
+    for e in classify._structural_e_sizes(n, 2, esylow):
+        if e == n:
+            continue
         for gbrace in skew_braces(n // e):
             gaut = brace_automorphism_group(gbrace)
             for egroup in small_groups(e):
@@ -588,18 +590,41 @@ def test_automorphism_pairs_carry_products_onto_products(n):
         pairs = [(f, ident2) for f in _generating_set(aut1)]
         pairs += [(ident1, f) for f in _generating_set(aut2)]
         x1, x2 = np.divmod(np.arange(n), b2.n)
+        add = semidirect_table(b1.add.table, b2.add.table, np.tile(ident1, (b2.n, 1)))
         for act in homs:
-            src = semidirect_tables(b1.add.table, b1.circ.table, b2.add.table, b2.circ.table, act)
+            circ = semidirect_table(b1.circ.table, b2.circ.table, act)
             for phi, psi in pairs:
                 moved = np.empty_like(act)
                 moved[np.ix_(psi, phi)] = phi[act]  # alpha'(psi c)(phi y) = phi(alpha(c)(y))
                 assert moved.tobytes() in keys
-                dst = semidirect_tables(
-                    b1.add.table, b1.circ.table, b2.add.table, b2.circ.table, moved)
+                moved_circ = semidirect_table(b1.circ.table, b2.circ.table, moved)
                 f = phi[x1] * b2.n + psi[x2]
                 assert np.array_equal(np.sort(f), np.arange(n))
-                assert is_morphism(f, src[0], dst[0]) and is_morphism(f, src[1], dst[1])
+                assert is_morphism(f[None], add, add)[0]
+                assert is_morphism(f[None], circ, moved_circ)[0]
     assert lists == 12
+
+
+@pytest.mark.parametrize("n, esylow", [(6, False), (10, False), (14, False), (15, False),
+                                       (18, True), (50, True)])
+def test_circle_rows_order_actions_as_the_whole_product_key(n, esylow):
+    # `_orbit_leaders` orders each action list by the first |B2| rows of the
+    # product's circ table; the whole (add, circ) key of `semidirect` must
+    # give the same order
+    actions = 0
+    for b1, b2, _, _, homs in _action_lists(n, esylow):
+        actions += len(homs)
+
+        def whole_key(i):
+            b = semidirect(b1, b2, homs[i])
+            return [b.add.table.tobytes(), b.circ.table.tobytes()], i
+
+        def row_key(i):
+            return classify._circle_rows(homs[i], b2.circ.table), i
+
+        order = sorted(range(len(homs)), key=whole_key)
+        assert sorted(range(len(homs)), key=row_key) == order
+    assert actions
 
 
 @pytest.mark.parametrize("n", [18, 50])

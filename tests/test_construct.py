@@ -77,6 +77,25 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect(b1, b2, bad)
 
 
+# Actions of C2 on the trivial brace C3 that are not integer arrays of
+# shape (2, 3) over range(3); a float entry used to be truncated to an
+# automorphism
+MALFORMED_ACTIONS = {
+    "float": [[0, 1, 2], [0, 2.5, 1]],
+    "out-of-range": [[0, 1, 2], [0, 1, 7]],
+    "negative": [[0, 1, 2], [0, -1, 1]],
+    "shape": [[0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("alpha", MALFORMED_ACTIONS.values(), ids=MALFORMED_ACTIONS.keys())
+def test_semidirect_rejects_malformed_actions(alpha):
+    b1 = trivial_skewbrace(cyclic_group(3))
+    b2 = trivial_semibrace(cyclic_group(2))
+    with pytest.raises(ParameterError):
+        semidirect(b1, b2, alpha)
+
+
 def test_direct_product_multiplies_idempotents():
     b1 = trivial_semibrace(cyclic_group(2))
     b2 = trivial_skewbrace(cyclic_group(3))

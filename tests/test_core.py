@@ -18,7 +18,6 @@ from semibrace.construct import FamilyId, family
 from semibrace.core import (
     InternalInvariantError,
     SemiBraceAxiomError,
-    _checked_action,
     _induced_table,
     additive_decomposition,
     brace_automorphism_group,
@@ -31,11 +30,11 @@ from semibrace.core import (
     kernel_lambda_on_E,
     lambda_map,
     semibrace_from_json,
-    semidirect_tables,
+    semidirect,
     skew_part,
     verify,
 )
-from semibrace.tables import cyclic_group, dicyclic_group
+from semibrace.tables import checked_action, cyclic_group, dicyclic_group
 from semibrace.ybe import check_braid, solution_from
 
 
@@ -414,8 +413,7 @@ def test_lambda_rho_product_identity(data):
 
 @pytest.mark.parametrize("b", POOL, ids=lambda b: f"n{b.n}e{len(b.e_elements)}")
 def test_lambda_map_validates(b):
-    lm = lambda_map(b)
-    assert lm.owner is b
+    assert lambda_map(b) is b.lam
     assert b.lam.shape == (b.n, b.n)
     assert np.array_equal(b.lam[0], np.arange(b.n))
 
@@ -505,26 +503,27 @@ def test_abelian_circle_gives_direct_product(kernel_example):
 
 
 def test_checked_action_rejects_bad_actions():
+    # the action check of the decompositions: Z2 acting on the trivial
+    # brace Z3, raising the caller's class
     z3, z2 = cyclic_group(3), cyclic_group(2)
+    kept = np.stack((z3.table, z3.table))
     ident, inversion, swap = [0, 1, 2], [0, 2, 1], [1, 0, 2]
-    alpha = _checked_action(np.array([ident, inversion]), z2.table, z3.table, z3.table)
+    alpha = checked_action(np.array([ident, inversion]), z2.table, kept, InternalInvariantError)
     assert alpha.tolist() == [ident, inversion]
     with pytest.raises(InternalInvariantError, match="automorphism"):
-        _checked_action(np.array([ident, swap]), z2.table, z3.table, z3.table)
+        checked_action(np.array([ident, swap]), z2.table, kept, InternalInvariantError)
     # the constant map to 0 preserves both tables but is not a bijection
     with pytest.raises(InternalInvariantError, match="automorphism"):
-        _checked_action(np.array([ident, [0, 0, 0]]), z2.table, z3.table, z3.table)
+        checked_action(np.array([ident, [0, 0, 0]]), z2.table, kept, InternalInvariantError)
     with pytest.raises(InternalInvariantError, match="homomorphism"):
-        _checked_action(np.array([inversion, inversion]), z2.table, z3.table, z3.table)
+        checked_action(np.array([inversion, inversion]), z2.table, kept, InternalInvariantError)
 
 
 def test_semidirect_tables_shape():
     g = cyclic_group(2)
-    add1, circ1 = trivial_brace_tables(g)
-    add2, circ2 = trivial_semibrace_tables(g)
-    alpha = np.tile(np.arange(2), (2, 1))
-    add, circ = semidirect_tables(add1, circ1, add2, circ2, alpha)
-    b = verify(add, circ)
+    b1 = verify(*trivial_brace_tables(g))
+    b2 = verify(*trivial_semibrace_tables(g))
+    b = semidirect(b1, b2, np.tile(np.arange(2), (2, 1)))
     assert b.n == 4
     assert len(b.e_elements) == 2 and len(b.g_elements) == 2
 

@@ -24,7 +24,6 @@ RECORDS = [
     (core.SemiBrace, "lam", lambda b: b),
     (core.EPart, "elements", core.idempotents),
     (core.GPart, "semibrace", core.skew_part),
-    (core.LambdaMap, "owner", core.lambda_map),
     (core.IdealReport, "witness", lambda b: core.is_ideal(b, b.e_elements)),
     (core.SemidirectData, "alpha", core.decompose),
     (ybe.SolutionMap, "r", ybe.solution_from),

@@ -1,5 +1,6 @@
 """Group/table layer: oracles are computed independently inside the tests."""
 
+import collections
 import itertools
 import math
 
@@ -225,19 +226,39 @@ def test_homomorphisms_from_order_twelve_match_brute_force():
                 assert got == _actions_by_brute_force(k, target)
 
 
-def test_homomorphic_rows_match_the_full_table_check():
-    # every tuple of generator images in Sym(3), closed over the BFS tree:
-    # the row check keeps exactly the maps that are actions on the full table
+def _sym3_rows():
+    """(k, f) for every catalogue group k of order 2 to 8, with f every tuple
+    of generator images in Sym(3) closed over the BFS tree, so f[:, 0] = id."""
     sym3 = np.array(list(itertools.permutations(range(3))))
     for m in range(2, 9):
         for k in small_groups(m):
             gens = k.generating_sequence()
-            tree = tables._bfs_tree(k, gens)
             choice = np.array(list(itertools.product(range(6), repeat=len(gens))))
             images = [sym3[choice[:, i]] for i in range(len(gens))]
-            f = tables._lambda_rows(k.n, tree, images, tables._compose_rows)
-            got = tables._homomorphic_rows(f, k.table, gens, tree, tables._compose_rows)
-            assert got.tolist() == [tables.is_action(row, k.table) for row in f]
+            yield k, tables._lambda_rows(k.n, tables._bfs_tree(k, gens), images, tables._compose_rows)
+
+
+def test_homomorphic_rows_match_the_full_table_check():
+    # the row check keeps exactly the maps that are actions on the full table
+    for k, f in _sym3_rows():
+        gens = k.generating_sequence()
+        tree = tables._bfs_tree(k, gens)
+        got = tables._homomorphic_rows(f, k.table, gens, tree, tables._compose_rows)
+        assert got.tolist() == [full_scans.is_action(row, k.table) for row in f]
+
+
+def test_generator_action_check_matches_the_full_table_check():
+    # on rows with images[0] = id, images[x o g] = images[x] . images[g] on
+    # the generators g decides the whole law
+    verdicts = collections.Counter()
+    for k, f in _sym3_rows():
+        assert (f[:, 0] == np.arange(3)).all()
+        gens = left_nested_generators(k.table)[1:]
+        for row in f:
+            want = full_scans.is_action(row, k.table)
+            assert tables.is_action(row, k.table, gens) == want
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_involutions_of_gl27():
@@ -379,6 +400,22 @@ def test_semidirect_group_rejects_non_action():
     inversion = [0, 2, 1]
     with pytest.raises(MalformedTableError, match="not a homomorphism"):
         semidirect_group(z3, z2, np.array([inversion, inversion]))
+
+
+# Actions of C2 on C3 that are not integer arrays of shape (2, 3) over
+# range(3); a float entry used to be truncated to an automorphism
+MALFORMED_ACTIONS = {
+    "float": [[0, 1, 2], [0, 2.9, 1.2]],
+    "out-of-range": [[0, 1, 2], [0, 1, 7]],
+    "negative": [[0, 1, 2], [0, -1, 1]],
+    "shape": [[0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("action", MALFORMED_ACTIONS.values(), ids=MALFORMED_ACTIONS.keys())
+def test_semidirect_group_rejects_malformed_actions(action):
+    with pytest.raises(MalformedTableError):
+        semidirect_group(cyclic_group(3), cyclic_group(2), action)
 
 
 def test_dicyclic_table_matches_presentation():
