@@ -20,6 +20,8 @@ Each hash is the first 16 hex digits of the sha256 of
   then `decompose_E_ideal` of each, `[direction, alpha, witness, product
   add, product circ]` as lists, or None where the decomposition does not
   exist;
+* decompositions_pq, over every family of every pq theorem at the
+  PQ_ORDERS parameters (54 families): the same value as decompositions;
 * braid, over every family at p = 5 (pq-congruent at q = 2, pq-noncongruent
   at q = 3 and 5, every 2p^2 theorem) and then every class of
   `enumerate_generic(8)`: value the `[holds, witness]` of `check_braid` on
@@ -80,6 +82,7 @@ from semibrace.construct import (  # noqa: E402
     FamilyId,
     applicable_items,
     family,
+    theorems_for_order_pq,
 )
 from semibrace.core import decompose, decompose_E_ideal, semibrace_from_json  # noqa: E402
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
@@ -136,7 +139,18 @@ def nilpotency_hash() -> str:
     ])
 
 
-def decompositions_hash() -> str:
+PQ_ORDERS = ((2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 5), (7, 7),
+             (11, 2), (13, 3))
+
+
+def _pq_structures() -> list:
+    """Every family of `applicable_items(theorems_for_order_pq(p, q), p, q)`
+    over PQ_ORDERS."""
+    return [family(fid) for p, q in PQ_ORDERS
+            for fid in applicable_items(theorems_for_order_pq(p, q), p, q)]
+
+
+def decompositions_hash(structures: list) -> str:
     def value(data):
         if data is None:
             return None
@@ -144,7 +158,7 @@ def decompositions_hash() -> str:
                 data.product.add.table.tolist(), data.product.circ.table.tolist()]
 
     return json_hash([
-        value(split(b)) for b in _series_structures() for split in (decompose, decompose_E_ideal)
+        value(split(b)) for b in structures for split in (decompose, decompose_E_ideal)
     ])
 
 
@@ -269,7 +283,8 @@ def main() -> int:
         "funnel_n8": funnel(),
         "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),
-        "decompositions": decompositions_hash(),
+        "decompositions": decompositions_hash(_series_structures()),
+        "decompositions_pq": decompositions_hash(_pq_structures()),
         "braid": braid_hash(),
         "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),

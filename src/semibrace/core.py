@@ -27,14 +27,15 @@ from .tables import (
     CayleyTable,
     FiniteGroup,
     MalformedTableError,
+    _compose_rows,
     _first_morphisms,
     _freeze,
+    _homomorphic_rows,
     automorphisms,
     check_group,
     checked_action,
     first_nonassociative,
     identity_swap,
-    is_action,
     is_morphism,
     is_normal_subset,
     left_nested_generators,
@@ -218,7 +219,11 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     n, add, tab = add_t.n, add_t.table, circ.table
     lam = tab[np.arange(n)[:, None], add[circ.inverse]]  # lam[a,b] = a o (a' + b)
     gens = np.array(left_nested_generators(tab)[1:], dtype=np.int64)  # [0] is the identity
-    if not (is_action(lam, tab, gens) and endomorphic_rows(lam[None], add[None], gens)[0]):
+    if not (
+        np.array_equal(lam[0], np.arange(n))
+        and _homomorphic_rows(lam[None], tab, gens, [], _compose_rows)[0]
+        and endomorphic_rows(lam[None], add[None], gens)[0]
+    ):
         raise _first_failure(add, tab, lam)
 
     e_elements = tuple(int(i) for i in np.flatnonzero(np.diagonal(add) == np.arange(n)))
@@ -543,13 +548,34 @@ def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
         raise InternalInvariantError("semidirect witness is not an isomorphism")
 
 
-def _product(b1: SemiBrace, b2: SemiBrace, images: np.ndarray) -> SemiBrace:
-    """`semidirect` for a decomposition, where a conjugation action that
-    fails the action check breaks a proven invariant."""
+def _decomposition(b: SemiBrace, direction: str, order: str, pair: np.ndarray) -> SemidirectData:
+    """B as B1 x| B2, with (B1, B2) its parts G and E taken in `order`, "GE"
+    or "EG".  B2 acts on B1 by conjugation, alpha[c](y) = c o y o c', and
+    the witness sends x to the unique pair (x1, x2) in B1 x B2 with
+    x = pair[x1, x2].  Raises InternalInvariantError if a conjugate leaves
+    B1, if some x is not hit exactly once, or if the witness is not an
+    isomorphism onto the product."""
+    gp, ep = skew_part(b), idempotents(b)
+    m = len(ep.elements)
+    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
+    parts = {"G": (np.array(gp.elements), gp.semibrace), "E": (np.array(ep.elements), etriv)}
+    (y, b1), (c, b2) = (parts[k] for k in order)
+    tab, pos = b.circ.table, np.full(b.n, -1, dtype=np.int64)
+    pos[y] = np.arange(y.size)
+    alpha = pos[tab[tab[np.ix_(c, y)], b.circ.inverse[c][:, None]]]  # c o y o c'
+    if (alpha < 0).any():
+        raise InternalInvariantError("conjugation escapes the acted-on factor")
+    hits = pair[np.ix_(y, c)].ravel()  # hits[i1 * |B2| + i2] = pair[y[i1], c[i2]]
+    if not (np.bincount(hits, minlength=b.n) == 1).all():
+        raise InternalInvariantError(f"x = pair[x1, x2] is not unique in the {order} decomposition")
+    f = np.empty(b.n, dtype=np.int64)
+    f[hits] = np.arange(b.n)
     try:
-        return semidirect(b1, b2, images)
+        product = semidirect(b1, b2, alpha)
     except ParameterError as err:
         raise InternalInvariantError(f"conjugation: {err}") from err
+    _check_witness(f, b, product)
+    return SemidirectData(direction, gp.semibrace, ep.group, _freeze(alpha), _freeze(f), product)
 
 
 def decompose(b: SemiBrace) -> Optional[SemidirectData]:
@@ -561,36 +587,7 @@ def decompose(b: SemiBrace) -> Optional[SemidirectData]:
     """
     if set(kernel_lambda_on_E(b)) != set(b.g_elements):
         return None
-    gp = skew_part(b)
-    ep = idempotents(b)
-    gpos = {e: i for i, e in enumerate(gp.elements)}
-    epos = {e: i for i, e in enumerate(ep.elements)}
-    k = len(gp.elements)
-    m = len(ep.elements)
-
-    images = np.zeros((m, k), dtype=np.int64)
-    for ei, e in enumerate(ep.elements):
-        for g in gp.elements:
-            conj = b.circ_of(b.circ_of(e, g), b.inv(e))
-            if conj not in gpos:
-                raise InternalInvariantError("conjugation by an idempotent escapes G")
-            images[ei, gpos[g]] = gpos[conj]
-    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
-    product = _product(gp.semibrace, etriv, images)
-
-    f = np.zeros(b.n, dtype=np.int64)
-    for x in range(b.n):
-        g, e = additive_decomposition(b, x)
-        f[x] = gpos[g] * m + epos[e]
-    _check_witness(f, b, product)
-    return SemidirectData(
-        direction="skew-by-trivial",
-        brace=gp.semibrace,
-        trivial_group=ep.group,
-        alpha=_freeze(images),
-        witness=_freeze(f),
-        product=product,
-    )
+    return _decomposition(b, "skew-by-trivial", "GE", b.add.table)
 
 
 def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
@@ -602,42 +599,4 @@ def decompose_E_ideal(b: SemiBrace) -> Optional[SemidirectData]:
     """
     if not is_normal_subset(b.circ, b.e_elements):
         return None
-    gp = skew_part(b)
-    ep = idempotents(b)
-    gpos = {e: i for i, e in enumerate(gp.elements)}
-    epos = {e: i for i, e in enumerate(ep.elements)}
-    k = len(gp.elements)
-    m = len(ep.elements)
-
-    images = np.zeros((k, m), dtype=np.int64)
-    eset = set(ep.elements)
-    for gi, g in enumerate(gp.elements):
-        for e in ep.elements:
-            conj = b.circ_of(b.circ_of(g, e), b.inv(g))
-            if conj not in eset:
-                raise InternalInvariantError("conjugation by a skew element escapes E")
-            images[gi, epos[e]] = epos[conj]
-    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
-    product = _product(etriv, gp.semibrace, images)
-
-    f = np.full(b.n, -1, dtype=np.int64)
-    gset = set(gp.elements)
-    for x in range(b.n):
-        hits = []
-        for e in ep.elements:
-            g = b.circ_of(b.inv(e), x)
-            if g in gset:
-                hits.append((e, g))
-        if len(hits) != 1:
-            raise InternalInvariantError("multiplicative E o G decomposition not unique")
-        e, g = hits[0]
-        f[x] = epos[e] * k + gpos[g]
-    _check_witness(f, b, product)
-    return SemidirectData(
-        direction="trivial-by-skew",
-        brace=gp.semibrace,
-        trivial_group=ep.group,
-        alpha=_freeze(images),
-        witness=_freeze(f),
-        product=product,
-    )
+    return _decomposition(b, "trivial-by-skew", "EG", b.circ.table)

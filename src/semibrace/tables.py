@@ -64,18 +64,6 @@ class CayleyTable(NamedTuple):
     def key(self) -> bytes:
         return self.table.tobytes()
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "table": self.table.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CayleyTable":
-        if not isinstance(obj, dict) or "n" not in obj or "table" not in obj:
-            raise MalformedTableError("expected object with keys 'n' and 'table'")
-        t = cls.of(obj["table"])
-        if t.n != obj["n"]:
-            raise MalformedTableError(f"declared n={obj['n']} but table has n={t.n}")
-        return t
-
 
 class GroupReport(NamedTuple):
     is_group: bool
@@ -342,31 +330,15 @@ def is_morphism(maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarra
     return ok
 
 
-def is_action(images: np.ndarray, table: np.ndarray, gens: Sequence[int]) -> bool:
-    """Whether x -> images[x] is a homomorphism from the group table `table`
-    (identity 0) into the maps of range(d) under composition, with images[x]
-    the (d,) image array attached to x and `gens` generating the group:
-    images[0] is the identity and images[x o g] = images[x] . images[g] for
-    every x and every g in `gens`, at O(k |gens| d) memory.  That is the
-    whole law: y = g_1 o ... o g_m gives, by induction on m,
-    images[x o y] = images[x] . images[g_1] ... images[g_m], and with x = 0
-    the right side is images[x] . images[y]."""
-    k, d = images.shape
-    gens = np.asarray(gens, dtype=np.int64)
-    return bool(
-        np.array_equal(images[0], np.arange(d))
-        and np.array_equal(images[table[:, gens]], images[np.arange(k)[:, None, None], images[gens]])
-    )
-
-
 def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) -> np.ndarray:
     """`action` as a read-only int64 (k, d) array, with k the order of the
     group table `acting` and d that of `kept`, a (d, d) table or a stack
     (t, d, d) of them, after checking that it is an action of that group by
     automorphisms of every table in `kept`: integer entries in range(d),
-    rows that are bijections preserving each table, and `is_action` on the
-    generators of `acting`.  Raises `error`, the caller's exception class,
-    naming the first failure."""
+    rows that are bijections preserving each table, action[0] = id, and
+    `_homomorphic_rows` on the generators of `acting` with an empty tree.
+    Raises `error`, the caller's exception class, naming the first
+    failure."""
     k, d = acting.shape[0], kept.shape[-1]
     try:
         arr = np.array(action)
@@ -384,7 +356,11 @@ def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) ->
     if not automorphic.all():
         bad = int(np.argmin(automorphic))
         raise error(f"action[{bad}] is not an automorphism of the acted-on factor")
-    if not is_action(arr, acting, left_nested_generators(acting)[1:]):
+    gens = left_nested_generators(acting)[1:]
+    if not (
+        np.array_equal(arr[0], np.arange(d))
+        and _homomorphic_rows(arr[None], acting, gens, [], _compose_rows)[0]
+    ):
         raise error("the action is not a homomorphism from the acting group")
     return arr
 
@@ -467,12 +443,15 @@ def _lambda_rows(
 def _homomorphic_rows(
     f: np.ndarray, table: np.ndarray, gens: Sequence[int], tree: list[tuple[int, int, int]], mul
 ) -> np.ndarray:
-    """Rows r of maps f (rows, n, w), built by `_lambda_rows` over `tree`,
-    for which f(x o g) = f(x) . f(g) for every x and every g in `gens`.  The
-    tree edges hold by construction, so only the other pairs are compared.
+    """Rows r of maps f (rows, n, w) for which f(x o g) = f(x) . f(g) for
+    every x and every g in `gens`.  The pairs on the edges of `tree`, along
+    which `_lambda_rows` built f, hold by construction, so only the other
+    pairs are compared; with an empty tree every pair is, at
+    O(rows n w) memory per generator.
 
-    When `gens` generate the source this is the whole homomorphism law: every
-    y is a word in the generators, and by induction on its length
+    When `gens` generate the source and f(0) is the identity this is the
+    whole homomorphism law: every y is a word in the generators, and by
+    induction on its length
     f(x o y o g) = f(x o y) . f(g) = f(x) . f(y) . f(g) = f(x) . f(y o g)."""
     built = {(x, gi) for _, x, gi in tree}
     ok = np.ones(f.shape[0], dtype=bool)

@@ -4,7 +4,9 @@ kept verbatim so that the chunked and generator-based checks can be
 compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, the action law on every pair of a group's elements
-(the reference for the generator test `tables.is_action`), a cycle walk, the reference for the vectorised
+(the reference for the generator test `tables._homomorphic_rows`), the
+conjugation action of a decomposition one element at a time, a cycle
+walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
@@ -234,6 +236,13 @@ def is_action(images: np.ndarray, table: np.ndarray) -> bool:
     k = table.shape[0]
     composed = images[np.arange(k)[:, None, None], images[None, :, :]]  # [x, y] = x . y
     return bool(np.array_equal(images[table], composed))
+
+
+def conjugation_action(b, acting, acted) -> list[list[int]]:
+    """rows[i][j] = the position in `acted` of c o y o c', for c = acting[i]
+    and y = acted[j], one element at a time with `b.circ_of`: the action of
+    a semidirect decomposition of b."""
+    return [[acted.index(b.circ_of(b.circ_of(c, y), b.inv(c))) for y in acted] for c in acting]
 
 
 def cycle_lengths(images) -> list[int]:

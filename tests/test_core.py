@@ -1,5 +1,6 @@
 """Semi-brace verification, parts, ideals, and semidirect decompositions."""
 
+import collections
 import itertools
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibrace import core, tables
+from semibrace.classify import enumerate_generic
 from semibrace.construct import FamilyId, family
 from semibrace.core import (
     InternalInvariantError,
@@ -34,7 +36,7 @@ from semibrace.core import (
     skew_part,
     verify,
 )
-from semibrace.tables import checked_action, cyclic_group, dicyclic_group
+from semibrace.tables import checked_action, cyclic_group, dicyclic_group, is_normal_subset
 from semibrace.ybe import check_braid, solution_from
 
 
@@ -500,6 +502,33 @@ def test_abelian_circle_gives_direct_product(kernel_example):
     assert b.circ.is_abelian()
     data = decompose(b)
     assert data is not None and is_trivial_action(data.alpha)
+
+
+def test_decompositions_exist_by_their_tests_and_match_the_elementwise_reference():
+    # every family with n <= 50 and every order-8 class: each decomposition
+    # exists exactly when its existence test holds, its action is the
+    # conjugation one element at a time, and its witness carries both
+    # tables of b onto the product
+    structures = [family(fid) for fid in full_scans.families_up_to_fifty()]
+    structures += [e.semibrace for e in enumerate_generic(8)]
+    found = collections.Counter()
+    for b in structures:
+        g, e = b.g_elements, b.e_elements
+        for split, exists, acting, acted in (
+            (decompose, kernel_lambda_on_E(b) == g, e, g),
+            (decompose_E_ideal, is_normal_subset(b.circ, e), g, e),
+        ):
+            data = split(b)
+            found[split.__name__, data is not None] += 1
+            assert (data is not None) == exists
+            if data is None:
+                continue
+            assert data.alpha.tolist() == full_scans.conjugation_action(b, acting, acted)
+            f = data.witness
+            assert sorted(f.tolist()) == list(range(b.n))
+            for t, pt in ((b.add, data.product.add), (b.circ, data.product.circ)):
+                assert np.array_equal(f[t.table], pt.table[f[:, None], f[None, :]])
+    assert len(found) == 4  # both directions both exist and fail somewhere
 
 
 def test_checked_action_rejects_bad_actions():
