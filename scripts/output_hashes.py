@@ -22,6 +22,13 @@ Each hash is the first 16 hex digits of the sha256 of
   exist;
 * decompositions_pq, over every family of every pq theorem at the
   PQ_ORDERS parameters (54 families): the same value as decompositions;
+* structure, over the decompositions structures and then the
+  decompositions_pq families (131 structures): value, for each b,
+  `[kernel_lambda_on_E(b), is_normal_subset(b.circ, E), the table of
+  idempotents(b).group, [is_ideal(b, s) for s in S], [[*additive_decomposition(b, x),
+  *factorize(b, x)] for x in range(n)]]` as lists, with S the subsets
+  (0,), range(n), E, G and the kernel, and then, when n <= 12, the
+  elements of every subgroup in `subgroups(b.circ)`;
 * braid, over every family at p = 5 (pq-congruent at q = 2, pq-noncongruent
   at q = 3 and 5, every 2p^2 theorem) and then every class of
   `enumerate_generic(8)`: value the `[holds, witness]` of `check_braid` on
@@ -51,7 +58,7 @@ five circle groups, and census classes.  The structural funnel gives, at
 n = 18 and 50 with the Sylow filter, the counts of the structural census:
 action homomorphisms listed, products built, and census classes.
 
-Run from the repository root; it takes about 7 s:
+Run from the repository root; it takes about 5 s:
 
     PYTHONPATH=src python3 scripts/output_hashes.py
 """
@@ -84,9 +91,18 @@ from semibrace.construct import (  # noqa: E402
     family,
     theorems_for_order_pq,
 )
-from semibrace.core import decompose, decompose_E_ideal, semibrace_from_json  # noqa: E402
+from semibrace.core import (  # noqa: E402
+    additive_decomposition,
+    decompose,
+    decompose_E_ideal,
+    factorize,
+    idempotents,
+    is_ideal,
+    kernel_lambda_on_E,
+    semibrace_from_json,
+)
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
-from semibrace.tables import CayleyTable, check_group  # noqa: E402
+from semibrace.tables import CayleyTable, check_group, is_normal_subset, subgroups  # noqa: E402
 from semibrace.ybe import SolutionMap, check_braid, solution_from  # noqa: E402
 
 
@@ -160,6 +176,20 @@ def decompositions_hash(structures: list) -> str:
     return json_hash([
         value(split(b)) for b in structures for split in (decompose, decompose_E_ideal)
     ])
+
+
+def structure_hash(structures: list) -> str:
+    def value(b):
+        kernel = kernel_lambda_on_E(b)
+        subsets = [(0,), range(b.n), b.e_elements, b.g_elements, kernel]
+        if b.n <= 12:
+            subsets += [s.elements for s in subgroups(b.circ)]
+        return [list(kernel), is_normal_subset(b.circ, b.e_elements),
+                idempotents(b).group.table.tolist(),
+                [list(is_ideal(b, s)) for s in subsets],
+                [[*additive_decomposition(b, x), *factorize(b, x)] for x in range(b.n)]]
+
+    return json_hash([value(b) for b in structures])
 
 
 def _with_corruptions(solutions: list, seed: int) -> list:
@@ -285,6 +315,7 @@ def main() -> int:
         "nilpotency": nilpotency_hash(),
         "decompositions": decompositions_hash(_series_structures()),
         "decompositions_pq": decompositions_hash(_pq_structures()),
+        "structure": structure_hash(_series_structures() + _pq_structures()),
         "braid": braid_hash(),
         "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),

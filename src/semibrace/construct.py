@@ -108,11 +108,8 @@ def left_nilpotent_example(p: int) -> SemiBrace:
     b = semidirect(g, e, alpha)
     if is_normal_subset(b.circ, b.e_elements):
         raise InternalInvariantError("idempotents unexpectedly normal")
-    gset = set(b.g_elements)
-    commutes = all(
-        b.circ_of(x, y) == b.circ_of(y, x) for x in b.e_elements for y in gset
-    )
-    if commutes:
+    tab, e, g = b.circ.table, b.e_elements, b.g_elements
+    if np.array_equal(tab[np.ix_(e, g)], tab[np.ix_(g, e)].T):
         raise InternalInvariantError("idempotents unexpectedly centralize G")
     return b
 
@@ -158,13 +155,6 @@ class FamilyId:
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "item": self.item, "p": self.p, "q": self.q}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FamilyId":
-        return cls(
-            theorem=obj["theorem"], item=int(obj["item"]), p=int(obj["p"]),
-            q=None if obj.get("q") is None else int(obj["q"]),
-        )
 
 
 def _tables_from_coords(sizes, add_fn, circ_fn):

@@ -34,12 +34,14 @@ from .tables import (
     automorphisms,
     check_group,
     checked_action,
+    conjugates,
     first_nonassociative,
     identity_swap,
     is_morphism,
     is_normal_subset,
     left_nested_generators,
     orbit_lengths,
+    parse_subset,
     semidirect_table,
     slab_chunks,
 )
@@ -308,17 +310,16 @@ class GPart(NamedTuple):
 
 
 def idempotents(b: SemiBrace) -> EPart:
-    """E = {e : e + e = e}; asserts E is a circle subgroup and (E, +) is right-zero."""
-    elems = b.e_elements
-    eset = set(elems)
-    for e in elems:
-        for f in elems:
-            if b.circ_of(e, f) not in eset or b.add_of(e, f) != f:
-                raise InternalInvariantError("idempotents are not a right-zero circle subgroup")
-        if b.inv(e) not in eset:
-            raise InternalInvariantError("idempotents not closed under circle inverse")
-    group = FiniteGroup.from_table(CayleyTable.of(_induced_table(b.circ.table, elems)))
-    return EPart(elements=elems, group=group)
+    """E = {e : e + e = e}; asserts that (E, +) is right-zero, e + f = f,
+    and that E is a circle subgroup.  `_induced_table` asserts closure under
+    o, and closure under the inverse follows: in a finite group, a non-empty
+    subset closed under the product holds the powers of each of its
+    elements s, and s^-1 is one of them."""
+    e = np.array(b.e_elements)
+    if not (b.add.table[np.ix_(e, e)] == e).all():
+        raise InternalInvariantError("idempotents are not right-zero under +")
+    group = FiniteGroup.from_table(CayleyTable.of(_induced_table(b.circ.table, e)))
+    return EPart(elements=b.e_elements, group=group)
 
 
 def skew_part(b: SemiBrace) -> GPart:
@@ -355,22 +356,36 @@ def lambda_map(b: SemiBrace) -> np.ndarray:
     return b.lam
 
 
+def _pair_positions(pair: np.ndarray, first, second, what: str) -> np.ndarray:
+    """The one pair inversion: f[x] = i1 * |second| + i2 for the unique
+    (i1, i2) with x = pair[first[i1], second[i2]].  Raises
+    InternalInvariantError, naming `what`, unless every x in range(n) is
+    hit exactly once."""
+    hits = pair[np.ix_(first, second)].ravel()  # hits[i1 * |second| + i2]
+    if not (np.bincount(hits, minlength=pair.shape[0]) == 1).all():
+        raise InternalInvariantError(f"x = pair[x1, x2] is not unique in the {what}")
+    f = np.empty(hits.size, dtype=np.int64)
+    f[hits] = np.arange(hits.size)
+    return f
+
+
+def _g_e_pair(b: SemiBrace, pair: np.ndarray, x: int, what: str) -> tuple[int, int]:
+    """The unique (g, e) in G x E with x = pair[g, e], by `_pair_positions`."""
+    if not 0 <= x < b.n:
+        raise IndexError(f"element {x} not in range({b.n})")
+    g, e = b.g_elements, b.e_elements
+    i1, i2 = divmod(int(_pair_positions(pair, g, e, what)[x]), len(e))
+    return g[i1], e[i2]
+
+
 def factorize(b: SemiBrace, x: int) -> tuple[int, int]:
     """The unique pair (g, e) in G x E with x = g o e."""
-    g, e_add = additive_decomposition(b, x)
-    e = b.lam_of(b.inv(g), e_add)
-    if b.circ_of(g, e) != x:
-        raise InternalInvariantError("multiplicative factorization failed")
-    return g, e
+    return _g_e_pair(b, b.circ.table, x, "multiplicative factorization")
 
 
 def additive_decomposition(b: SemiBrace, x: int) -> tuple[int, int]:
     """The unique pair (g, e) in G x E with x = g + e."""
-    g = b.add_of(x, 0)
-    cands = [e for e in b.e_elements if b.add_of(g, e) == x]
-    if len(cands) != 1:
-        raise InternalInvariantError("additive decomposition not unique")
-    return g, cands[0]
+    return _g_e_pair(b, b.add.table, x, "additive decomposition")
 
 
 # ---------------------------------------------------------------------------
@@ -403,82 +418,54 @@ def is_ideal(b: SemiBrace, elements) -> IdealReport:
     2. I n G is a normal subgroup of (G, +);
     3. (n' + x)' o x lies in I for every x in B, n in I n G;
     4. lambda_g(e) lies in I for every g in G, e in I n E.
+
+    Each condition is one mask over its pairs, and its witness is the first
+    failing pair in row-major order.  Raises MalformedTableError unless
+    every element is an integer in range(n).
     """
-    ideal = tuple(sorted(int(x) for x in elements))
-    iset = set(ideal)
-    witness = None
-
-    sub_ok = 0 in iset and all(
-        b.circ_of(x, y) in iset and b.inv(x) in iset for x in iset for y in iset
+    ideal, inside = parse_subset(b.n, elements)
+    tab, inverse = b.circ.table, b.circ.inverse
+    normal1 = bool(
+        inside[0]
+        and inside[tab[np.ix_(ideal, ideal)]].all()
+        and inside[inverse[ideal]].all()
+        and inside[conjugates(tab, inverse, np.arange(b.n), ideal)].all()
     )
-    normal1 = sub_ok and is_normal_subset(b.circ, iset)
-    if not normal1 and witness is None:
-        witness = ("normal-in-circ",)
+    witnesses = [None if normal1 else ("normal-in-circ",)]
 
-    gset = set(b.g_elements)
-    ig = sorted(iset & gset)
-    gadd = _induced_table(b.add.table, b.g_elements)
-    gpos = {e: i for i, e in enumerate(b.g_elements)}
+    g, e = np.array(b.g_elements), np.array(b.e_elements)
+    gadd = _induced_table(b.add.table, g)
     grep = check_group(CayleyTable.of(gadd))
     if not grep.is_group:
         raise InternalInvariantError("(G, +) is not a group")
-    neg = grep.inverses  # additive inverses inside G, local labels
-    igl = [gpos[x] for x in ig]
-    igset = set(igl)
-    normal2 = 0 in igset and all(int(gadd[x, y]) in igset for x in igl for y in igl)
-    if normal2:
-        for gl in range(len(b.g_elements)):
-            for x in igl:
-                conj = int(gadd[int(gadd[gl, x]), int(neg[gl])])
-                if conj not in igset:
-                    normal2 = False
-                    if witness is None:
-                        witness = ("intersection-normal-in-g", b.g_elements[gl], b.g_elements[x])
-                    break
-            if not normal2:
-                break
-    elif witness is None:
-        witness = ("intersection-normal-in-g",)
+    in_ig = inside[g]  # I n G in the local labels of G
+    igl = np.flatnonzero(in_ig)
+    if not (in_ig[0] and in_ig[gadd[np.ix_(igl, igl)]].all()):
+        witnesses.append(("intersection-normal-in-g",))
+    else:
+        conj = conjugates(gadd, grep.inverses, np.arange(g.size), igl)
+        witnesses.append(_first_failure_at("intersection-normal-in-g", ~in_ig[conj], g, g[igl]))
 
-    rho_ok = True
-    for nn in ig:
-        for x in range(b.n):
-            t = b.add_of(b.inv(nn), x)
-            if b.circ_of(b.inv(t), x) not in iset:
-                rho_ok = False
-                if witness is None:
-                    witness = ("rho-closed", nn, x)
-                break
-        if not rho_ok:
-            break
+    ig, ie = g[in_ig], e[inside[e]]
+    rho = tab[inverse[b.add.table[inverse[ig]]], np.arange(b.n)]  # (n' + x)' o x
+    witnesses.append(_first_failure_at("rho-closed", ~inside[rho], ig, np.arange(b.n)))
+    witnesses.append(_first_failure_at("lambda-closed", ~inside[b.lam[np.ix_(g, ie)]], g, ie))
 
-    lam_ok = True
-    ie = sorted(iset & set(b.e_elements))
-    for g in b.g_elements:
-        for e in ie:
-            if b.lam_of(g, e) not in iset:
-                lam_ok = False
-                if witness is None:
-                    witness = ("lambda-closed", g, e)
-                break
-        if not lam_ok:
-            break
+    first = next((w for w in witnesses if w is not None), None)
+    return IdealReport(tuple(ideal.tolist()), *(w is None for w in witnesses), first)
 
-    return IdealReport(
-        elements=ideal,
-        normal_in_circ=normal1,
-        intersection_normal_in_g=normal2,
-        rho_closed=rho_ok,
-        lambda_closed=lam_ok,
-        witness=witness,
-    )
+
+def _first_failure_at(tag: str, bad: np.ndarray, rows, cols) -> Optional[tuple]:
+    """(tag, rows[i], cols[j]) for the first True entry (i, j) of the mask
+    `bad` in row-major order, or None when there is none."""
+    hits = np.argwhere(bad)
+    return (tag, int(rows[hits[0, 0]]), int(cols[hits[0, 1]])) if hits.size else None
 
 
 def kernel_lambda_on_E(b: SemiBrace) -> tuple[int, ...]:
     """{x : lambda_x fixes E pointwise}; always a subset of G (asserted)."""
-    elems = tuple(
-        x for x in range(b.n) if all(b.lam_of(x, e) == e for e in b.e_elements)
-    )
+    e = np.array(b.e_elements)
+    elems = tuple(int(x) for x in np.flatnonzero((b.lam[:, e] == e).all(axis=1)))
     if not set(elems) <= set(b.g_elements):
         raise InternalInvariantError("kernel of lambda on E escapes G")
     return elems
@@ -562,14 +549,10 @@ def _decomposition(b: SemiBrace, direction: str, order: str, pair: np.ndarray) -
     (y, b1), (c, b2) = (parts[k] for k in order)
     tab, pos = b.circ.table, np.full(b.n, -1, dtype=np.int64)
     pos[y] = np.arange(y.size)
-    alpha = pos[tab[tab[np.ix_(c, y)], b.circ.inverse[c][:, None]]]  # c o y o c'
+    alpha = pos[conjugates(tab, b.circ.inverse, c, y)]
     if (alpha < 0).any():
         raise InternalInvariantError("conjugation escapes the acted-on factor")
-    hits = pair[np.ix_(y, c)].ravel()  # hits[i1 * |B2| + i2] = pair[y[i1], c[i2]]
-    if not (np.bincount(hits, minlength=b.n) == 1).all():
-        raise InternalInvariantError(f"x = pair[x1, x2] is not unique in the {order} decomposition")
-    f = np.empty(b.n, dtype=np.int64)
-    f[hits] = np.arange(b.n)
+    f = _pair_positions(pair, y, c, f"{order} decomposition")
     try:
         product = semidirect(b1, b2, alpha)
     except ParameterError as err:

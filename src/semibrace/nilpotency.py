@@ -49,15 +49,6 @@ class SeriesReport(NamedTuple):
         }
 
 
-def dot(b: SemiBrace, x: int, y: int) -> int:
-    """x.y = lambda_x(x') + x o y + lambda_y(y'); always lands in G."""
-    t = b.add_of(b.lam_of(x, b.inv(x)), b.circ_of(x, y))
-    out = b.add_of(t, b.lam_of(y, b.inv(y)))
-    if out not in set(b.g_elements):
-        raise InternalInvariantError("dot product escaped G")
-    return out
-
-
 def dot_table(b: SemiBrace) -> np.ndarray:
     """All dot products at once; asserts the image lies in G."""
     n = b.n

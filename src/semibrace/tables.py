@@ -251,10 +251,6 @@ class FiniteGroup(NamedTuple):
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conjugate(self, a: int, by: int) -> int:
-        """by o a o by^-1."""
-        return self.mul(self.mul(by, a), self.inv(by))
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
@@ -491,14 +487,14 @@ def _search_morphisms(
             power = src.mul(power, g)
             t += 1
         pool_power = _row_powers(pools[j], t, mul) if t < src.element_order(g) else None
-        conjugates = [(i, src.conjugate(gens[i], g)) for i in range(j)]
-        conjugates = [(i, w) for i, w in conjugates if w in prefix]
+        words = conjugates(src.table, src.inverse, [g], gens[:j])[0].tolist()
+        conjugated = [(i, w) for i, w in enumerate(words) if w in prefix]
         tree = _bfs_tree(src, gens[: j + 1])
-        levels.append((prefix_tree, power, pool_power, conjugates, tree))
+        levels.append((prefix_tree, power, pool_power, conjugated, tree))
         prefix_tree = tree
 
     def extend(j: int, images: list[np.ndarray]) -> Iterator[np.ndarray]:
-        prefix_tree, power, pool_power, conjugates, tree = levels[j]
+        prefix_tree, power, pool_power, conjugated, tree = levels[j]
         pool = pools[j]
         count = images[0].shape[0] if images else 1
         for start in range(0, count, PREFIX_CHUNK):
@@ -508,7 +504,7 @@ def _search_morphisms(
             f = _lambda_rows(src.n, prefix_tree, part, mul) if part else None
             if pool_power is not None:
                 mask &= (pool_power[None] == f[:, power][:, None]).all(axis=2)
-            for i, w in conjugates:
+            for i, w in conjugated:
                 lhs = mul(pool[None], part[i][:, None])  # f(g_j) . f(g_i)
                 rhs = mul(f[:, w][:, None], pool[None])  # f(w) . f(g_j)
                 mask &= (lhs == rhs).all(axis=2)
@@ -662,9 +658,31 @@ def subgroups(g: FiniteGroup) -> list[Subgroup]:
     return out
 
 
+def conjugates(table: np.ndarray, inverse: np.ndarray, by, of) -> np.ndarray:
+    """The one conjugation: out[i, j] = by[i] o of[j] o by[i]^-1, with o
+    from the group table `table` and its inverse array `inverse`, by one
+    gather of shape (|by|, |of|)."""
+    by, of = np.asarray(by, dtype=np.int64)[:, None], np.asarray(of, dtype=np.int64)
+    return table[table[by, of], inverse[by]]
+
+
+def parse_subset(n: int, elements: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """`elements` as a sorted int64 array, repeats kept, and its membership
+    mask over range(n), after checking that each element is an integer in
+    range(n); raises MalformedTableError otherwise."""
+    items = list(elements)
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < n for x in items):
+        raise MalformedTableError(f"subset elements must be integers in range({n})")
+    inside = np.zeros(n, dtype=bool)
+    inside[items] = True
+    return np.sort(np.array(items, dtype=np.int64)), inside
+
+
 def is_normal_subset(g: FiniteGroup, elements: Iterable[int]) -> bool:
-    eset = set(int(x) for x in elements)
-    return all(g.conjugate(a, b) in eset for a in eset for b in range(g.n))
+    """Whether b o s o b^-1 lies in the subset for every b in g and every
+    element s of it."""
+    subset, inside = parse_subset(g.n, elements)
+    return bool(inside[conjugates(g.table, g.inverse, np.arange(g.n), subset)].all())
 
 
 # ---------------------------------------------------------------------------

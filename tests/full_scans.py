@@ -13,8 +13,10 @@ holomorph element and permutation in the first generator's pool, the
 unpruned sweep that tests every lambda map from Sym(n) (a route to the
 generic census independent of regular embeddings, for n <= 6), the order
 of a permutation by walking its powers, the unpacked block scan of the
-braid relation, and the structural census with one product for every
-action homomorphism."""
+braid relation, the structural census with one product for every
+action homomorphism, and the structure maps of `core` (ideals, normal
+subsets, the kernel of lambda on E, the idempotent checks and the G x E
+pairs) one element at a time with the loops of their first versions."""
 
 import math
 from functools import lru_cache
@@ -38,7 +40,13 @@ from semibrace.construct import (
     theorems_for_order_pq,
     trivial_semibrace,
 )
-from semibrace.core import InternalInvariantError, brace_automorphism_group, endomorphic_rows
+from semibrace.core import (
+    IdealReport,
+    InternalInvariantError,
+    _induced_table,
+    brace_automorphism_group,
+    endomorphic_rows,
+)
 from semibrace.nilpotency import dot_table
 from semibrace.tables import (
     ROW_BATCH,
@@ -415,3 +423,108 @@ def _every_structural_product(n, e_sizes):
                         semidirect(etriv, gbrace, alpha),
                         f"structural:n={n}:e{e}:E{ei}xG{bi}:hom{hi}",
                     )
+
+
+def is_normal_subset(g, elements) -> bool:
+    """b o a o b^-1 lies in the subset for every a in it and every b, one
+    pair at a time."""
+    eset = set(int(x) for x in elements)
+    return all(g.mul(g.mul(b, a), g.inv(b)) in eset for a in eset for b in range(g.n))
+
+
+def is_ideal(b, elements) -> IdealReport:
+    """`core.is_ideal`'s four conditions by nested loops that stop at the
+    first failure of each; a witness is kept only when none came before."""
+    ideal = tuple(sorted(int(x) for x in elements))
+    iset = set(ideal)
+    witness = None
+
+    sub_ok = 0 in iset and all(
+        b.circ_of(x, y) in iset and b.inv(x) in iset for x in iset for y in iset
+    )
+    normal1 = sub_ok and is_normal_subset(b.circ, iset)
+    if not normal1 and witness is None:
+        witness = ("normal-in-circ",)
+
+    gset = set(b.g_elements)
+    ig = sorted(iset & gset)
+    gadd = _induced_table(b.add.table, b.g_elements)
+    gpos = {e: i for i, e in enumerate(b.g_elements)}
+    if not check_group(CayleyTable.of(gadd))[0]:
+        raise InternalInvariantError("(G, +) is not a group")
+    neg = [int(np.flatnonzero(row == 0)[0]) for row in gadd]  # -g in the local labels
+    igl = [gpos[x] for x in ig]
+    igset = set(igl)
+    normal2 = 0 in igset and all(int(gadd[x, y]) in igset for x in igl for y in igl)
+    if normal2:
+        for gl in range(len(b.g_elements)):
+            for x in igl:
+                conj = int(gadd[int(gadd[gl, x]), int(neg[gl])])
+                if conj not in igset:
+                    normal2 = False
+                    if witness is None:
+                        witness = ("intersection-normal-in-g", b.g_elements[gl], b.g_elements[x])
+                    break
+            if not normal2:
+                break
+    elif witness is None:
+        witness = ("intersection-normal-in-g",)
+
+    rho_ok = True
+    for nn in ig:
+        for x in range(b.n):
+            t = b.add_of(b.inv(nn), x)
+            if b.circ_of(b.inv(t), x) not in iset:
+                rho_ok = False
+                if witness is None:
+                    witness = ("rho-closed", nn, x)
+                break
+        if not rho_ok:
+            break
+
+    lam_ok = True
+    ie = sorted(iset & set(b.e_elements))
+    for g in b.g_elements:
+        for e in ie:
+            if b.lam_of(g, e) not in iset:
+                lam_ok = False
+                if witness is None:
+                    witness = ("lambda-closed", g, e)
+                break
+        if not lam_ok:
+            break
+
+    return IdealReport(
+        elements=ideal,
+        normal_in_circ=normal1,
+        intersection_normal_in_g=normal2,
+        rho_closed=rho_ok,
+        lambda_closed=lam_ok,
+        witness=witness,
+    )
+
+
+def kernel_lambda_on_E(b) -> tuple[int, ...]:
+    """{x : lambda_x(e) = e for every e in E}, one pair at a time."""
+    return tuple(x for x in range(b.n) if all(b.lam_of(x, e) == e for e in b.e_elements))
+
+
+def idempotents_are_a_right_zero_subgroup(b) -> bool:
+    """e o f and e' lie in E and e + f = f, for all e and f in E."""
+    eset = set(b.e_elements)
+    return all(
+        b.circ_of(e, f) in eset and b.add_of(e, f) == f for e in eset for f in eset
+    ) and all(b.inv(e) in eset for e in eset)
+
+
+def g_e_pairs(b, x: int) -> list[int]:
+    """[g, e, g2, e2] with x = g + e and x = g2 o e2 for g, g2 in G and e,
+    e2 in E: g = x + 0, e the one idempotent with g + e = x, and e2 =
+    lambda_{g'}(e), checked one element at a time (None where no single
+    pair is found)."""
+    g = b.add_of(x, 0)
+    cands = [e for e in b.e_elements if b.add_of(g, e) == x]
+    if len(cands) != 1:
+        return None
+    e2 = b.lam_of(b.inv(g), cands[0])
+    return [g, cands[0], g, e2] if b.circ_of(g, e2) == x else None

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -36,7 +37,14 @@ from semibrace.core import (
     skew_part,
     verify,
 )
-from semibrace.tables import checked_action, cyclic_group, dicyclic_group, is_normal_subset
+from semibrace.tables import (
+    MalformedTableError,
+    checked_action,
+    cyclic_group,
+    dicyclic_group,
+    is_normal_subset,
+    subgroups,
+)
 from semibrace.ybe import check_braid, solution_from
 
 
@@ -450,6 +458,59 @@ def test_e_ideal_example_E_is_ideal(e_ideal_example):
 def test_kernel_membership(kernel_example, e_ideal_example):
     assert kernel_lambda_on_E(kernel_example) == kernel_example.g_elements
     assert kernel_lambda_on_E(e_ideal_example) == (0,)
+
+
+def test_structure_maps_match_the_elementwise_references():
+    # every family with n <= 50 and every order-8 class, on the subsets
+    # (0,), B, E, G, the kernel, every subgroup of (B, o) when n <= 12, and
+    # seeded random subsets and subgroups: each IdealReport, witness
+    # included, equals the loop reference's, and so do the normality
+    # tests, the kernels, the idempotent checks and the G x E pairs
+    rng = random.Random(5)
+    structures = [family(fid) for fid in full_scans.families_up_to_fifty()]
+    structures += [e.semibrace for e in enumerate_generic(8)]
+    kinds = collections.Counter()
+    for b in structures:
+        kernel = kernel_lambda_on_E(b)
+        assert kernel == full_scans.kernel_lambda_on_E(b)
+        assert full_scans.idempotents_are_a_right_zero_subgroup(b)
+        assert idempotents(b).elements == b.e_elements
+        for x in range(b.n):
+            assert [*additive_decomposition(b, x), *factorize(b, x)] == full_scans.g_e_pairs(b, x)
+        subsets = [(0,), range(b.n), b.e_elements, b.g_elements, kernel]
+        if b.n <= 12:
+            subsets += [s.elements for s in subgroups(b.circ)]
+        for _ in range(3):
+            subsets.append(rng.sample(range(b.n), rng.randrange(1, b.n + 1)))
+            subsets.append(b.circ.closure(rng.sample(range(b.n), 2 if b.n > 1 else 1)))
+        for s in subsets:
+            report = is_ideal(b, s)
+            assert report == full_scans.is_ideal(b, s)
+            assert is_normal_subset(b.circ, s) == full_scans.is_normal_subset(b.circ, s)
+            if report.witness is not None:
+                kinds[report.witness[0], len(report.witness) > 1] += 1
+    for kind in (("normal-in-circ", False), ("intersection-normal-in-g", False),
+                 ("intersection-normal-in-g", True), ("rho-closed", True)):
+        assert kinds[kind], kind
+
+
+def test_subsets_must_hold_integers_in_range(kernel_example):
+    b = kernel_example
+    for bad in ([0, -1], [0, b.n], [0, 1.5]):
+        with pytest.raises(MalformedTableError):
+            is_ideal(b, bad)
+        with pytest.raises(MalformedTableError):
+            is_normal_subset(b.circ, bad)
+    for x in (-1, b.n):
+        with pytest.raises(IndexError):
+            factorize(b, x)
+
+
+def test_pair_inversion_needs_every_element_hit_once(kernel_example):
+    b = kernel_example
+    # G x G under + hits only G, some elements several times
+    with pytest.raises(InternalInvariantError, match="not unique in the test pairing"):
+        core._pair_positions(b.add.table, b.g_elements, b.g_elements, "test pairing")
 
 
 # ---------------------------------------------------------------------------

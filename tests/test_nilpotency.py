@@ -24,7 +24,6 @@ from semibrace.core import InternalInvariantError
 from semibrace.nilpotency import (
     NotASkewBraceError,
     check_rnilp1,
-    dot,
     dot_table,
     is_left_nil,
     is_right_nil,
@@ -60,7 +59,6 @@ def test_dot_vanishes_on_trivial_structures():
     assert not dot_table(br).any()
     sb = trivial_semibrace(cyclic_group(5))
     assert not dot_table(sb).any()
-    assert dot(sb, 3, 4) == 0
 
 
 def test_dot_closed_formula_on_product(fam3):

@@ -20,6 +20,7 @@ from semibrace.tables import (
     MalformedTableError,
     automorphisms,
     check_group,
+    conjugates,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -58,6 +59,12 @@ def test_s3_is_group_by_brute_force_agreement():
     rep = check_group(t)
     assert rep.is_group
     assert rep.identity == 0  # identity permutation sorts first
+
+
+def test_conjugates_is_by_of_by_inverse():
+    g = FiniteGroup.from_table(s3_table())
+    out = conjugates(g.table, g.inverse, [2, 0, 5], range(g.n))
+    assert out.tolist() == [[g.mul(g.mul(b, a), g.inv(b)) for a in range(g.n)] for b in (2, 0, 5)]
 
 
 def test_right_zero_table_is_not_a_group():
