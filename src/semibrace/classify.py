@@ -288,21 +288,20 @@ def _holomorph_representatives(m: int) -> dict[bytes, np.ndarray]:
 
 
 def _regular_tables(
-    circ: FiniteGroup, gens: list[int], group: FiniteGroup, k: int
+    circ: FiniteGroup, gens: list[int], orders: list[int], group: FiniteGroup, k: int
 ) -> Iterator[np.ndarray]:
     """Blocks (rows, n, n) of int8 addition tables: the right group G x E,
     (h, e) labelled h * k + e, pulled back along psi(c) = rho(c)(0) for each
     homomorphism rho: (B, o) -> Hol(G) x Sym(E) that makes psi a bijection;
     (t o alpha, pi) acts as (h, e) -> (t alpha(h), pi(e)).  The first
     generator's image is drawn from one element per class of the stabiliser
-    of 0, the later ones from all of Hol(G) x {pi : ord pi | ord c}.  See
-    `_survivor_tables`."""
+    of 0, the later ones from all of Hol(G) x {pi : ord pi | ord c}, with
+    orders[j] the order of gens[j].  See `_survivor_tables`."""
     n, m = circ.n, group.n
     auts = automorphisms(group)
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
-    for j, c in enumerate(gens):
-        order = circ.element_order(c)
+    for j, order in enumerate(orders):
         if j == 0:
             hol = affine[_holomorph_representatives(m)[group.key()]]
             pi = _cycle_type_representatives(k, order)
@@ -373,6 +372,7 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool) -> list[np.ndar
     gens = circ.generating_sequence()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
+    orders = circ.element_orders()[gens].tolist()
     found: set[bytes] = set()
     for k in range(1, n + 1):
         if n % k or not allowed[k]:
@@ -381,7 +381,7 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool) -> list[np.ndar
             found.add(np.arange(n, dtype=np.int8).tobytes() * n)
             continue
         for group in small_groups(n // k):
-            for block in _regular_tables(circ, gens, group, k):
+            for block in _regular_tables(circ, gens, orders, group, k):
                 found.update(table.tobytes() for table in block)
     return [np.frombuffer(key, np.int8).reshape(n, n).astype(np.int64) for key in sorted(found)]
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -85,10 +84,6 @@ def _emit(args, payload, text_lines, artifact_name: str) -> None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / artifact_name).write_text(machine + "\n")
-
-
-def _cache_dir(args) -> Optional[str]:
-    return os.environ.get("SEMIBRACE_CACHE") or args.cache
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +163,7 @@ def cmd_enumerate(args) -> int:
         args.n,
         emin=args.emin,
         esylow=args.esylow,
-        cache_dir=_cache_dir(args),
+        cache_dir=args.cache,
     )
     payload = census_to_json(census)
     lines = [f"census for n = {args.n}: {len(census)} isomorphism classes"]
@@ -186,7 +181,7 @@ def cmd_classify(args) -> int:
     if args.theorem is None or args.p is None:
         raise ParameterError("classify needs --theorem and --p")
     report = verify_classification(
-        args.theorem, args.p, q=args.q, cache_dir=_cache_dir(args)
+        args.theorem, args.p, q=args.q, cache_dir=args.cache
     )
     if report.ok:
         lines = [f"{len(report.family_labels)} classes, census match"]
@@ -283,8 +278,7 @@ def cmd_iso(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="DIR", help="directory for JSON artifacts")
-    common.add_argument("--cache", metavar="DIR",
-                        help="census cache directory (SEMIBRACE_CACHE overrides)")
+    common.add_argument("--cache", metavar="DIR", help="census cache directory")
     common.add_argument("--format", choices=("json", "text"), default="text")
 
     parser = argparse.ArgumentParser(

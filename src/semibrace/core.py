@@ -27,8 +27,8 @@ from .tables import (
     CayleyTable,
     FiniteGroup,
     MalformedTableError,
+    _bijections,
     _compose_rows,
-    _first_morphisms,
     _freeze,
     _homomorphic_rows,
     automorphisms,
@@ -80,18 +80,6 @@ class SemiBrace:
     @property
     def n(self) -> int:
         return self.add.n
-
-    def add_of(self, a: int, b: int) -> int:
-        return int(self.add.table[a, b])
-
-    def circ_of(self, a: int, b: int) -> int:
-        return int(self.circ.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return self.circ.inv(a)
-
-    def lam_of(self, a: int, b: int) -> int:
-        return int(self.lam[a, b])
 
     def key(self) -> bytes:
         return self.add.key() + self.circ.op.key()
@@ -258,24 +246,19 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[np.ndarray]:
     isomorphism out.  Otherwise the witness is the first circle-group
     isomorphism, in generator-image order, that also preserves +, with each
     generator's images drawn from the elements of its signature; equal
-    multisets make every pool non-empty."""
+    multisets make every pool non-empty.  The rows of a block are tested
+    one at a time, so the search stops at the first witness."""
     if b1.n != b2.n:
         return None
     if b1.key() == b2.key():
         return _freeze(np.arange(b1.n))
     if b1.signature_key != b2.signature_key:
         return None
-    gens = b1.circ.generating_sequence()
-    sigs1, sigs2 = b1.signatures, b2.signatures
-    pools = [[y for y in range(b2.n) if sigs2[y] == sigs1[g]] for g in gens]
-
-    def keeps_add(f: np.ndarray) -> bool:
-        return is_morphism(f[None], b1.add.table, b2.add.table)[0]
-
-    found = _first_morphisms(
-        b1.circ, b2.circ, pools, gens, bijective=True, limit=1, extra_check=keeps_add
-    )
-    return _freeze(found[0]) if len(found) else None
+    for block in _bijections(b1.circ, b2.circ, b1.signatures, b2.signatures):
+        for f in block:
+            if is_morphism(f[None], b1.add.table, b2.add.table)[0]:
+                return _freeze(f)
+    return None
 
 
 # ---------------------------------------------------------------------------

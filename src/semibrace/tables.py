@@ -10,8 +10,7 @@ import (`import semibrace.cli` loads this module).
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -251,13 +250,6 @@ class FiniteGroup(NamedTuple):
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def element_orders(self) -> np.ndarray:
         """The order of every element, by one power loop over all of them:
         power[a] = a^k at step k."""
@@ -273,10 +265,6 @@ class FiniteGroup(NamedTuple):
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
-
-    def center(self) -> tuple[int, ...]:
-        mask = (self.table == self.table.T).all(axis=1)
-        return tuple(int(i) for i in np.flatnonzero(mask))
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by the seed, as a sorted tuple: the products of
@@ -361,12 +349,6 @@ def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) ->
     return arr
 
 
-# A search target stores each element along a last axis of width w. A
-# FiniteGroup target stores its label (w = 1) and multiplies by table
-# lookup; a permutation group, an array of image rows, stores its rows
-# (w = degree) and composes them. Either way np.arange(w) is the identity.
-Target = Union[FiniteGroup, np.ndarray]
-
 # Prefix rows whose extensions by a whole pool are tested at once; each
 # chunk builds (PREFIX_CHUNK, |pool|, w) temporaries.
 PREFIX_CHUNK = 128
@@ -393,11 +375,6 @@ def orbit_lengths(perms: np.ndarray) -> np.ndarray:
             return lengths
         power = _compose_rows(perms, power)
         k += 1
-
-
-def _table_product(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Elementwise product of label arrays by lookup in a group table."""
-    return lambda a, b: table[a, b]
 
 
 def _row_powers(p: np.ndarray, k: int, mul) -> np.ndarray:
@@ -467,7 +444,10 @@ def _search_morphisms(
     drawn from pools[j] ((m_j, w) arrays of target elements), as blocks of
     complete maps f (rows, src.n, w).  Maps come in lexicographic order of
     their pool positions, the order a depth-first search visits them in.
-    `gens` must generate src.
+    `gens` must generate src.  A target element is a row of width w that
+    `mul` multiplies and np.arange(w) is the identity: a group label
+    (w = 1) by table lookup, or an image row of a permutation group
+    (w = degree) by `_compose_rows`.
 
     The generators are assigned one at a time.  With H the subgroup the
     earlier ones generate, f is known on H, and each chunk of (prefix row,
@@ -486,7 +466,8 @@ def _search_morphisms(
         while power not in prefix:
             power = src.mul(power, g)
             t += 1
-        pool_power = _row_powers(pools[j], t, mul) if t < src.element_order(g) else None
+        # the least t with g^t in H is below the order of g iff g^t != 0
+        pool_power = _row_powers(pools[j], t, mul) if power != 0 else None
         words = conjugates(src.table, src.inverse, [g], gens[:j])[0].tolist()
         conjugated = [(i, w) for i, w in enumerate(words) if w in prefix]
         tree = _bfs_tree(src, gens[: j + 1])
@@ -540,39 +521,27 @@ def _positions(perms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return find
 
 
-def _first_morphisms(
-    src: FiniteGroup,
-    tgt: Target,
-    candidate_pools: Sequence[Sequence[int]],
-    gens: Sequence[int],
-    bijective: bool,
-    limit: Optional[int],
-    extra_check: Optional[Callable[[np.ndarray], bool]] = None,
-) -> np.ndarray:
-    """The first `limit` (or all) homomorphisms src -> tgt, in
-    `_search_morphisms` order, with generator images from the label pools,
-    that are bijective when asked and pass `extra_check`: the rows of a
-    (count, src.n) label array, sorted lexicographically.  Labels are
-    elements of a FiniteGroup target and row positions in a permutation
-    group."""
-    if isinstance(tgt, FiniteGroup):
-        elements, mul = np.arange(tgt.n)[:, None], _table_product(tgt.table)
-        labels = lambda f: f[:, :, 0]
-    else:
-        elements, mul = tgt, _compose_rows
-        labels = _positions(elements)
-    pools = [elements[np.asarray(pool, dtype=np.int64)] for pool in candidate_pools]
-
-    def rows() -> Iterator[np.ndarray]:
-        for f in _search_morphisms(src, gens, pools, mul):
-            found = labels(f)
-            if bijective:
-                ordered = np.sort(found, axis=1)
-                found = found[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-            yield from (row for row in found if extra_check is None or extra_check(row))
-
-    found = np.array(list(islice(rows(), limit)), dtype=np.int64).reshape(-1, src.n)
-    return found[np.lexsort(found.T[::-1])]
+def _bijections(
+    src: FiniteGroup, tgt: FiniteGroup, sigs_src: Sequence, sigs_tgt: Sequence
+) -> Iterator[np.ndarray]:
+    """The isomorphisms src -> tgt, groups of one order, that send each
+    generator g of `src.generating_sequence()` to an element y with
+    sigs_tgt[y] == sigs_src[g], as blocks of image rows (rows, n) in search
+    order, which is lexicographic in the generators' images.  A signature
+    must be kept by every isomorphism for the search to find them all.  The
+    trivial group yields the identity row."""
+    gens = src.generating_sequence()
+    if not gens:
+        yield np.zeros((1, 1), dtype=np.int64)
+        return
+    pools = [
+        np.array([y for y in range(tgt.n) if sigs_tgt[y] == sigs_src[g]], dtype=np.int64)[:, None]
+        for g in gens
+    ]
+    for f in _search_morphisms(src, gens, pools, lambda a, b: tgt.table[a, b]):
+        found = f[:, :, 0]
+        ordered = np.sort(found, axis=1)
+        yield found[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
 
 
 def homomorphisms(src: FiniteGroup, perms: np.ndarray) -> np.ndarray:
@@ -590,36 +559,36 @@ def homomorphisms(src: FiniteGroup, perms: np.ndarray) -> np.ndarray:
     gens = src.generating_sequence()
     if not gens:
         return perms[:1][None]
-    orders = np.lcm.reduce(orbit_lengths(perms), axis=1)
-    pools = [np.flatnonzero(src.element_order(g) % orders == 0) for g in gens]
-    return perms[_first_morphisms(src, perms, pools, gens, bijective=False, limit=None)]
+    orders, src_orders = np.lcm.reduce(orbit_lengths(perms), axis=1), src.element_orders()
+    pools = [perms[src_orders[g] % orders == 0] for g in gens]
+    found = _search_morphisms(src, gens, pools, _compose_rows)
+    labels = np.concatenate([np.zeros((0, src.n), dtype=np.int64), *map(_positions(perms), found)])
+    return perms[labels[np.lexsort(labels.T[::-1])]]
 
 
 def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None) -> np.ndarray:
     """Group isomorphisms src -> tgt (all of them, or up to `limit`), as
-    image rows (count, src.n) in lexicographic order."""
+    image rows (count, src.n) in lexicographic order.  An element's
+    signature is its order and whether it is central; unequal signature
+    multisets rule an isomorphism out, and `_bijections` draws each
+    generator's images from the elements of its signature."""
     none = np.zeros((0, src.n), dtype=np.int64)
     if src.n != tgt.n:
         return none
-    src_orders = src.element_orders()
-    tgt_orders = tgt.element_orders()
-    if sorted(src_orders.tolist()) != sorted(tgt_orders.tolist()):
+    sigs = [
+        list(zip(g.element_orders().tolist(), (g.table == g.table.T).all(axis=1).tolist()))
+        for g in (src, tgt)
+    ]
+    if sorted(sigs[0]) != sorted(sigs[1]):
         return none
-    src_center = set(src.center())
-    tgt_center = set(tgt.center())
-    if len(src_center) != len(tgt_center):
-        return none
-    gens = src.generating_sequence()
-    if not gens:
-        return np.zeros((1, 1), dtype=np.int64)
-    pools = []
-    for g in gens:
-        og = int(src_orders[g])
-        gc = g in src_center
-        pools.append(
-            [h for h in range(tgt.n) if int(tgt_orders[h]) == og and ((h in tgt_center) == gc)]
-        )
-    return _first_morphisms(src, tgt, pools, gens, bijective=True, limit=limit)
+    found, count = [none], 0
+    for block in _bijections(src, tgt, *sigs):
+        found.append(block)
+        count += len(block)
+        if limit is not None and count >= limit:
+            break
+    rows = np.concatenate(found)[:limit]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 _AUTOMORPHISMS: dict[bytes, np.ndarray] = {}

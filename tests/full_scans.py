@@ -248,9 +248,10 @@ def is_action(images: np.ndarray, table: np.ndarray) -> bool:
 
 def conjugation_action(b, acting, acted) -> list[list[int]]:
     """rows[i][j] = the position in `acted` of c o y o c', for c = acting[i]
-    and y = acted[j], one element at a time with `b.circ_of`: the action of
-    a semidirect decomposition of b."""
-    return [[acted.index(b.circ_of(b.circ_of(c, y), b.inv(c))) for y in acted] for c in acting]
+    and y = acted[j], one element at a time from the circle table: the
+    action of a semidirect decomposition of b."""
+    tab, inv = b.circ.table, b.circ.inverse
+    return [[acted.index(int(tab[tab[c, y], inv[c]])) for y in acted] for c in acting]
 
 
 def cycle_lengths(images) -> list[int]:
@@ -307,7 +308,7 @@ def set_dot_plus_E(b, xs, ys):
     return tuple(sorted(out))
 
 
-def regular_tables(circ, gens, group, k):
+def regular_tables(circ, gens, orders, group, k):
     """`classify._regular_tables` with the full pool Hol(G) x {pi : ord pi
     divides ord c} for every generator c, the first one included: each
     table comes once for every conjugate of rho by the stabiliser of 0."""
@@ -315,8 +316,7 @@ def regular_tables(circ, gens, group, k):
     auts = automorphisms(group)
     affine = group.table[np.arange(m)[:, None, None], auts[None]].reshape(m * auts.shape[0], m)
     pools = []
-    for c in gens:
-        order = circ.element_order(c)
+    for order in orders:
         pi = _order_divides_pool(k, order)
         pool = (affine[:, None, :, None] * k + pi[None, :, None, :]).astype(np.int8)
         pool = pool.reshape(affine.shape[0] * pi.shape[0], n)
@@ -439,9 +439,8 @@ def is_ideal(b, elements) -> IdealReport:
     iset = set(ideal)
     witness = None
 
-    sub_ok = 0 in iset and all(
-        b.circ_of(x, y) in iset and b.inv(x) in iset for x in iset for y in iset
-    )
+    tab, inv = b.circ.table, b.circ.inverse
+    sub_ok = 0 in iset and all(tab[x, y] in iset and inv[x] in iset for x in iset for y in iset)
     normal1 = sub_ok and is_normal_subset(b.circ, iset)
     if not normal1 and witness is None:
         witness = ("normal-in-circ",)
@@ -473,8 +472,8 @@ def is_ideal(b, elements) -> IdealReport:
     rho_ok = True
     for nn in ig:
         for x in range(b.n):
-            t = b.add_of(b.inv(nn), x)
-            if b.circ_of(b.inv(t), x) not in iset:
+            t = b.add.table[inv[nn], x]
+            if tab[inv[t], x] not in iset:
                 rho_ok = False
                 if witness is None:
                     witness = ("rho-closed", nn, x)
@@ -486,7 +485,7 @@ def is_ideal(b, elements) -> IdealReport:
     ie = sorted(iset & set(b.e_elements))
     for g in b.g_elements:
         for e in ie:
-            if b.lam_of(g, e) not in iset:
+            if b.lam[g, e] not in iset:
                 lam_ok = False
                 if witness is None:
                     witness = ("lambda-closed", g, e)
@@ -506,15 +505,15 @@ def is_ideal(b, elements) -> IdealReport:
 
 def kernel_lambda_on_E(b) -> tuple[int, ...]:
     """{x : lambda_x(e) = e for every e in E}, one pair at a time."""
-    return tuple(x for x in range(b.n) if all(b.lam_of(x, e) == e for e in b.e_elements))
+    return tuple(x for x in range(b.n) if all(b.lam[x, e] == e for e in b.e_elements))
 
 
 def idempotents_are_a_right_zero_subgroup(b) -> bool:
     """e o f and e' lie in E and e + f = f, for all e and f in E."""
     eset = set(b.e_elements)
     return all(
-        b.circ_of(e, f) in eset and b.add_of(e, f) == f for e in eset for f in eset
-    ) and all(b.inv(e) in eset for e in eset)
+        b.circ.table[e, f] in eset and b.add.table[e, f] == f for e in eset for f in eset
+    ) and all(b.circ.inverse[e] in eset for e in eset)
 
 
 def g_e_pairs(b, x: int) -> list[int]:
@@ -522,9 +521,9 @@ def g_e_pairs(b, x: int) -> list[int]:
     e2 in E: g = x + 0, e the one idempotent with g + e = x, and e2 =
     lambda_{g'}(e), checked one element at a time (None where no single
     pair is found)."""
-    g = b.add_of(x, 0)
-    cands = [e for e in b.e_elements if b.add_of(g, e) == x]
+    g = int(b.add.table[x, 0])
+    cands = [e for e in b.e_elements if b.add.table[g, e] == x]
     if len(cands) != 1:
         return None
-    e2 = b.lam_of(b.inv(g), cands[0])
-    return [g, cands[0], g, e2] if b.circ_of(g, e2) == x else None
+    e2 = int(b.lam[b.circ.inverse[g], cands[0]])
+    return [g, cands[0], g, e2] if b.circ.table[g, e2] == x else None

@@ -134,8 +134,8 @@ def test_isomorphic_reflexive_and_detects_relabeling():
     assert img is not None and _is_witness_array(img, b.n)
     for x in range(b.n):
         for y in range(b.n):
-            assert img[b.add_of(x, y)] == relabeled.add_of(img[x], img[y])
-            assert img[b.circ_of(x, y)] == relabeled.circ_of(img[x], img[y])
+            assert img[b.add.table[x, y]] == relabeled.add.table[img[x], img[y]]
+            assert img[b.circ.table[x, y]] == relabeled.circ.table[img[x], img[y]]
     assert isomorphic(relabeled, b) is not None
 
 

@@ -110,7 +110,7 @@ def test_direct_product_multiplies_idempotents():
 
 def test_rump_brace_cases():
     b = rump_brace(9, 3)
-    assert b.circ_of(1, 1) == 5
+    assert b.circ.table[1, 1] == 5
     assert b.e_elements == (0,)
     triv = rump_brace(6, 0)
     assert np.array_equal(triv.add.table, triv.circ.table)

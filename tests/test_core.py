@@ -150,7 +150,7 @@ def test_identity_relabeled_to_zero():
     perm = np.array([1, 0, 2])
     shifted = g.op.relabel(perm).table
     b = verify(shifted, shifted)
-    assert b.circ_of(0, 2) == 2 and b.circ_of(0, 0) == 0
+    assert b.circ.table[0, 2] == 2 and b.circ.table[0, 0] == 0
 
 
 def test_order_one_pair_verifies():
@@ -394,9 +394,9 @@ def test_factorize_properties(data):
     x = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     g, e = factorize(b, x)
     assert g in set(b.g_elements) and e in set(b.e_elements)
-    assert b.circ_of(g, e) == x
+    assert b.circ.table[g, e] == x
     g2, e2 = additive_decomposition(b, x)
-    assert b.add_of(g2, e2) == x and g2 == g
+    assert b.add.table[g2, e2] == x and g2 == g
 
 
 @given(st.data())
@@ -406,7 +406,7 @@ def test_recovered_addition(data):
     x = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     y = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     # a + b = a o lambda_{a'}(b)
-    assert b.add_of(x, y) == b.circ_of(x, b.lam_of(b.inv(x), y))
+    assert b.add.table[x, y] == b.circ.table[x, b.lam[b.circ.inverse[x], y]]
 
 
 @given(st.data())
@@ -417,8 +417,8 @@ def test_lambda_rho_product_identity(data):
     y = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     # x o y = lambda_x(y) o rho_y(x), with r(x, y) = (lambda_x(y), rho_y(x))
     lam_xy, rho_yx = solution_from(b).apply(x, y)
-    assert lam_xy == b.lam_of(x, y)
-    assert b.circ_of(x, y) == b.circ_of(lam_xy, rho_yx)
+    assert lam_xy == b.lam[x, y]
+    assert b.circ.table[x, y] == b.circ.table[lam_xy, rho_yx]
 
 
 @pytest.mark.parametrize("b", POOL, ids=lambda b: f"n{b.n}e{len(b.e_elements)}")

@@ -1,8 +1,9 @@
 """Checks on the package source that need no linter: every name a
 `semibrace` module imports is used in that module, every name a module
-defines at top level is read somewhere (in the package, the tests or the
-scripts, and in the package itself when the name is private), and the
-modules `import semibrace.cli` loads define no dataclass but `SemiBrace`."""
+defines at top level and every method or property of its classes is read
+somewhere (in the package, the tests or the scripts, and in the package
+itself when the name is private), and the modules `import semibrace.cli`
+loads define no dataclass but `SemiBrace`."""
 
 import ast
 from functools import lru_cache
@@ -56,12 +57,51 @@ def _names_read(tree: ast.Module) -> set[str]:
     return read
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unread_definitions(module: ast.Module, readers: list[ast.Module]) -> list[str]:
     """The top-level names `module` defines, dunder names aside, that no
     tree in `readers` reads."""
     defined = set().union(*map(_definitions, module.body))
-    defined = {name for name in defined if not (name.startswith("__") and name.endswith("__"))}
+    defined = {name for name in defined if not _is_dunder(name)}
     return sorted(defined - set().union(*map(_names_read, readers)))
+
+
+def _methods(module: ast.Module) -> set[str]:
+    """The methods and properties the classes in `module` define, dunder
+    names aside."""
+    return {
+        item.name
+        for node in ast.walk(module)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
+    }
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    """The attribute names `tree` loads.  A function loading its own name
+    as an attribute, as a recursive method does, does not count."""
+    read = set()
+
+    def walk(node: ast.AST, own: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != own:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, own)
+
+    walk(tree, None)
+    return read
+
+
+def _unread_methods(module: ast.Module, readers: list[ast.Module]) -> list[str]:
+    """The methods and properties of `module`'s classes that no tree in
+    `readers` reads as an attribute."""
+    return sorted(_methods(module) - set().union(*map(_attributes_read, readers)))
 
 
 def _dataclasses(tree: ast.Module) -> list[str]:
@@ -104,6 +144,25 @@ def test_unread_definition_check_finds_unread_names():
     assert _unread_definitions(module, [module]) == ["TABLE", "Unused", "_for_tests", "_recursive", "used"]
 
 
+def test_unread_method_check_finds_unread_methods():
+    module = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n        self.stored = self._helper()\n"
+        "    def used(self):\n        return self.stored\n"
+        "    def _helper(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def _recursive(self, n):\n        return self._recursive(n - 1) if n else 0\n"
+        "    def _for_tests(self):\n        pass\n"
+        "    def stored_over(self):\n        pass\n"
+        "def top_level():\n    pass\n"
+    )
+    tests = ast.parse("a = A()\na.used()\nprint(a.size)\na._for_tests()\na.stored_over = 1\n")
+    assert _unread_methods(module, [module, tests]) == ["_recursive", "stored_over"]
+    assert _unread_methods(module, [module]) == [
+        "_for_tests", "_recursive", "size", "stored_over", "used"
+    ]
+
+
 def test_dataclass_check_finds_decorated_classes():
     tree = ast.parse(
         "import dataclasses\nfrom dataclasses import dataclass\nfrom typing import NamedTuple\n"
@@ -141,4 +200,12 @@ def test_every_top_level_name_is_read(path):
     module = ast.parse(path.read_text())
     assert _unread_definitions(module, list(_trees("src", "tests", "scripts"))) == []
     private = _unread_definitions(module, list(_trees("src")))
+    assert [name for name in private if name.startswith("_")] == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_method_is_read(path):
+    module = ast.parse(path.read_text())
+    assert _unread_methods(module, list(_trees("src", "tests", "scripts"))) == []
+    private = _unread_methods(module, list(_trees("src")))
     assert [name for name in private if name.startswith("_")] == []

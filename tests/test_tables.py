@@ -26,6 +26,7 @@ from semibrace.tables import (
     direct_product,
     first_nonassociative,
     homomorphisms,
+    is_morphism,
     isomorphisms,
     left_nested_generators,
     orbit_lengths,
@@ -349,7 +350,8 @@ def test_generating_sequence_is_the_greedy_one_and_its_trees_cover_each_prefix()
     # and admit an element unless the earlier ones already generate it
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
-            ranked = sorted(range(1, n), key=lambda a: (-g.element_order(a), a))
+            orders = g.element_orders()
+            ranked = sorted(range(1, n), key=lambda a: (-orders[a], a))
             want: list[int] = []
             for a in ranked:
                 if a not in _two_sided_closure(g, want):
@@ -370,6 +372,44 @@ def test_isomorphisms_distinguish_z4_from_v4():
     v4 = direct_product(cyclic_group(2), cyclic_group(2))
     assert len(isomorphisms(z4, v4)) == 0
     assert len(isomorphisms(z4, z4)) == 2
+
+
+def _isomorphisms_by_brute_force(src, tgt):
+    """Every bijection f of range(n) with f(x y) = f(x) f(y), by
+    `is_morphism` on each permutation, in lexicographic order."""
+    perms = np.array(list(itertools.permutations(range(src.n))), dtype=np.int64)
+    return perms[is_morphism(perms, src.table, tgt.table)]
+
+
+def test_isomorphisms_match_a_search_over_every_bijection():
+    # the signature pools of `_bijections` only prune: every catalogue group
+    # of order 2..8 against a relabelled copy of itself and against each
+    # other group of its order (order 1 has its own test below)
+    rng = np.random.default_rng(28)
+    for n in range(2, 9):
+        groups = small_groups(n)
+        for g in groups:
+            copy = g.relabel(rng.permutation(n))
+            want = _isomorphisms_by_brute_force(g, copy)
+            assert len(want) == len(automorphisms(g))
+            assert isomorphisms(g, copy).tolist() == want.tolist()
+            # `limit` keeps the isomorphisms least by the generators' images
+            gens = g.generating_sequence()
+            by_gens = want[np.lexsort(want[:, gens].T[::-1])]
+            for k in sorted({1, 2, len(want) // 2, len(want), len(want) + 1} - {0}):
+                least = by_gens[:k]
+                least = least[np.lexsort(least.T[::-1])]
+                assert isomorphisms(g, copy, limit=k).tolist() == least.tolist()
+        for g, h in itertools.combinations(groups, 2):
+            assert len(_isomorphisms_by_brute_force(g, h)) == 0
+            assert isomorphisms(g, h).shape == (0, n)
+
+
+def test_isomorphisms_of_the_trivial_group():
+    one = cyclic_group(1)
+    assert isomorphisms(one, one).tolist() == [[0]]
+    assert isomorphisms(one, one, limit=1).tolist() == [[0]]
+    assert isomorphisms(one, cyclic_group(2)).shape == (0, 1)
 
 
 def test_permutation_groups_are_read_only_sorted_image_rows():
@@ -451,13 +491,15 @@ def test_dicyclic_groups():
 def test_cyclic_group_element_orders(n, a):
     g = cyclic_group(n)
     a %= n
-    assert g.element_order(a) == n // math.gcd(a, n)
+    assert g.element_orders()[a] == full_scans.permutation_order(g.table[a]) == n // math.gcd(a, n)
 
 
 def test_element_orders_match_element_order():
+    # a has the order of its left translation x -> a x, the row g.table[a]
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
-            assert g.element_orders().tolist() == [g.element_order(a) for a in range(n)]
+            want = [full_scans.permutation_order(g.table[a]) for a in range(n)]
+            assert g.element_orders().tolist() == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -53,7 +53,7 @@ def test_trivial_semibrace_solution():
     s = solution_from(b)
     for x in range(4):
         for y in range(4):
-            assert s.apply(x, y) == (b.circ_of(x, y), 0)
+            assert s.apply(x, y) == (b.circ.table[x, y], 0)
     assert check_braid(s) == (True, None)
     props = check_properties(s)
     assert props.left_nondegenerate
