@@ -49,9 +49,12 @@ Each hash is the first 16 hex digits of the sha256 of
   moved by 1 + k mod (n - 1).
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
-catalogue groups of every supported order instead, and the `survivors` hash
-over the concatenated bytes of the `_survivor_tables` of every catalogue
-group of order 1 to 15, under (emin, esylow) = (1, off) and then (2, on).
+catalogue groups of every supported order instead, the `families` hash over
+the add bytes and then the circ bytes, as int64, of every family of
+`applicable_items(theorems_for_order_pq(p, q), p, q)` over PQ_ORDERS and
+then, for p = 3, 5 and 7 in turn, of every 2p^2 theorem (93 families), and
+the `survivors` hash over the concatenated bytes of the `_survivor_tables` of
+every catalogue group of order 1 to 15, under (emin, esylow) = (1, off) and then (2, on).
 It reaches orders 11 to 15, which `enumerate_generic` does not.  The order-8 funnel
 gives the counts of the generic sweep: survivor tables, summed over the
 five circle groups, and census classes.  The structural funnel gives, at
@@ -164,6 +167,13 @@ def _pq_structures() -> list:
     over PQ_ORDERS."""
     return [family(fid) for p, q in PQ_ORDERS
             for fid in applicable_items(theorems_for_order_pq(p, q), p, q)]
+
+
+def families_hash() -> str:
+    structures = _pq_structures() + [family(fid) for p in (3, 5, 7) for t in TWO_P2_THEOREMS
+                                     for fid in applicable_items(t, p)]
+    return digest(b"".join(table.astype("int64").tobytes()
+                           for b in structures for table in (b.add.table, b.circ.table)))
 
 
 def decompositions_hash(structures: list) -> str:
@@ -313,6 +323,7 @@ def main() -> int:
         "funnel_n8": funnel(),
         "survivors": survivors_hash(),
         "nilpotency": nilpotency_hash(),
+        "families": families_hash(),
         "decompositions": decompositions_hash(_series_structures()),
         "decompositions_pq": decompositions_hash(_pq_structures()),
         "structure": structure_hash(_series_structures() + _pq_structures()),

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .construct import (
-    FamilyId,
     PQ_THEOREMS,
     TWO_P2_THEOREMS,
     applicable_items,
@@ -347,7 +346,7 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool) -> list[np.ndar
       be the Aut(G) x Sym(E) part of rho(c), pulled back too: a homomorphism,
       as the translations are normal.  psi(a o x) = rho(a)(psi(x)) = psi(a)
       + psi(lam_a(x)), so a + b = a o lam_{a^-}(b), and as each lam_c is an
-      automorphism of +, the lemma of `core.endomorphic_rows` makes the
+      automorphism of +, the lemma in `core.verify`'s docstring makes the
       tables a semi-brace with |E| = k.  Every semi-brace arises, from psi
       its coordinate map composed with a pi that sends 0 to (1, e_0).
     - k = n.  Then a + b = b, which every psi keeps: one table, no search.
@@ -664,21 +663,10 @@ def verify_classification(
     """Build the families for a classification statement, check pairwise
     non-isomorphism and the stated idempotent sizes, and require a bijection
     with the structural census (and the generic one when n is small)."""
-    if theorem == "2p2":
-        fids: list[FamilyId] = []
-        for tag in TWO_P2_THEOREMS:
-            fids.extend(applicable_items(tag, p))
-        n = 2 * p * p
-    elif theorem in TWO_P2_THEOREMS:
-        fids = applicable_items(theorem, p)
-        n = 2 * p * p
-    elif theorem in PQ_THEOREMS:
-        if q is None:
-            raise ParameterError("pq classification checks need q")
-        fids = applicable_items(theorem, p, q)
-        n = p * q
-    else:
-        raise ParameterError(f"unknown classification tag: {theorem}")
+    tags = TWO_P2_THEOREMS if theorem == "2p2" else (theorem,)
+    fids = [fid for tag in tags
+            for fid in applicable_items(tag, p, q if tag in PQ_THEOREMS else None)]
+    n = fids[0].n
     _structural_e_sizes(n, 2, theorem not in PQ_THEOREMS)
 
     fams = []

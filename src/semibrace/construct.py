@@ -4,8 +4,13 @@ Rump cyclic braces, and the classification families at orders pq and 2p^2
 with E a Sylow subgroup.
 
 Every constructor routes its tables through core.verify; nothing is trusted.
-Family tables are written as literal coordinate formulas so they stay an
+Family tables are written as coordinate formulas, so they stay an
 independent route from the semidirect-product composition used elsewhere.
+Each family is one of two coordinate laws: `_cyclic_pair`, Z/a x| Z/b, or
+`_p_p_2`, Z/p x Z/p (plain or Heisenberg) x| Z/2, with + right zero or the
+group law on some factors.  Two items stay literal: pq-noncongruent 1, the
+trivial semi-brace on Z/pq, and 2p2-E2-cyclic 3, the Rump law on Z/p^2.
+`applicable_items` alone decides which items apply at given parameters.
 """
 
 from __future__ import annotations
@@ -85,12 +90,9 @@ def brace_p2(which: str, p: int) -> SemiBrace:
     if which == "G3":
         return trivial_skewbrace(direct_product(cyclic_group(p), cyclic_group(p)))
     if which == "G4":
-        add, circ = _tables_from_coords(
-            (p, p),
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
-            lambda x, y: ((x[0] + y[0] + x[1] * y[1]) % p, (x[1] + y[1]) % p),
-        )
-        return verify(add, circ)
+        return verify(*_tables_from_coords(
+            (p, p), (0, 1), lambda x, y: ((x[0] + y[0] + x[1] * y[1]) % p, (x[1] + y[1]) % p)
+        ))
     raise ParameterError(f"unknown size-p^2 brace {which!r}")
 
 
@@ -118,14 +120,6 @@ def left_nilpotent_example(p: int) -> SemiBrace:
 # classification families
 
 
-THEOREM_ITEMS = {
-    "pq-noncongruent": 6,
-    "pq-congruent": 6,
-    "2p2-E2-cyclic": 3,
-    "2p2-E2-noncyclic": 5,
-    "2p2-Ep2": 5,
-}
-
 PQ_THEOREMS = ("pq-noncongruent", "pq-congruent")
 TWO_P2_THEOREMS = ("2p2-E2-cyclic", "2p2-E2-noncyclic", "2p2-Ep2")
 
@@ -138,11 +132,11 @@ class FamilyId:
     q: Optional[int] = None
 
     def __post_init__(self):
-        if self.theorem not in THEOREM_ITEMS:
+        if self.theorem not in _BUILDERS:
             raise ParameterError(f"unknown theorem tag {self.theorem!r}")
-        if not 1 <= self.item <= THEOREM_ITEMS[self.theorem]:
+        if not 1 <= self.item <= len(_BUILDERS[self.theorem]):
             raise ParameterError(
-                f"{self.theorem} has items 1..{THEOREM_ITEMS[self.theorem]}, got {self.item}"
+                f"{self.theorem} has items 1..{len(_BUILDERS[self.theorem])}, got {self.item}"
             )
         if self.theorem in PQ_THEOREMS and self.q is None:
             raise ParameterError(f"{self.theorem} needs both p and q")
@@ -157,209 +151,90 @@ class FamilyId:
         return {"theorem": self.theorem, "item": self.item, "p": self.p, "q": self.q}
 
 
-def _tables_from_coords(sizes, add_fn, circ_fn):
+def _tables_from_coords(sizes, add, circ_fn):
     """Build tables over mixed-radix coordinates, most significant first.
 
-    add_fn and circ_fn get x and y as tuples of coordinate arrays, x's as a
-    column and y's as a row, and return the result's coordinates as arrays
-    that broadcast to the n x n table."""
+    + is the group law of Z/sizes[i] on each coordinate i in `add` and
+    right zero (x + y = y) on the others.  circ_fn gets x and y as tuples
+    of coordinate arrays, x's as a column and y's as a row, and returns the
+    coordinates of x o y as arrays that broadcast to the n x n table."""
     coords = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
     x = tuple(c[:, None] for c in coords)
     y = tuple(c[None, :] for c in coords)
     n = coords[0].size
 
-    def table(fn):
-        parts = tuple(np.broadcast_to(v, (n, n)) for v in fn(x, y))
-        return np.ravel_multi_index(parts, sizes)
+    def table(parts):
+        return np.ravel_multi_index(tuple(np.broadcast_to(v, (n, n)) for v in parts), sizes)
 
-    return table(add_fn), table(circ_fn)
-
-
-def _family_pq_noncongruent(item: int, p: int, q: int) -> SemiBrace:
-    if p % q == 1:
-        raise ParameterError("pq-noncongruent requires p not congruent to 1 mod q")
-    if item in (1, 2, 6) and p != q:
-        raise ParameterError(f"item {item} needs p = q")
-    if item in (3, 4, 5) and p == q:
-        raise ParameterError(f"item {item} needs p != q")
-    if item == 1:
-        return trivial_semibrace(cyclic_group(p * q))
-    if item == 2:
-        add, circ = _tables_from_coords(
-            (p, p),
-            lambda x, y: y,
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
-        )
-        return verify(add, circ)
-    if item == 3:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: y,
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 4:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: ((x[0] + y[0]) % p, y[1]),
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 5:
-        add, circ = _tables_from_coords(
-            (q, p),
-            lambda x, y: ((x[0] + y[0]) % q, y[1]),
-            lambda x, y: ((x[0] + y[0]) % q, (x[1] + y[1]) % p),
-        )
-        return verify(add, circ)
-    add, circ = _tables_from_coords(
-        (p, p),
-        lambda x, y: ((x[0] + y[0]) % p, y[1]),
-        lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p),
-    )
-    return verify(add, circ)
+    plus = tuple((x[i] + y[i]) % m if i in add else y[i] for i, m in enumerate(sizes))
+    return table(plus), table(circ_fn(x, y))
 
 
-def _family_pq_congruent(item: int, p: int, q: int) -> SemiBrace:
-    if p == q or p % q != 1:
-        raise ParameterError("pq-congruent requires p congruent to 1 mod q with p != q")
-    u = smallest_unit_of_order(p, q)
-    upow = np.array([pow(u, k, p) for k in range(q)])  # upow[k] = u^k mod p
-    if item == 1:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: y,
-            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 2:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: y,
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 3:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: ((x[0] + y[0]) % p, y[1]),
-            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 4:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: (y[0], (x[1] + y[1]) % q),
-            lambda x, y: ((x[0] + upow[x[1]] * y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    if item == 5:
-        add, circ = _tables_from_coords(
-            (p, q),
-            lambda x, y: ((x[0] + y[0]) % p, y[1]),
-            lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % q),
-        )
-        return verify(add, circ)
-    add, circ = _tables_from_coords(
-        (q, p),
-        lambda x, y: ((x[0] + y[0]) % q, y[1]),
-        lambda x, y: ((x[0] + y[0]) % q, (x[1] + y[1]) % p),
-    )
-    return verify(add, circ)
+def _cyclic_pair(a: int, b: int, add: tuple, u: int = 1) -> SemiBrace:
+    """Z/a x Z/b, (x0, x1) at index x0 b + x1, with
+    x o y = (x0 + u^x1 y0 mod a, x1 + y1 mod b), the direct product when
+    u = 1, and + the group law on the factors in `add`, right zero on the
+    others."""
+    upow = np.array([pow(u, k, a) for k in range(b)])  # upow[k] = u^k mod a
+    return verify(*_tables_from_coords(
+        (a, b), add, lambda x, y: ((x[0] + upow[x[1]] * y[0]) % a, (x[1] + y[1]) % b)
+    ))
 
 
-def _family_2p2_e2_cyclic(item: int, p: int) -> SemiBrace:
-    p2 = p * p
-    sign = np.array([1, p2 - 1])  # the order-2 automorphism of Z/p^2 is negation
-    if item == 1:
-        add, circ = _tables_from_coords(
-            (p2, 2),
-            lambda x, y: ((x[0] + y[0]) % p2, y[1]),
-            lambda x, y: ((x[0] + sign[x[1]] * y[0]) % p2, (x[1] + y[1]) % 2),
-        )
-    elif item == 2:
-        add, circ = _tables_from_coords(
-            (p2, 2),
-            lambda x, y: ((x[0] + y[0]) % p2, y[1]),
-            lambda x, y: ((x[0] + y[0]) % p2, (x[1] + y[1]) % 2),
-        )
-    else:
-        add, circ = _tables_from_coords(
-            (p2, 2),
-            lambda x, y: ((x[0] + y[0]) % p2, y[1]),
-            lambda x, y: ((x[0] + y[0] + p * x[0] * y[0]) % p2, (x[1] + y[1]) % 2),
-        )
-    return verify(add, circ)
+def _p_p_2(p: int, add: tuple, u0: int, u1: int, h: int) -> SemiBrace:
+    """Z/p x Z/p x Z/2 with x o y = (x0 + u0^x2 y0 + h u1^x2 x1 y1 mod p,
+    x1 + u1^x2 y1 mod p, x2 + y2 mod 2), for u0, u1 in {1, p - 1} and h = 1
+    for the Heisenberg law, and + the group law on the factors in `add`,
+    right zero on the others."""
+    s0, s1 = np.array([1, u0]), np.array([1, u1])  # s[x2] = u^x2
+    return verify(*_tables_from_coords((p, p, 2), add, lambda x, y: (
+        (x[0] + s0[x[2]] * y[0] + h * s1[x[2]] * x[1] * y[1]) % p,
+        (x[1] + s1[x[2]] * y[1]) % p,
+        (x[2] + y[2]) % 2,
+    )))
 
 
-def _family_2p2_e2_noncyclic(item: int, p: int) -> SemiBrace:
-    def add_fn(x, y):
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, y[2])
-
-    sgn = np.array([1, p - 1])
-    if item == 1:
-        circ_fn = lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % 2)
-    elif item == 2:
-        circ_fn = lambda x, y: (
-            (x[0] + sgn[x[2]] * y[0]) % p,
-            (x[1] + sgn[x[2]] * y[1]) % p,
-            (x[2] + y[2]) % 2,
-        )
-    elif item == 3:
-        circ_fn = lambda x, y: (
-            (x[0] + y[0]) % p,
-            (x[1] + sgn[x[2]] * y[1]) % p,
-            (x[2] + y[2]) % 2,
-        )
-    elif item == 4:
-        circ_fn = lambda x, y: (
-            (x[0] + y[0] + x[1] * y[1]) % p,
-            (x[1] + y[1]) % p,
-            (x[2] + y[2]) % 2,
-        )
-    else:
-        circ_fn = lambda x, y: (
-            (x[0] + y[0] + sgn[x[2]] * x[1] * y[1]) % p,
-            (x[1] + sgn[x[2]] * y[1]) % p,
-            (x[2] + y[2]) % 2,
-        )
-    add, circ = _tables_from_coords((p, p, 2), add_fn, circ_fn)
-    return verify(add, circ)
-
-
-def _family_2p2_ep2(item: int, p: int) -> SemiBrace:
-    p2 = p * p
-    sgn2 = np.array([1, p2 - 1])
-    sgn = np.array([1, p - 1])
-    if item in (1, 3, 4):
-        def add_fn(x, y):
-            return (y[0], y[1], (x[2] + y[2]) % 2)
-
-        if item == 1:
-            circ_fn = lambda x, y: ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2]) % 2)
-        elif item == 3:
-            circ_fn = lambda x, y: (
-                (x[0] + sgn[x[2]] * y[0]) % p,
-                (x[1] + sgn[x[2]] * y[1]) % p,
-                (x[2] + y[2]) % 2,
-            )
-        else:
-            circ_fn = lambda x, y: (
-                (x[0] + sgn[x[2]] * y[0]) % p,
-                (x[1] + y[1]) % p,
-                (x[2] + y[2]) % 2,
-            )
-        add, circ = _tables_from_coords((p, p, 2), add_fn, circ_fn)
-    else:
-        def add_fn(x, y):
-            return (y[0], (x[1] + y[1]) % 2)
-
-        if item == 2:
-            circ_fn = lambda x, y: ((x[0] + y[0]) % p2, (x[1] + y[1]) % 2)
-        else:
-            circ_fn = lambda x, y: ((x[0] + sgn2[x[1]] * y[0]) % p2, (x[1] + y[1]) % 2)
-        add, circ = _tables_from_coords((p2, 2), add_fn, circ_fn)
-    return verify(add, circ)
+# The items of each theorem in order, each a builder of (p, q).  The
+# negation of Z/p^2 is the unit p^2 - 1.
+_BUILDERS = {
+    "pq-noncongruent": (
+        lambda p, q: trivial_semibrace(cyclic_group(p * q)),
+        lambda p, q: _cyclic_pair(p, q, ()),
+        lambda p, q: _cyclic_pair(p, q, ()),
+        lambda p, q: _cyclic_pair(p, q, (0,)),
+        lambda p, q: _cyclic_pair(q, p, (0,)),
+        lambda p, q: _cyclic_pair(p, q, (0,)),
+    ),
+    "pq-congruent": (
+        lambda p, q: _cyclic_pair(p, q, (), smallest_unit_of_order(p, q)),
+        lambda p, q: _cyclic_pair(p, q, ()),
+        lambda p, q: _cyclic_pair(p, q, (0,), smallest_unit_of_order(p, q)),
+        lambda p, q: _cyclic_pair(p, q, (1,), smallest_unit_of_order(p, q)),
+        lambda p, q: _cyclic_pair(p, q, (0,)),
+        lambda p, q: _cyclic_pair(q, p, (0,)),
+    ),
+    "2p2-E2-cyclic": (
+        lambda p, q: _cyclic_pair(p * p, 2, (0,), p * p - 1),
+        lambda p, q: _cyclic_pair(p * p, 2, (0,)),
+        lambda p, q: verify(*_tables_from_coords((p * p, 2), (0,), lambda x, y: (  # Rump
+            (x[0] + y[0] + p * x[0] * y[0]) % (p * p), (x[1] + y[1]) % 2
+        ))),
+    ),
+    "2p2-E2-noncyclic": (
+        lambda p, q: _p_p_2(p, (0, 1), 1, 1, 0),
+        lambda p, q: _p_p_2(p, (0, 1), p - 1, p - 1, 0),
+        lambda p, q: _p_p_2(p, (0, 1), 1, p - 1, 0),
+        lambda p, q: _p_p_2(p, (0, 1), 1, 1, 1),
+        lambda p, q: _p_p_2(p, (0, 1), 1, p - 1, 1),
+    ),
+    "2p2-Ep2": (
+        lambda p, q: _p_p_2(p, (2,), 1, 1, 0),
+        lambda p, q: _cyclic_pair(p * p, 2, (1,)),
+        lambda p, q: _p_p_2(p, (2,), p - 1, p - 1, 0),
+        lambda p, q: _p_p_2(p, (2,), p - 1, 1, 0),
+        lambda p, q: _cyclic_pair(p * p, 2, (1,), p * p - 1),
+    ),
+}
 
 
 EXPECTED_E_SIZE = {
@@ -373,29 +248,12 @@ EXPECTED_E_SIZE = {
 
 def family(fid: FamilyId) -> SemiBrace:
     """The literal construction of one classification item, verified, with
-    the stated idempotent-part size asserted."""
-    p, q = fid.p, fid.q
-    if not is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
-    if fid.theorem in PQ_THEOREMS:
-        if not is_prime(q):
-            raise ParameterError(f"q={q} is not prime")
-        if q > p:
-            raise ParameterError("parameters are ordered q <= p")
-        built = (
-            _family_pq_noncongruent(fid.item, p, q)
-            if fid.theorem == "pq-noncongruent"
-            else _family_pq_congruent(fid.item, p, q)
-        )
-    else:
-        if p == 2:
-            raise ParameterError(f"{fid.theorem} requires an odd prime p")
-        built = {
-            "2p2-E2-cyclic": _family_2p2_e2_cyclic,
-            "2p2-E2-noncyclic": _family_2p2_e2_noncyclic,
-            "2p2-Ep2": _family_2p2_ep2,
-        }[fid.theorem](fid.item, p)
-    want = EXPECTED_E_SIZE[fid.theorem](fid.item, p, q)
+    the stated idempotent-part size asserted.  Raises ParameterError unless
+    `applicable_items` lists the item."""
+    if fid not in applicable_items(fid.theorem, fid.p, fid.q):
+        raise ParameterError(f"{fid.theorem} item {fid.item} does not apply at p={fid.p}, q={fid.q}")
+    built = _BUILDERS[fid.theorem][fid.item - 1](fid.p, fid.q)
+    want = EXPECTED_E_SIZE[fid.theorem](fid.item, fid.p, fid.q)
     if len(built.e_elements) != want:
         raise InternalInvariantError(
             f"{fid.theorem} item {fid.item}: |E|={len(built.e_elements)}, stated {want}"
@@ -404,13 +262,20 @@ def family(fid: FamilyId) -> SemiBrace:
 
 
 def applicable_items(theorem: str, p: int, q: Optional[int] = None) -> list[FamilyId]:
-    """The FamilyIds of the theorem's items valid at these parameters."""
-    if theorem not in THEOREM_ITEMS:
-        raise ParameterError(f"unknown theorem tag {theorem!r}")
+    """The FamilyIds of the theorem's items at these parameters, the one
+    place that decides which items apply: a pq theorem applies where
+    `theorems_for_order_pq` names it, and pq-noncongruent has items 1, 2 and
+    6 when p = q, else 3, 4 and 5; a 2p^2 theorem needs p an odd prime.
+    Raises ParameterError where the theorem does not apply."""
+    FamilyId(theorem, 1, p, q)  # the tag, and whether it takes q
+    if theorem in PQ_THEOREMS:
+        if theorems_for_order_pq(p, q) != theorem:
+            raise ParameterError(f"{theorem} does not apply at p={p}, q={q}")
+    elif p == 2 or not is_prime(p):
+        raise ParameterError(f"{theorem} requires an odd prime p")
+    items = range(1, len(_BUILDERS[theorem]) + 1)
     if theorem == "pq-noncongruent":
         items = (1, 2, 6) if p == q else (3, 4, 5)
-    else:
-        items = tuple(range(1, THEOREM_ITEMS[theorem] + 1))
     return [FamilyId(theorem, i, p, q) for i in items]
 
 

@@ -128,34 +128,6 @@ def _first_incompatible(add: np.ndarray, tab: np.ndarray, lam: np.ndarray):
     return None
 
 
-def endomorphic_rows(lam: np.ndarray, add: np.ndarray, gens) -> np.ndarray:
-    """Rows r in which lam[r, g] is an endomorphism of + = add[r] for every
-    g in `gens`; lam and add are (rows, n, n), at O(rows n**2 |gens|) cost.
-
-    Lemma: let lam: (B, o) -> Sym(B) be a homomorphism, a + b :=
-    a o lam_{a^-}(b), and S generate (B, o).  Then compatibility holds,
-        a o b + lam_a(c) = a o b o lam_{b^- o a^-} lam_a(c) = a o (b + c),
-    and + is associative iff lam_s is an endomorphism of + for every s in S.
-    (<=) Bijective endomorphisms form a group, so every lam_a is one; with
-    u = lam_{a^-}(b) and v = lam_{a^-}(c),
-        a + (b + c) = a o (u + v) = a o u o lam_{u^-}(v) = (a o u) + c.
-    (=>) lam_a(b + c) = a o ((a^- + b) + c) = lam_a(b) + lam_a(c).
-    Any table pair has a + b = a o lam_{a^-}(b) for lam_a(b) := a o (a^- + b).
-    If lam_0 = id and lam_(x o g) = lam_x . lam_g for all x and g in S, lam
-    is a homomorphism, so + is left cancellative and 0 + b = b.  The lambda
-    map of a semi-brace has these properties, so `verify` decides validity
-    by them and this test on S."""
-    rows, n, _ = add.shape
-    flat = add.reshape(rows, n * n)
-    ok = np.ones(rows, dtype=bool)
-    for g in gens:
-        lg = lam[:, g].astype(np.intp)
-        lhs = np.take_along_axis(lg, flat, axis=1)  # lam_g(b + c)
-        rhs = np.take_along_axis(flat, (lg[:, :, None] * n + lg[:, None, :]).reshape(rows, n * n), axis=1)
-        ok &= (lhs == rhs).all(axis=1)
-    return ok
-
-
 def _first_failure(add: np.ndarray, tab: np.ndarray, lam: np.ndarray) -> SemiBraceAxiomError:
     """The first axiom a pair that fails `verify`'s test violates, in the
     order associativity, left cancellation, compatibility, 0 + 0 = 0, with
@@ -187,9 +159,22 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     Once the circle table is a group, validity is decided at every n on its
     generators S (`left_nested_generators`) in O(n**2 |S|) time and memory:
     lambda_0 = id, lambda_(x o g) = lambda_x . lambda_g for every x and g in
-    S, and `endomorphic_rows`, whose lemma shows that these hold exactly for
-    semi-braces.  A failing pair gets its axiom tag and witness from
-    `_first_failure`.
+    S, and lambda_g an endomorphism of + for every g in S (`is_morphism`).
+
+    Lemma: let lam: (B, o) -> Sym(B) be a homomorphism, a + b :=
+    a o lam_{a^-}(b), and S generate (B, o).  Then compatibility holds,
+        a o b + lam_a(c) = a o b o lam_{b^- o a^-} lam_a(c) = a o (b + c),
+    and + is associative iff lam_s is an endomorphism of + for every s in S.
+    (<=) Bijective endomorphisms form a group, so every lam_a is one; with
+    u = lam_{a^-}(b) and v = lam_{a^-}(c),
+        a + (b + c) = a o (u + v) = a o u o lam_{u^-}(v) = (a o u) + c.
+    (=>) lam_a(b + c) = a o ((a^- + b) + c) = lam_a(b) + lam_a(c).
+    Any table pair has a + b = a o lam_{a^-}(b) for lam_a(b) := a o (a^- + b).
+    If lam_0 = id and lam_(x o g) = lam_x . lam_g for all x and g in S, lam
+    is a homomorphism, so + is left cancellative and 0 + b = b.  The lambda
+    map of a semi-brace has these properties, so these tests on S hold
+    exactly for semi-braces.  A failing pair gets its axiom tag and witness
+    from `_first_failure`.
     """
     try:
         add_t = CayleyTable.of(add_rows)
@@ -212,7 +197,7 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     if not (
         np.array_equal(lam[0], np.arange(n))
         and _homomorphic_rows(lam[None], tab, gens, [], _compose_rows)[0]
-        and endomorphic_rows(lam[None], add[None], gens)[0]
+        and is_morphism(lam[gens], add, add).all()
     ):
         raise _first_failure(add, tab, lam)
 
@@ -418,15 +403,15 @@ def is_ideal(b: SemiBrace, elements) -> IdealReport:
 
     g, e = np.array(b.g_elements), np.array(b.e_elements)
     gadd = _induced_table(b.add.table, g)
-    grep = check_group(CayleyTable.of(gadd))
-    if not grep.is_group:
+    zero = gadd == 0  # 0 = g[0] is the identity of the group (G, +)
+    if not (zero.sum(axis=1) == 1).all():
         raise InternalInvariantError("(G, +) is not a group")
     in_ig = inside[g]  # I n G in the local labels of G
     igl = np.flatnonzero(in_ig)
     if not (in_ig[0] and in_ig[gadd[np.ix_(igl, igl)]].all()):
         witnesses.append(("intersection-normal-in-g",))
     else:
-        conj = conjugates(gadd, grep.inverses, np.arange(g.size), igl)
+        conj = conjugates(gadd, zero.argmax(axis=1), np.arange(g.size), igl)
         witnesses.append(_first_failure_at("intersection-normal-in-g", ~in_ig[conj], g, g[igl]))
 
     ig, ie = g[in_ig], e[inside[e]]

@@ -47,9 +47,6 @@ class CayleyTable(NamedTuple):
             raise MalformedTableError(f"entry out of range 0..{n - 1} at {tuple(int(i) for i in bad)}")
         return cls(n=n, table=_freeze(arr.copy()))
 
-    def apply(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def relabel(self, perm: np.ndarray) -> "CayleyTable":
         """Transport the operation along x -> perm[x], a permutation of
         range(n)."""
@@ -246,9 +243,6 @@ class FiniteGroup(NamedTuple):
 
     def mul(self, a: int, b: int) -> int:
         return int(self.op.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
 
     def element_orders(self) -> np.ndarray:
         """The order of every element, by one power loop over all of them:

@@ -32,20 +32,8 @@ class SolutionMap(NamedTuple):
             raise MalformedTableError("solution entries out of range")
         return cls(n=n, r=_freeze(arr.copy()))
 
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        return int(self.r[x, y, 0]), int(self.r[x, y, 1])
-
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SolutionMap":
-        if not isinstance(obj, dict) or not {"n", "r"} <= set(obj):
-            raise MalformedTableError("solution JSON needs keys n and r")
-        s = cls.of(obj["r"])
-        if s.n != obj["n"]:
-            raise MalformedTableError("solution size mismatch")
-        return s
 
 
 def solution_from(b: SemiBrace) -> SolutionMap:

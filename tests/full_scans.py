@@ -11,7 +11,8 @@ walk, the reference for the vectorised
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
 unpruned sweep that tests every lambda map from Sym(n) (a route to the
-generic census independent of regular embeddings, for n <= 6), the order
+generic census independent of regular embeddings, for n <= 6) with its
+row-stack endomorphism test `endomorphic_rows`, the order
 of a permutation by walking its powers, the unpacked block scan of the
 braid relation, the structural census with one product for every
 action homomorphism, and the structure maps of `core` (ideals, normal
@@ -45,7 +46,6 @@ from semibrace.core import (
     InternalInvariantError,
     _induced_table,
     brace_automorphism_group,
-    endomorphic_rows,
 )
 from semibrace.nilpotency import dot_table
 from semibrace.tables import (
@@ -371,9 +371,25 @@ def lambda_maps(circ, gens):
         yield lam[_homomorphic_rows(lam, circ.table, gens, tree, _compose_rows)]
 
 
+def endomorphic_rows(lam: np.ndarray, add: np.ndarray, gens) -> np.ndarray:
+    """Rows r in which lam[r, g] is an endomorphism of + = add[r] for every
+    g in `gens`; lam and add are (rows, n, n), at O(rows n**2 |gens|) cost.
+    By the lemma in `core.verify`'s docstring, a row whose lam is a
+    homomorphism from (B, o) passes exactly when add[r] is a semi-brace."""
+    rows, n, _ = add.shape
+    flat = add.reshape(rows, n * n)
+    ok = np.ones(rows, dtype=bool)
+    for g in gens:
+        lg = lam[:, g].astype(np.intp)
+        lhs = np.take_along_axis(lg, flat, axis=1)  # lam_g(b + c)
+        rhs = np.take_along_axis(flat, (lg[:, :, None] * n + lg[:, None, :]).reshape(rows, n * n), axis=1)
+        ok &= (lhs == rhs).all(axis=1)
+    return ok
+
+
 def unpruned_survivor_tables(circ, emin, esylow):
     """`classify._survivor_tables` by the unpruned route: each lambda map
-    from `lambda_maps` is tested by `core.endomorphic_rows`, in the order
+    from `lambda_maps` is tested by `endomorphic_rows`, in the order
     they come, so the tables are not sorted.  Drop-in for
     `classify._survivor_tables` at n <= 6."""
     n = circ.n
@@ -429,7 +445,7 @@ def is_normal_subset(g, elements) -> bool:
     """b o a o b^-1 lies in the subset for every a in it and every b, one
     pair at a time."""
     eset = set(int(x) for x in elements)
-    return all(g.mul(g.mul(b, a), g.inv(b)) in eset for a in eset for b in range(g.n))
+    return all(g.mul(g.mul(b, a), g.inverse[b]) in eset for a in eset for b in range(g.n))
 
 
 def is_ideal(b, elements) -> IdealReport:

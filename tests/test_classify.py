@@ -42,7 +42,6 @@ from semibrace.construct import (
 from semibrace.core import (
     SemiBraceAxiomError,
     brace_automorphism_group,
-    endomorphic_rows,
     verify,
 )
 from semibrace.tables import (
@@ -351,10 +350,10 @@ def test_first_pool_representatives_cover_each_class_once():
 
 
 def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
-    # The lemma of core.endomorphic_rows over every unpruned lambda map up to
-    # order 6: among homomorphisms built along the BFS tree, the endomorphism
-    # test on the generators selects exactly the rows that full
-    # associativity selects.
+    # The lemma in core.verify's docstring over every unpruned lambda map up
+    # to order 6: among homomorphisms built along the BFS tree, the test
+    # verify runs, is_morphism of each lambda_g on + for g in the
+    # generators, selects exactly the rows that full associativity selects.
     rejected = 0
     for n in range(2, 7):
         arange = np.arange(n)
@@ -362,7 +361,8 @@ def test_endomorphism_test_keeps_the_rows_full_associativity_keeps():
             gens = circ.generating_sequence()
             for lam in full_scans.lambda_maps(circ, gens):
                 add = full_scans.add_rows(circ, lam, arange)
-                endo = endomorphic_rows(lam, add, gens)
+                endo = np.array([is_morphism(row[gens], table, table).all()
+                                 for row, table in zip(lam, add)], dtype=bool)
                 assert (endo == full_scans.associative_rows(add)).all()
                 rejected += int((~endo).sum())
     assert rejected > 0

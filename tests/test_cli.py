@@ -127,6 +127,10 @@ def test_families_parameter_violations_exit_2(capsys):
                         "--p", "4", "--q", "2"])[0] == 2
     assert run(capsys, ["families", "--theorem", "pq-noncongruent",
                         "--p", "3", "--q", "3", "--item", "3"])[0] == 2
+    assert run(capsys, ["families", "--theorem", "pq-congruent",
+                        "--p", "5", "--q", "3"])[0] == 2
+    assert run(capsys, ["nilpotency", "--theorem", "pq-noncongruent",
+                        "--item", "1", "--p", "5", "--q", "3"])[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +186,11 @@ def test_classify_pq_congruent(capsys, tmp_path):
     assert "6 classes, census match" in out
     report = json.loads((out_dir / "classify.json").read_text())
     assert report["ok"] and report["family_count"] == 6
+
+
+def test_classify_2p2_ignores_q(capsys):
+    # q belongs to the pq theorems only; the 2p^2 check runs without it
+    assert run(capsys, ["classify", "--theorem", "2p2", "--p", "3", "--q", "2"])[0] == 0
 
 
 def test_classify_needs_parameters(capsys):

@@ -1,9 +1,12 @@
 """Constructors: trivial structures, products, p^2 braces, family catalog."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from semibrace.construct import (
+    TWO_P2_THEOREMS,
     FamilyId,
     ParameterError,
     applicable_items,
@@ -266,6 +269,37 @@ def test_applicable_items_selection():
     assert len(applicable_items("2p2-E2-cyclic", 3)) == 3
     assert len(applicable_items("2p2-E2-noncyclic", 3)) == 5
     assert len(applicable_items("2p2-Ep2", 3)) == 5
+
+
+def test_applicable_items_raises_where_the_theorem_does_not_apply():
+    for args in (
+        ("pq-congruent", 5, 3),  # 5 != 1 mod 3
+        ("pq-noncongruent", 3, 2),  # 3 = 1 mod 2
+        ("pq-congruent", 9, 2),  # 9 not prime
+        ("2p2-Ep2", 2),  # p must be odd
+    ):
+        with pytest.raises(ParameterError):
+            applicable_items(*args)
+
+
+PINNED_ORDERS = ((2, 2), (3, 2), (3, 3), (5, 2), (5, 3), (5, 5), (7, 2), (7, 3), (7, 5), (7, 7),
+                 (11, 2), (13, 3))
+
+
+def test_family_tables_are_pinned():
+    # The add and then the circ bytes, as int64, of every applicable pq item
+    # over PINNED_ORDERS and then, for p = 3, 5 and 7 in turn, of every 2p^2
+    # item: 93 families.  The digest was recorded from the item-by-item
+    # coordinate formulas that the two product laws replaced.
+    fids = [fid for p, q in PINNED_ORDERS
+            for fid in applicable_items(theorems_for_order_pq(p, q), p, q)]
+    fids += [fid for p in (3, 5, 7) for t in TWO_P2_THEOREMS for fid in applicable_items(t, p)]
+    assert len(fids) == 93
+    digest = hashlib.sha256()
+    for b in map(family, fids):
+        digest.update(b.add.table.astype(np.int64).tobytes())
+        digest.update(b.circ.table.astype(np.int64).tobytes())
+    assert digest.hexdigest()[:16] == "056cf0e80649770c"
 
 
 def test_theorems_for_order_pq():

@@ -26,7 +26,6 @@ from semibrace.core import (
     brace_automorphism_group,
     decompose,
     decompose_E_ideal,
-    endomorphic_rows,
     factorize,
     idempotents,
     is_ideal,
@@ -327,7 +326,7 @@ def test_verify_leaves_numpy_ma_unloaded():
 
 def test_endomorphic_rows_accepts_an_empty_block():
     empty = np.zeros((0, 4, 4), dtype=np.int8)
-    ok = endomorphic_rows(empty, empty, [1, 2])
+    ok = full_scans.endomorphic_rows(empty, empty, [1, 2])
     assert ok.dtype == bool and ok.shape == (0,)
 
 
@@ -416,7 +415,7 @@ def test_lambda_rho_product_identity(data):
     x = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     y = data.draw(st.integers(min_value=0, max_value=b.n - 1))
     # x o y = lambda_x(y) o rho_y(x), with r(x, y) = (lambda_x(y), rho_y(x))
-    lam_xy, rho_yx = solution_from(b).apply(x, y)
+    lam_xy, rho_yx = solution_from(b).r[x, y]
     assert lam_xy == b.lam[x, y]
     assert b.circ.table[x, y] == b.circ.table[lam_xy, rho_yx]
 
