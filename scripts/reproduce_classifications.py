@@ -32,6 +32,7 @@ DEFAULT_CASES = [
     ("pq-noncongruent", 5, 3),
     ("2p2", 3, None),
     ("2p2", 5, None),
+    ("2p2", 7, None),
 ]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -67,7 +68,7 @@ GENERIC_BOUND = 10
 _CLASSICAL_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2,
     11: 1, 12: 5, 13: 1, 14: 2, 15: 1, 16: 14, 17: 1, 18: 5, 19: 1,
-    20: 5, 25: 2, 27: 5, 50: 5,
+    20: 5, 25: 2, 27: 5, 49: 2, 50: 5,
 }
 
 SUPPORTED_GROUP_ORDERS = frozenset(_CLASSICAL_GROUP_COUNTS)
@@ -404,7 +405,7 @@ def _orbit_representatives(circ: FiniteGroup, tables: list[np.ndarray]) -> list[
     out = []
     for table in sorted(tables, key=lambda t: t.tobytes()):
         if table.tobytes() not in seen:
-            out.append(verify(table, circ.table))
+            out.append(verify(table, circ))
             orbit[rows, auts[:, :, None], auts[:, None, :]] = auts[rows, table[None]]
             seen.update(f.tobytes() for f in orbit)
     return out
@@ -722,14 +723,12 @@ def verify_classification(
 
 @lru_cache(maxsize=1)
 def _code_version() -> str:
-    import hashlib  # loads _hashlib, which a process without a cache never needs
-
-    digest = hashlib.sha256()
-    here = Path(__file__).resolve().parent
-    for path in sorted(here.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+    """The CRC-32 of the package sources' names and bytes, as 8 hex digits;
+    a stale key is harmless, as every entry is verified again on load."""
+    crc = 0
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        crc = zlib.crc32(path.read_bytes(), zlib.crc32(path.name.encode(), crc))
+    return f"{crc:08x}"
 
 
 def _cache_key(params: dict) -> str:

@@ -52,12 +52,12 @@ def smallest_unit_of_order(modulus: int, order: int) -> int:
 def trivial_semibrace(g: FiniteGroup) -> SemiBrace:
     """a + b := b alongside the group's multiplication; E is everything."""
     add = np.tile(np.arange(g.n), (g.n, 1))
-    return verify(add, g.table)
+    return verify(add, g)
 
 
 def trivial_skewbrace(g: FiniteGroup) -> SemiBrace:
     """a + b := a o b; a skew brace with E = {0}."""
-    return verify(g.table, g.table)
+    return verify(g.table, g)
 
 
 def direct_product_semibrace(b1: SemiBrace, b2: SemiBrace) -> SemiBrace:

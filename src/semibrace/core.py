@@ -28,9 +28,7 @@ from .tables import (
     FiniteGroup,
     MalformedTableError,
     _bijections,
-    _compose_rows,
     _freeze,
-    _homomorphic_rows,
     automorphisms,
     check_group,
     checked_action,
@@ -149,17 +147,20 @@ def _first_failure(add: np.ndarray, tab: np.ndarray, lam: np.ndarray) -> SemiBra
     raise InternalInvariantError("the lambda test fails on a valid semi-brace")
 
 
-def verify(add_rows, circ_rows) -> SemiBrace:
+def verify(add_rows, circ) -> SemiBrace:
     """Check the axioms and return the verified structure.
 
     Raises SemiBraceAxiomError with a distinct axiom tag and a minimal witness
-    otherwise. If the circle identity is not at index 0, both tables are
+    otherwise. `circ` is the circle table's rows, or a FiniteGroup, taken as
+    verified. If the circle identity is not at index 0, both tables are
     relabeled by the transposition moving it there before anything else.
 
-    Once the circle table is a group, validity is decided at every n on its
-    generators S (`left_nested_generators`) in O(n**2 |S|) time and memory:
-    lambda_0 = id, lambda_(x o g) = lambda_x . lambda_g for every x and g in
-    S, and lambda_g an endomorphism of + for every g in S (`is_morphism`).
+    Once the circle table is a group, validity is decided at every n on one
+    generating set S, by gathers in O(n**2 |S|) time and memory: lambda_0 =
+    id, lambda_(x o g) = lambda_x . lambda_g for every x and g in S, and
+    lambda_g an endomorphism of + for every g in S (`is_morphism`).  S is
+    the set `check_group` used, moved along that transposition, or the
+    `left_nested_generators` of a FiniteGroup, without the identity.
 
     Lemma: let lam: (B, o) -> Sym(B) be a homomorphism, a + b :=
     a o lam_{a^-}(b), and S generate (B, o).  Then compatibility holds,
@@ -176,27 +177,33 @@ def verify(add_rows, circ_rows) -> SemiBrace:
     exactly for semi-braces.  A failing pair gets its axiom tag and witness
     from `_first_failure`.
     """
+    given = isinstance(circ, FiniteGroup)
     try:
         add_t = CayleyTable.of(add_rows)
-        circ_t = CayleyTable.of(circ_rows)
+        circ_t = circ.op if given else CayleyTable.of(circ)
     except MalformedTableError as exc:
         raise SemiBraceAxiomError("malformed-table") from exc
     if add_t.n != circ_t.n:
         raise SemiBraceAxiomError("malformed-table", (add_t.n, circ_t.n))
 
-    report = check_group(circ_t)
-    if not report.is_group:
-        raise SemiBraceAxiomError("circle-not-a-group", report.failure[1])
-    if report.identity != 0:
-        add_t = add_t.relabel(identity_swap(add_t.n, report.identity))
-    circ = FiniteGroup.from_report(circ_t, report)
+    if given:
+        gens = left_nested_generators(circ.table)[1:]
+    else:
+        report = check_group(circ_t)
+        if not report.is_group:
+            raise SemiBraceAxiomError("circle-not-a-group", report.failure[1])
+        swap = identity_swap(add_t.n, report.identity)
+        if report.identity != 0:
+            add_t = add_t.relabel(swap)
+        circ = FiniteGroup.from_report(circ_t, report)
+        gens = [swap[g] for g in report.generators if g != report.identity]
 
     n, add, tab = add_t.n, add_t.table, circ.table
     lam = tab[np.arange(n)[:, None], add[circ.inverse]]  # lam[a,b] = a o (a' + b)
-    gens = np.array(left_nested_generators(tab)[1:], dtype=np.int64)  # [0] is the identity
+    gens = np.array(gens, dtype=np.int64)
     if not (
         np.array_equal(lam[0], np.arange(n))
-        and _homomorphic_rows(lam[None], tab, gens, [], _compose_rows)[0]
+        and np.array_equal(lam[tab[:, gens]], lam[:, lam[gens]])
         and is_morphism(lam[gens], add, add).all()
     ):
         raise _first_failure(add, tab, lam)
@@ -487,11 +494,18 @@ class SemidirectData(NamedTuple):
 
 
 def brace_automorphism_group(b: SemiBrace) -> np.ndarray:
-    """Bijections preserving both operations: the rows of
+    """Bijections preserving both operations: the rows f of
     `automorphisms(b.circ)` that preserve +, so sorted with the identity
-    first."""
-    auts, add = automorphisms(b.circ), b.add.table
-    return auts[is_morphism(auts, add, add)]
+    first.  As a + b = a o lambda_a'(b), f preserves + iff f . lambda_x =
+    lambda_f(x) . f for every x; such x are closed under o, as lambda and f
+    are homomorphisms, so the test runs on generators g, in SLAB chunks."""
+    auts, lam, gens = automorphisms(b.circ), b.lam, left_nested_generators(b.circ.table)[1:]
+    keep = np.ones(len(auts), dtype=bool)
+    for rows in slab_chunks(np.arange(len(auts)), b.n):
+        f = auts[rows]
+        for g in gens:
+            keep[rows] &= (f[:, lam[g]] == lam[f[:, g][:, None], f]).all(axis=1)
+    return auts[keep]
 
 
 def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:
@@ -512,7 +526,7 @@ def _decomposition(b: SemiBrace, direction: str, order: str, pair: np.ndarray) -
     isomorphism onto the product."""
     gp, ep = skew_part(b), idempotents(b)
     m = len(ep.elements)
-    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group.table)  # a + b = b
+    etriv = verify(np.tile(np.arange(m), (m, 1)), ep.group)  # a + b = b
     parts = {"G": (np.array(gp.elements), gp.semibrace), "E": (np.array(ep.elements), etriv)}
     (y, b1), (c, b2) = (parts[k] for k in order)
     tab, pos = b.circ.table, np.full(b.n, -1, dtype=np.int64)

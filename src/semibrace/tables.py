@@ -10,6 +10,7 @@ import (`import semibrace.cli` loads this module).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ class GroupReport(NamedTuple):
     identity: Optional[int]
     inverses: Optional[np.ndarray]
     failure: Optional[tuple]  # (kind, witness tuple)
+    generators: Optional[tuple[int, ...]] = None  # those of the Light test, for a group
 
 
 # Largest number of (x, y, z) triples a full associativity scan holds in one
@@ -147,27 +149,34 @@ def left_nested_generators(tab: np.ndarray) -> list[int]:
     return _greedy_generators(tab, range(tab.shape[0]))
 
 
+def _associative_on(tab: np.ndarray, gens: Sequence[int]) -> bool:
+    """Light's test: whether (x.s).y = x.(s.y) for all x, y and every s in
+    `gens`, at O(n**2 |gens|) cost, in chunks of at most SLAB triples."""
+    n = tab.shape[0]
+    for part in slab_chunks(np.array(gens, dtype=np.int64), n * n):
+        left = tab[tab[:, part]]  # left[x, i, y] = tab[tab[x, s_i], y]
+        right = tab[:, tab[part]]  # right[x, i, y] = tab[x, tab[s_i, y]]
+        if not np.array_equal(left, right):
+            return False
+    return True
+
+
 def first_nonassociative(tab: np.ndarray) -> Optional[tuple[int, int, int]]:
     """The lexicographically first (a, b, c) with (a.b).c != a.(b.c), or
     None when the operation is associative.
 
-    At every n this is Light's test: it checks (x.s).y = x.(s.y) for all x,
-    y and every s in `left_nested_generators`, at O(n**2 |S|) cost. This is
-    sound for any table because T = {g : (x.g).y = x.(g.y) for all x, y} is
-    closed under the operation: for g, h in T,
+    At every n this is Light's test, `_associative_on` the
+    `left_nested_generators` S. It is sound for any table because T =
+    {g : (x.g).y = x.(g.y) for all x, y} is closed under the operation: for
+    g, h in T,
         (x.(g.h)).y = ((x.g).h).y = (x.g).(h.y) = x.(g.(h.y)) = x.((g.h).y),
     using g in T, h in T, g in T and h in T in turn. So T contains every
     left-nested product of S, which is every element. Only when the test
     fails does the chunked full scan run, to find the lexicographically
     first witness."""
-    n = tab.shape[0]
-    gens = np.array(left_nested_generators(tab))
-    for part in slab_chunks(gens, n * n):
-        left = tab[tab[:, part]]  # left[x, i, y] = tab[tab[x, s_i], y]
-        right = tab[:, tab[part]]  # right[x, i, y] = tab[x, tab[s_i, y]]
-        if not np.array_equal(left, right):
-            return _first_nonassociative(tab)
-    return None
+    if _associative_on(tab, left_nested_generators(tab)):
+        return None
+    return _first_nonassociative(tab)
 
 
 def check_group(t: CayleyTable) -> GroupReport:
@@ -176,7 +185,8 @@ def check_group(t: CayleyTable) -> GroupReport:
     identity e and the first x with x.e != x, or no witness when there is no
     left identity), no inverse (the first a whose first right inverse b,
     a.b = identity, is missing or has b.a != identity), or the
-    associativity triple of `first_nonassociative`."""
+    associativity triple of `first_nonassociative`.  A group's report
+    records the `left_nested_generators` its associativity test used."""
     tab = t.table
     arange = np.arange(t.n)
     left = (tab == arange).all(axis=1)  # e.x = x for every x
@@ -193,10 +203,10 @@ def check_group(t: CayleyTable) -> GroupReport:
     ok = hits[arange, inv] & (tab[inv, arange] == ident)
     if not ok.all():
         return GroupReport(False, ident, None, ("no-inverse", (int(np.argmin(ok)),)))
-    triple = first_nonassociative(tab)
-    if triple is not None:
-        return GroupReport(False, ident, None, ("not-associative", triple))
-    return GroupReport(True, ident, _freeze(inv), None)
+    gens = left_nested_generators(tab)
+    if not _associative_on(tab, gens):
+        return GroupReport(False, ident, None, ("not-associative", _first_nonassociative(tab)))
+    return GroupReport(True, ident, _freeze(inv), None, tuple(gens))
 
 
 def identity_swap(n: int, identity: int) -> np.ndarray:
@@ -245,17 +255,18 @@ class FiniteGroup(NamedTuple):
         return int(self.op.table[a, b])
 
     def element_orders(self) -> np.ndarray:
-        """The order of every element, by one power loop over all of them:
-        power[a] = a^k at step k."""
-        arange = np.arange(self.n)
-        orders = np.zeros(self.n, dtype=np.int64)
-        power, k = arange, 1
-        while True:
-            orders[(orders == 0) & (power == 0)] = k
-            if orders.all():
-                return orders
-            power = self.table[power, arange]
-            k += 1
+        """The order of every element, by one walk x, x^2, ..., x^m = 0 over
+        column x of the table for each x not yet reached; x^k has order
+        m / gcd(k, m)."""
+        orders = [0] * self.n
+        for x in range(self.n):
+            if not orders[x]:
+                col, powers = self.table[:, x].tolist(), [x]
+                while powers[-1]:
+                    powers.append(col[powers[-1]])
+                for k, y in enumerate(powers, 1):
+                    orders[y] = len(powers) // math.gcd(k, len(powers))
+        return np.array(orders, dtype=np.int64)
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -314,9 +325,9 @@ def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) ->
     (t, d, d) of them, after checking that it is an action of that group by
     automorphisms of every table in `kept`: integer entries in range(d),
     rows that are bijections preserving each table, action[0] = id, and
-    `_homomorphic_rows` on the generators of `acting` with an empty tree.
-    Raises `error`, the caller's exception class, naming the first
-    failure."""
+    action[x o g] = action[x] . action[g] for every x and each generator g
+    of `acting`, by one gather per side.  Raises `error`, the caller's
+    exception class, naming the first failure."""
     k, d = acting.shape[0], kept.shape[-1]
     try:
         arr = np.array(action)
@@ -334,10 +345,10 @@ def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) ->
     if not automorphic.all():
         bad = int(np.argmin(automorphic))
         raise error(f"action[{bad}] is not an automorphism of the acted-on factor")
-    gens = left_nested_generators(acting)[1:]
+    gens = np.array(left_nested_generators(acting)[1:], dtype=np.int64)
     if not (
         np.array_equal(arr[0], np.arange(d))
-        and _homomorphic_rows(arr[None], acting, gens, [], _compose_rows)[0]
+        and np.array_equal(arr[acting[:, gens]], arr[:, arr[gens]])
     ):
         raise error("the action is not a homomorphism from the acting group")
     return arr
@@ -413,8 +424,7 @@ def _homomorphic_rows(
     """Rows r of maps f (rows, n, w) for which f(x o g) = f(x) . f(g) for
     every x and every g in `gens`.  The pairs on the edges of `tree`, along
     which `_lambda_rows` built f, hold by construction, so only the other
-    pairs are compared; with an empty tree every pair is, at
-    O(rows n w) memory per generator.
+    pairs are compared, at O(rows n w) memory per generator.
 
     When `gens` generate the source and f(0) is the identity this is the
     whole homomorphism law: every y is a word in the generators, and by
@@ -553,8 +563,10 @@ def homomorphisms(src: FiniteGroup, perms: np.ndarray) -> np.ndarray:
     gens = src.generating_sequence()
     if not gens:
         return perms[:1][None]
-    orders, src_orders = np.lcm.reduce(orbit_lengths(perms), axis=1), src.element_orders()
-    pools = [perms[src_orders[g] % orders == 0] for g in gens]
+    # f(g) is any row whose order divides ord g: f(g)^(ord g) = id
+    orders, ident = src.element_orders(), np.arange(perms.shape[1])
+    pools = [perms[(_row_powers(perms, orders[g], _compose_rows) == ident).all(axis=1)]
+             for g in gens]
     found = _search_morphisms(src, gens, pools, _compose_rows)
     labels = np.concatenate([np.zeros((0, src.n), dtype=np.int64), *map(_positions(perms), found)])
     return perms[labels[np.lexsort(labels.T[::-1])]]

@@ -5,6 +5,7 @@ compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, the action law on every pair of a group's elements
 (the reference for the generator test `tables._homomorphic_rows`), the
+brace automorphisms by a whole-table test of +, the
 conjugation action of a decomposition one element at a time, a cycle
 walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
@@ -41,12 +42,7 @@ from semibrace.construct import (
     theorems_for_order_pq,
     trivial_semibrace,
 )
-from semibrace.core import (
-    IdealReport,
-    InternalInvariantError,
-    _induced_table,
-    brace_automorphism_group,
-)
+from semibrace.core import IdealReport, InternalInvariantError, _induced_table
 from semibrace.nilpotency import dot_table
 from semibrace.tables import (
     ROW_BATCH,
@@ -58,6 +54,7 @@ from semibrace.tables import (
     _search_morphisms,
     automorphisms,
     homomorphisms,
+    is_morphism,
     orbit_lengths,
 )
 
@@ -410,6 +407,13 @@ def unpruned_survivor_tables(circ, emin, esylow):
     return out
 
 
+def brace_automorphisms(b) -> np.ndarray:
+    """The first `core.brace_automorphism_group`: the circle automorphisms
+    that preserve the whole addition table, in `automorphisms` order."""
+    auts, add = automorphisms(b.circ), b.add.table
+    return auts[is_morphism(auts, add, add)]
+
+
 def structural_census(n, emin=2, esylow=False):
     """The previous `classify.enumerate_structural` without the cache: the
     product of every action homomorphism is built, verified and offered to
@@ -425,7 +429,7 @@ def _every_structural_product(n, e_sizes):
             continue
         g_size = n // e
         for bi, gbrace in enumerate(skew_braces(g_size)):
-            gaut = brace_automorphism_group(gbrace)
+            gaut = brace_automorphisms(gbrace)
             for ei, egroup in enumerate(small_groups(e)):
                 etriv = trivial_semibrace(egroup)
                 for hi, alpha in enumerate(homomorphisms(egroup, gaut)):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -176,6 +177,18 @@ def test_classify_2p2_matches(capsys):
     rc, out, _ = run(capsys, ["classify", "--theorem", "2p2", "--p", "3"])
     assert rc == 0
     assert "13 classes, census match" in out
+
+
+def test_classify_2p2_at_seven_matches(capsys, tmp_path):
+    # order 49 is in the group catalogue, so the census of order 98 runs
+    # and matches the 13 families
+    rc, out, _ = run(capsys, ["classify", "--theorem", "2p2", "--p", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "13 classes, census match" in out
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["ok"] and report["family_count"] == report["census_count"] == 13
+    encoded = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest()[:16] == "527a836f601f5844"
 
 
 def test_classify_pq_congruent(capsys, tmp_path):

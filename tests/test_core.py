@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibrace import core, tables
-from semibrace.classify import enumerate_generic
-from semibrace.construct import FamilyId, family
+from semibrace.classify import enumerate_generic, skew_braces
+from semibrace.construct import TWO_P2_THEOREMS, FamilyId, applicable_items, family
 from semibrace.core import (
     InternalInvariantError,
     SemiBraceAxiomError,
@@ -626,6 +626,50 @@ def test_brace_automorphism_group_trivial_brace():
 def test_brace_automorphism_group_kernel_example(kernel_example):
     for f in brace_automorphism_group(kernel_example):
         assert np.array_equal(f[kernel_example.add.table], kernel_example.add.table[f[:, None], f[None, :]])
+
+
+def test_brace_automorphism_group_matches_the_whole_table_test():
+    # the lambda-generator test keeps exactly the circle automorphisms that
+    # preserve the whole addition table, in the same order.  Every circle
+    # automorphism of the skew braces of order p^2 preserves +, so the
+    # order-8 census and the 2p^2 families at p = 3 are tested too
+    braces = [b for m in (1, 2, 3, 5, 7, 9, 25, 49) for b in skew_braces(m)]
+    families = [family(fid) for p in (3, 5) for t in TWO_P2_THEOREMS
+                for fid in applicable_items(t, p)]
+    braces += [skew_part(b).semibrace for b in families]
+    braces += [e.semibrace for e in enumerate_generic(8)] + families[:13]
+    for b in braces:
+        assert np.array_equal(brace_automorphism_group(b), full_scans.brace_automorphisms(b))
+
+
+def test_verify_of_a_group_matches_verify_of_its_table():
+    # a FiniteGroup is taken as verified and skips only `check_group`: the
+    # structure, and the tag and witness of each single-cell corruption of
+    # +, are those of its table
+    for entry in enumerate_generic(8):
+        b = entry.semibrace
+        add, circ, n = b.add.table, b.circ, b.n
+        given, rows = verify(add, circ), verify(add, circ.table)
+        assert given.key() == rows.key() and np.array_equal(given.lam, rows.lam)
+        assert np.array_equal(given.circ.inverse, rows.circ.inverse)
+        for i, j in itertools.product(range(n), range(n)):
+            bad = add.copy()
+            bad[i, j] = (bad[i, j] + 1 + (i * n + j) % (n - 1)) % n
+            assert _outcome(bad, circ) == _outcome(bad, circ.table), (i, j)
+
+
+def test_verify_moves_the_circle_generators_with_the_identity():
+    # `check_group` reports generators of the circle table as given; with
+    # the identity away from 0, verify moves them along the swap first
+    for b in POOL:
+        n = b.n
+        perm = np.roll(np.arange(n), 1)  # the identity goes to n - 1
+        add, circ = b.add.relabel(perm).table, b.circ.op.relabel(perm).table
+        assert _outcome(add, circ) is None
+        for i, j in itertools.product(range(n), range(n)):
+            bad = add.copy()
+            bad[i, j] = (bad[i, j] + 1 + (i * n + j) % (n - 1)) % n
+            assert _outcome(bad, circ) == full_scans.verify_outcome(bad, circ), (i, j)
 
 
 def test_relabel_preserves_structure(kernel_example):

@@ -281,8 +281,8 @@ def test_involutions_of_gl27():
 
 
 def test_cycle_lengths_give_the_order_of_every_catalogue_automorphism():
-    # `homomorphisms` reads each target permutation's order as the lcm of
-    # its `orbit_lengths` row; `full_scans.permutation_order` walks the powers
+    # a permutation's order is the lcm of its `orbit_lengths` row;
+    # `full_scans.permutation_order` walks the powers
     for n in range(1, 13):
         for g in small_groups(n):
             auts = automorphisms(g)
@@ -496,10 +496,27 @@ def test_cyclic_group_element_orders(n, a):
 
 def test_element_orders_match_element_order():
     # a has the order of its left translation x -> a x, the row g.table[a]
+    groups = [g for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n)]
+    for g in groups + [cyclic_group(242)]:
+        want = [full_scans.permutation_order(g.table[a]) for a in range(g.n)]
+        assert g.element_orders().tolist() == want
+
+
+def test_check_group_generators_generate_the_group():
+    # the generators of Light's test, on each catalogue table and on a
+    # relabelling of it whose identity is n - 1
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
-            want = [full_scans.permutation_order(g.table[a]) for a in range(n)]
-            assert g.element_orders().tolist() == want
+            for t in (g.op, g.op.relabel(np.roll(np.arange(n), 1))):
+                report = check_group(t)
+                tab, gens = t.table.tolist(), report.generators
+                reached, frontier = set(gens), list(gens)
+                while frontier:
+                    x = frontier.pop()
+                    new = {tab[x][s] for s in gens} - reached
+                    reached |= new
+                    frontier += new
+                assert reached == set(range(n)), (n, report.identity)
 
 
 @settings(max_examples=40, deadline=None)
