@@ -46,7 +46,11 @@ Each hash is the first 16 hex digits of the sha256 of
   every single-cell corruption of it (entry (i, j) moved by each nonzero
   shift mod n), then on the circle tables of `2p2-E2-noncyclic`[5] at
   p = 5 and 7 (n = 50 and 98) with every GROUP_STRIDE-th cell k = i n + j
-  moved by 1 + k mod (n - 1).
+  moved by 1 + k mod (n - 1);
+* brace_automorphisms, over the catalogue skew braces of every order from 1
+  to 49 that `skew_braces` takes, then the G parts (`skew_part`) of every
+  2p^2 family at p = 3, 5 and 7: value the sorted rows of
+  `brace_automorphism_group` of each.
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of the orders in SMALL_GROUP_ORDERS instead, and the
@@ -85,6 +89,7 @@ from semibrace.classify import (  # noqa: E402
     enumerate_generic,
     enumerate_structural,
     isomorphic,
+    skew_braces,
     small_groups,
     verify_classification,
 )
@@ -96,7 +101,9 @@ from semibrace.construct import (  # noqa: E402
     theorems_for_order_pq,
 )
 from semibrace.core import (  # noqa: E402
+    ParameterError,
     additive_decomposition,
+    brace_automorphism_group,
     decompose,
     decompose_E_ideal,
     factorize,
@@ -104,6 +111,7 @@ from semibrace.core import (  # noqa: E402
     is_ideal,
     kernel_lambda_on_E,
     semibrace_from_json,
+    skew_part,
 )
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
 from semibrace.tables import CayleyTable, check_group, is_normal_subset, subgroups  # noqa: E402
@@ -241,6 +249,18 @@ def braid_large_hash(seed: int = 1) -> str:
     return json_hash([check_braid(s) for s in _with_corruptions(solutions, seed)])
 
 
+def brace_automorphisms_hash() -> str:
+    braces = []
+    for m in range(1, 50):
+        try:
+            braces += skew_braces(m)
+        except ParameterError:  # no catalogue at this order
+            pass
+    braces += [skew_part(family(fid)).semibrace for p in (3, 5, 7) for t in TWO_P2_THEOREMS
+               for fid in applicable_items(t, p)]
+    return json_hash([sorted(brace_automorphism_group(b).tolist()) for b in braces])
+
+
 GROUP_STRIDE = 53
 
 
@@ -337,6 +357,7 @@ def main() -> int:
         "braid": braid_hash(),
         "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),
+        "brace_automorphisms": brace_automorphisms_hash(),
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -37,7 +37,6 @@ from .tables import (
     identity_swap,
     is_morphism,
     is_normal_subset,
-    left_nested_generators,
     orbit_lengths,
     parse_subset,
     semidirect_table,
@@ -155,12 +154,11 @@ def verify(add_rows, circ) -> SemiBrace:
     verified. If the circle identity is not at index 0, both tables are
     relabeled by the transposition moving it there before anything else.
 
-    Once the circle table is a group, validity is decided at every n on one
-    generating set S, by gathers in O(n**2 |S|) time and memory: lambda_0 =
-    id, lambda_(x o g) = lambda_x . lambda_g for every x and g in S, and
-    lambda_g an endomorphism of + for every g in S (`is_morphism`).  S is
-    the set `check_group` used, moved along that transposition, or the
-    `left_nested_generators` of a FiniteGroup, without the identity.
+    Once the circle table is a group, validity is decided at every n on its
+    `generators` S (for rows, those of `check_group`'s Light test, moved
+    with the identity), by gathers in O(n**2 |S|) time and memory: lambda_0
+    = id, lambda_(x o g) = lambda_x . lambda_g for every x and g in S, and
+    lambda_g an endomorphism of + for every g in S (`is_morphism`).
 
     Lemma: let lam: (B, o) -> Sym(B) be a homomorphism, a + b :=
     a o lam_{a^-}(b), and S generate (B, o).  Then compatibility holds,
@@ -186,21 +184,16 @@ def verify(add_rows, circ) -> SemiBrace:
     if add_t.n != circ_t.n:
         raise SemiBraceAxiomError("malformed-table", (add_t.n, circ_t.n))
 
-    if given:
-        gens = left_nested_generators(circ.table)[1:]
-    else:
+    if not given:
         report = check_group(circ_t)
         if not report.is_group:
             raise SemiBraceAxiomError("circle-not-a-group", report.failure[1])
-        swap = identity_swap(add_t.n, report.identity)
         if report.identity != 0:
-            add_t = add_t.relabel(swap)
+            add_t = add_t.relabel(identity_swap(add_t.n, report.identity))
         circ = FiniteGroup.from_report(circ_t, report)
-        gens = [swap[g] for g in report.generators if g != report.identity]
 
-    n, add, tab = add_t.n, add_t.table, circ.table
+    n, add, tab, gens = add_t.n, add_t.table, circ.table, circ.generators
     lam = tab[np.arange(n)[:, None], add[circ.inverse]]  # lam[a,b] = a o (a' + b)
-    gens = np.array(gens, dtype=np.int64)
     if not (
         np.array_equal(lam[0], np.arange(n))
         and np.array_equal(lam[tab[:, gens]], lam[:, lam[gens]])
@@ -231,15 +224,28 @@ def semibrace_from_json(obj) -> SemiBrace:
 # isomorphism testing
 
 
+def _keeps_plus(maps: np.ndarray, b1: SemiBrace, b2: SemiBrace) -> np.ndarray:
+    """Whether each row f of `maps`, a circle isomorphism b1 -> b2, keeps +,
+    in SLAB chunks of rows.  As a + b = a o lambda_a'(b), f keeps + iff
+    f . lambda_x = lambda'_f(x) . f for every x.  Such x are closed under o
+    (lambda, lambda' and f are homomorphisms), so b1's circle generators suffice."""
+    gens = b1.circ.generators
+    keep = np.empty(len(maps), dtype=bool)
+    for rows in slab_chunks(np.arange(len(maps)), b1.n * max(1, gens.size)):
+        f = maps[rows]
+        moved = b2.lam[f[:, gens][:, :, None], f[:, None, :]]  # lambda'_f(g)(f(x))
+        keep[rows] = (f[:, b1.lam[gens]] == moved).all(axis=(1, 2))
+    return keep
+
+
 def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[np.ndarray]:
     """A bijection f with f(x + y) = f(x) + f(y) and f(x o y) = f(x) o f(y),
     as a read-only int64 image array, or None.  Equal tables short-circuit
     to the identity witness, and unequal signature multisets rule an
-    isomorphism out.  Otherwise the witness is the first circle-group
-    isomorphism, in generator-image order, that also preserves +, with each
-    generator's images drawn from the elements of its signature; equal
-    multisets make every pool non-empty.  The rows of a block are tested
-    one at a time, so the search stops at the first witness."""
+    isomorphism out.  Otherwise the witness is the first circle isomorphism,
+    in generator-image order, with each generator's images drawn from the
+    elements of its signature (equal multisets make every pool non-empty),
+    that keeps + by `_keeps_plus`, tested row by row to stop at the first."""
     if b1.n != b2.n:
         return None
     if b1.key() == b2.key():
@@ -248,7 +254,7 @@ def isomorphic(b1: SemiBrace, b2: SemiBrace) -> Optional[np.ndarray]:
         return None
     for block in _bijections(b1.circ, b2.circ, b1.signatures, b2.signatures):
         for f in block:
-            if is_morphism(f[None], b1.add.table, b2.add.table)[0]:
+            if _keeps_plus(f[None], b1, b2)[0]:
                 return _freeze(f)
     return None
 
@@ -322,7 +328,7 @@ def lambda_map(b: SemiBrace) -> np.ndarray:
     """lambda_a(x) = a o (a' + x), as `b.lam`, after checking that it is an
     action of (B, o) by automorphisms of (B, +) that keeps E and fixes 0
     exactly on G."""
-    checked_action(b.lam, b.circ.table, b.add.table, InternalInvariantError)
+    checked_action(b.lam, b.circ, b.add.table, InternalInvariantError)
     e = np.array(b.e_elements)
     if not (np.sort(b.lam[:, e], axis=1) == e).all():
         raise InternalInvariantError("lambda_a does not preserve E")
@@ -464,7 +470,7 @@ def semidirect(b1: SemiBrace, b2: SemiBrace, alpha) -> SemiBrace:
         (x1, x2) o (y1, y2) = (x1 o alpha[x2](y1), x2 o y2)
     """
     kept = np.stack((b1.add.table, b1.circ.table))
-    acted = checked_action(alpha, b2.circ.table, kept, ParameterError)
+    acted = checked_action(alpha, b2.circ, kept, ParameterError)
     identity = np.broadcast_to(np.arange(b1.n), acted.shape)
     return verify(
         semidirect_table(b1.add.table, b2.add.table, identity),
@@ -494,18 +500,10 @@ class SemidirectData(NamedTuple):
 
 
 def brace_automorphism_group(b: SemiBrace) -> np.ndarray:
-    """Bijections preserving both operations: the rows f of
-    `automorphisms(b.circ)` that preserve +, so sorted with the identity
-    first.  As a + b = a o lambda_a'(b), f preserves + iff f . lambda_x =
-    lambda_f(x) . f for every x; such x are closed under o, as lambda and f
-    are homomorphisms, so the test runs on generators g, in SLAB chunks."""
-    auts, lam, gens = automorphisms(b.circ), b.lam, left_nested_generators(b.circ.table)[1:]
-    keep = np.ones(len(auts), dtype=bool)
-    for rows in slab_chunks(np.arange(len(auts)), b.n):
-        f = auts[rows]
-        for g in gens:
-            keep[rows] &= (f[:, lam[g]] == lam[f[:, g][:, None], f]).all(axis=1)
-    return auts[keep]
+    """Bijections preserving both operations: the rows of
+    `automorphisms(b.circ)` that keep + (`_keeps_plus`), identity first."""
+    auts = automorphisms(b.circ)
+    return auts[_keeps_plus(auts, b, b)]
 
 
 def _check_witness(f: np.ndarray, b: SemiBrace, product: SemiBrace) -> None:

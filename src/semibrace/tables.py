@@ -186,7 +186,7 @@ def check_group(t: CayleyTable) -> GroupReport:
     left identity), no inverse (the first a whose first right inverse b,
     a.b = identity, is missing or has b.a != identity), or the
     associativity triple of `first_nonassociative`.  A group's report
-    records the `left_nested_generators` its associativity test used."""
+    records the generators of that Light test, for `FiniteGroup.generators`."""
     tab = t.table
     arange = np.arange(t.n)
     left = (tab == arange).all(axis=1)  # e.x = x for every x
@@ -217,11 +217,14 @@ def identity_swap(n: int, identity: int) -> np.ndarray:
 
 
 class FiniteGroup(NamedTuple):
-    """A finite group given by its Cayley table; identity is index 0."""
+    """A finite group given by its Cayley table, identity at index 0, and generators."""
 
     op: CayleyTable
     identity: int
     inverse: np.ndarray
+    # Read-only: `check_group`'s Light-test generators but the identity, for every
+    # law test.  Searches keep `generating_sequence()`, whose order fixes witnesses.
+    generators: np.ndarray
 
     @classmethod
     def from_table(cls, t: CayleyTable) -> "FiniteGroup":
@@ -235,13 +238,13 @@ class FiniteGroup(NamedTuple):
     def from_report(cls, t: CayleyTable, report: GroupReport) -> "FiniteGroup":
         """Canonicalize a table that `check_group` accepted with `report`,
         without checking it again: the identity is relabeled to index 0 by
-        the transposition `identity_swap`, and the inverses move with it."""
-        inverse = report.inverses
+        `identity_swap`, and the inverses and the generators move with it."""
+        inverse, swap = report.inverses, identity_swap(t.n, report.identity)
         if report.identity != 0:
-            swap = identity_swap(t.n, report.identity)
             t = t.relabel(swap)
             inverse = _freeze(swap[inverse[swap]])
-        return cls(op=t, identity=0, inverse=inverse)
+        gens = _freeze(swap[[g for g in report.generators if g != report.identity]])
+        return cls(op=t, identity=0, inverse=inverse, generators=gens)
 
     @property
     def n(self) -> int:
@@ -308,27 +311,27 @@ def is_morphism(maps: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarra
     for all x and y, with * from the table `src` on the left and from `dst`
     on the right.  `src` and `dst` may also be stacks (t, n, n) of tables,
     and then f must be a morphism for each pair of tables at one index.  The
-    rows are compared at most SLAB entries at a time."""
+    rows are compared by (rows, t, n, n) flat gathers of at most SLAB entries."""
     n = src.shape[-1]
     src, dst = src.reshape(-1, n, n), dst.reshape(-1, n, n)
+    start = np.arange(len(dst))[:, None, None] * n * n  # of table t in dst.ravel()
     ok = np.empty(len(maps), dtype=bool)
     for rows in slab_chunks(np.arange(len(maps)), src.size):
         f = maps[rows]
-        image = dst[:, f[:, :, None], f[:, None, :]]  # [t, r, x, y] = f(x) * f(y)
-        ok[rows] = (f[:, src] == image.swapaxes(0, 1)).all(axis=(1, 2, 3))
+        at = start + f[:, None, :, None] * n + f[:, None, None, :]  # of dst[t, f(x), f(y)]
+        ok[rows] = (np.take(f, src, axis=1) == dst.ravel()[at]).all(axis=(1, 2, 3))
     return ok
 
 
-def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) -> np.ndarray:
-    """`action` as a read-only int64 (k, d) array, with k the order of the
-    group table `acting` and d that of `kept`, a (d, d) table or a stack
-    (t, d, d) of them, after checking that it is an action of that group by
-    automorphisms of every table in `kept`: integer entries in range(d),
-    rows that are bijections preserving each table, action[0] = id, and
-    action[x o g] = action[x] . action[g] for every x and each generator g
-    of `acting`, by one gather per side.  Raises `error`, the caller's
-    exception class, naming the first failure."""
-    k, d = acting.shape[0], kept.shape[-1]
+def checked_action(action, acting: FiniteGroup, kept: np.ndarray, error: type) -> np.ndarray:
+    """`action` as a read-only int64 (k, d) array, after checking that it is
+    an action of the group `acting`, of order k, by automorphisms of `kept`,
+    a (d, d) table or a stack (t, d, d) of them: integer entries in
+    range(d), rows that are bijections preserving each table, action[0] =
+    id, and action[x o g] = action[x] . action[g] for every x and every g
+    in `acting.generators`.  Raises `error`, the caller's exception class,
+    naming the first failure."""
+    k, d = acting.n, kept.shape[-1]
     try:
         arr = np.array(action)
     except ValueError as err:  # ragged rows: numpy's inhomogeneous shape
@@ -345,10 +348,9 @@ def checked_action(action, acting: np.ndarray, kept: np.ndarray, error: type) ->
     if not automorphic.all():
         bad = int(np.argmin(automorphic))
         raise error(f"action[{bad}] is not an automorphism of the acted-on factor")
-    gens = np.array(left_nested_generators(acting)[1:], dtype=np.int64)
     if not (
         np.array_equal(arr[0], np.arange(d))
-        and np.array_equal(arr[acting[:, gens]], arr[:, arr[gens]])
+        and np.array_equal(arr[acting.table[:, acting.generators]], arr[:, arr[acting.generators]])
     ):
         raise error("the action is not a homomorphism from the acting group")
     return arr
@@ -686,7 +688,7 @@ def semidirect_group(h: FiniteGroup, k: FiniteGroup, action: np.ndarray) -> Fini
     row x the image array of the automorphism attached to x; it must be a
     homomorphism from K into Aut(H), which `checked_action` validates.
     """
-    acted = checked_action(action, k.table, h.table, MalformedTableError)
+    acted = checked_action(action, k, h.table, MalformedTableError)
     return FiniteGroup.from_table(CayleyTable.of(semidirect_table(h.table, k.table, acted)))
 
 

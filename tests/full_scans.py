@@ -5,9 +5,9 @@ compared against them witness for witness. Only use them on small n: each
 builds several n x n x n int64 arrays. Also a full associativity scan of
 a stack of tables, the action law on every pair of a group's elements
 (the reference for the generator test `tables._homomorphic_rows`), the
-brace automorphisms by a whole-table test of +, the
-conjugation action of a decomposition one element at a time, a cycle
-walk, the reference for the vectorised
+brace automorphisms and the first isomorphism search by a whole-table
+test of +, the conjugation action of a decomposition one element at a
+time, a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
 `nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
@@ -48,6 +48,7 @@ from semibrace.tables import (
     ROW_BATCH,
     CayleyTable,
     _bfs_tree,
+    _bijections,
     _compose_rows,
     _homomorphic_rows,
     _lambda_rows,
@@ -405,6 +406,22 @@ def unpruned_survivor_tables(circ, emin, esylow):
         add, lam = add[emask], lam[emask]
         out.extend(table.astype(np.int64) for table in add[endomorphic_rows(lam, add, gens)])
     return out
+
+
+def plus_isomorphism(b1, b2):
+    """The first `core.isomorphic`: its search, with + tested on each
+    circle isomorphism row by `is_morphism` over the whole table."""
+    if b1.n != b2.n:
+        return None
+    if b1.key() == b2.key():
+        return np.arange(b1.n)
+    if b1.signature_key != b2.signature_key:
+        return None
+    for block in _bijections(b1.circ, b2.circ, b1.signatures, b2.signatures):
+        for f in block:
+            if is_morphism(f[None], b1.add.table, b2.add.table)[0]:
+                return f
+    return None
 
 
 def brace_automorphisms(b) -> np.ndarray:

@@ -227,6 +227,23 @@ def test_isomorphic_returns_the_least_isomorphism():
             assert witness.tolist() == _least_isomorphism(b, relabeled).tolist()
 
 
+def test_isomorphic_matches_the_whole_table_test_of_plus():
+    # `isomorphic` decides + on the circle generators; its witness is the
+    # one of the whole-table test, on each family of order at most 50 and
+    # a seeded relabelling of it, and the order-8 classes that share a
+    # signature key, so that the search runs, stay apart
+    rng = np.random.default_rng(32)
+    for fid in full_scans.families_up_to_fifty():
+        b = family(fid)
+        copy = b.relabel(np.concatenate([[0], 1 + rng.permutation(b.n - 1)]))
+        assert isomorphic(b, copy).tolist() == full_scans.plus_isomorphism(b, copy).tolist()
+    pairs = [(b1, b2) for b1, b2 in itertools.combinations([e.semibrace for e in generic(8)], 2)
+             if b1.signature_key == b2.signature_key]
+    assert len(pairs) == 38
+    for b1, b2 in pairs:
+        assert isomorphic(b1, b2) is None and full_scans.plus_isomorphism(b1, b2) is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_relabeled_family_is_isomorphic_with_a_genuine_witness(data):

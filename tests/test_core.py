@@ -597,15 +597,15 @@ def test_checked_action_rejects_bad_actions():
     z3, z2 = cyclic_group(3), cyclic_group(2)
     kept = np.stack((z3.table, z3.table))
     ident, inversion, swap = [0, 1, 2], [0, 2, 1], [1, 0, 2]
-    alpha = checked_action(np.array([ident, inversion]), z2.table, kept, InternalInvariantError)
+    alpha = checked_action(np.array([ident, inversion]), z2, kept, InternalInvariantError)
     assert alpha.tolist() == [ident, inversion]
     with pytest.raises(InternalInvariantError, match="automorphism"):
-        checked_action(np.array([ident, swap]), z2.table, kept, InternalInvariantError)
+        checked_action(np.array([ident, swap]), z2, kept, InternalInvariantError)
     # the constant map to 0 preserves both tables but is not a bijection
     with pytest.raises(InternalInvariantError, match="automorphism"):
-        checked_action(np.array([ident, [0, 0, 0]]), z2.table, kept, InternalInvariantError)
+        checked_action(np.array([ident, [0, 0, 0]]), z2, kept, InternalInvariantError)
     with pytest.raises(InternalInvariantError, match="homomorphism"):
-        checked_action(np.array([inversion, inversion]), z2.table, kept, InternalInvariantError)
+        checked_action(np.array([inversion, inversion]), z2, kept, InternalInvariantError)
 
 
 def test_semidirect_tables_shape():

@@ -26,6 +26,7 @@ from semibrace.tables import (
     direct_product,
     first_nonassociative,
     homomorphisms,
+    identity_swap,
     is_morphism,
     isomorphisms,
     left_nested_generators,
@@ -504,7 +505,8 @@ def test_element_orders_match_element_order():
 
 def test_check_group_generators_generate_the_group():
     # the generators of Light's test, on each catalogue table and on a
-    # relabelling of it whose identity is n - 1
+    # relabelling of it whose identity is n - 1; up to order 20 the group
+    # built from that relabelling records them, moved with the identity to 0
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
             for t in (g.op, g.op.relabel(np.roll(np.arange(n), 1))):
@@ -517,6 +519,12 @@ def test_check_group_generators_generate_the_group():
                     reached |= new
                     frontier += new
                 assert reached == set(range(n)), (n, report.identity)
+            if 1 < n <= 20:
+                moved = FiniteGroup.from_table(t)
+                gens, swap = moved.generators, identity_swap(n, report.identity)
+                assert report.identity != 0 and not gens.flags.writeable and 0 not in gens
+                assert moved.closure(gens) == tuple(range(n))
+                assert gens.tolist() == [swap[s] for s in report.generators if s != report.identity]
 
 
 @settings(max_examples=40, deadline=None)
