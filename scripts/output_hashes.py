@@ -50,7 +50,12 @@ Each hash is the first 16 hex digits of the sha256 of
 * brace_automorphisms, over the catalogue skew braces of every order from 1
   to 49 that `skew_braces` takes, then the G parts (`skew_part`) of every
   2p^2 family at p = 3, 5 and 7: value the sorted rows of
-  `brace_automorphism_group` of each.
+  `brace_automorphism_group` of each;
+* group_records, over every catalogue group g of the orders in
+  SMALL_GROUP_ORDERS and of order 49, each followed by
+  `FiniteGroup.from_table` of its relabelling with the identity at n - 1:
+  value `[generators, orders]` of each: the recorded generating sequence,
+  whose order fixes the search witnesses, and the element orders.
 
 The `small_groups` hash is taken over the concatenated `key()` bytes of the
 catalogue groups of the orders in SMALL_GROUP_ORDERS instead, and the
@@ -76,6 +81,8 @@ import json
 import random
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -114,7 +121,13 @@ from semibrace.core import (  # noqa: E402
     skew_part,
 )
 from semibrace.nilpotency import is_right_nil, left_series, right_series  # noqa: E402
-from semibrace.tables import CayleyTable, check_group, is_normal_subset, subgroups  # noqa: E402
+from semibrace.tables import (  # noqa: E402
+    CayleyTable,
+    FiniteGroup,
+    check_group,
+    is_normal_subset,
+    subgroups,
+)
 from semibrace.ybe import SolutionMap, check_braid, solution_from  # noqa: E402
 
 
@@ -289,6 +302,15 @@ def group_reports_hash() -> str:
     ])
 
 
+def group_records_hash() -> str:
+    groups = [g for n in (*SMALL_GROUP_ORDERS, 49) for g in small_groups(n)]
+    return json_hash([
+        [h.generators.tolist(), h.orders.tolist()]
+        for g in groups
+        for h in (g, FiniteGroup.from_table(g.op.relabel(np.roll(np.arange(g.n), 1))))
+    ])
+
+
 def survivors_hash() -> str:
     return digest(b"".join(
         table.tobytes()
@@ -358,6 +380,7 @@ def main() -> int:
         "braid_large": braid_large_hash(),
         "group_reports": group_reports_hash(),
         "brace_automorphisms": brace_automorphisms_hash(),
+        "group_records": group_records_hash(),
     }
     print(json.dumps(out, indent=2))
     return 0

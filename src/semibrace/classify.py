@@ -47,6 +47,7 @@ from .tables import (
     MalformedTableError,
     _bfs_tree,
     _compose_rows,
+    _positions,
     _search_morphisms,
     automorphisms,
     cyclic_group,
@@ -270,10 +271,10 @@ def _holomorph_representatives(m: int) -> dict[bytes, np.ndarray]:
     `automorphisms(G)`.  beta (t alpha) beta^-1 = beta(t) (beta alpha
     beta^-1), so the class of x is the column x of `image`, and x is least
     in it when the column's minimum is x.  An automorphism is known by its
-    images of a generating sequence, which index it in `position`."""
+    images of `group.generators`, which index it in `position`."""
     out = {}
     for group in small_groups(m):
-        gens = group.generating_sequence()
+        gens = group.generators
         auts = automorphisms(group)
         count = auts.shape[0]
         weights = m ** np.arange(len(gens))
@@ -369,10 +370,10 @@ def _survivor_tables(circ: FiniteGroup, emin: int, esylow: bool) -> list[np.ndar
     allowed = np.array([e >= emin and (e in sylow or not esylow) for e in range(n + 1)])
     if n == 1:
         return [np.zeros((1, 1), dtype=np.int64)] if allowed[1] else []
-    gens = circ.generating_sequence()
+    gens = circ.generators.tolist()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
-    orders = circ.element_orders()[gens].tolist()
+    orders = circ.orders[gens].tolist()
     found: set[bytes] = set()
     for k in range(1, n + 1):
         if n % k or not allowed[k]:
@@ -498,7 +499,8 @@ def _orbit_leaders(
     the orbits' first members: the member whose product has the least (add,
     circ) key, the earliest on ties.  (phi, psi) sends alpha to
     alpha'[psi(c), phi(y)] = phi(alpha[c, y]); see `enumerate_structural`.
-    The moved actions are built at most `tables.SLAB` entries at a time.
+    The moved actions are built at most `tables.SLAB` entries at a time,
+    and each chunk is looked up in `acts` by one `_positions` search.
 
     No product is built to find that member.  The + table of B1 x|_alpha B2
     is the same for every alpha in the list, so the circ tables decide the
@@ -507,7 +509,7 @@ def _orbit_leaders(
     hold alpha[x2, y1] * |B2| + circ2[x2, y2] at column (y1, y2).  These
     rows determine alpha, so two distinct actions of the list first differ
     inside them, and their bytes order the members as the whole key does."""
-    index = {a.tobytes(): i for i, a in enumerate(acts)}
+    index = _positions(acts.reshape(len(acts), -1))
     phi_inv = np.argsort(phi, axis=1)
     psi_inv = np.argsort(psi, axis=1)[None, :, :, None]
     circ2 = b2.circ.table
@@ -518,9 +520,11 @@ def _orbit_leaders(
         members = set()
         for rows in slab_chunks(np.arange(len(phi)), psi_inv.size * b1.n):
             moved = phi[rows[:, None, None, None], acts[first][psi_inv, phi_inv[rows, None, None]]]
-            members.update(index.get(m.tobytes()) for m in moved.reshape(-1, acts[0].size))
-        if None in members:
-            raise InternalInvariantError("an orbit of actions leaves the homomorphism list")
+            try:
+                members.update(index(moved.reshape(-1, acts[0].size)).tolist())
+            except MalformedTableError as err:
+                raise InternalInvariantError(
+                    "an orbit of actions leaves the homomorphism list") from err
         done[list(members)] = True
         leaders.append(min(members, key=lambda i: (_circle_rows(acts[i], circ2), i)))
     return leaders
@@ -593,7 +597,7 @@ def _structural_products(n: int, e_sizes: list[int]) -> Iterator[tuple[SemiBrace
 def _g_is_cyclic(b: SemiBrace) -> bool:
     """Whether G is cyclic; G is a subgroup of (B, o), so this is whether
     some element of G has circle order |G|."""
-    return int(b.circ.element_orders()[list(b.g_elements)].max()) == len(b.g_elements)
+    return int(b.circ.orders[list(b.g_elements)].max()) == len(b.g_elements)
 
 
 class ClassificationReport(NamedTuple):

@@ -87,7 +87,7 @@ class SemiBrace:
         the circle order of x, whether x is idempotent, whether lam_x(0) =
         0, and the sorted cycle lengths of the points under lam_x
         (equivalent to the cycle type of lam_x)."""
-        orders = self.circ.element_orders().tolist()
+        orders = self.circ.orders.tolist()
         idempotent = (np.diagonal(self.add.table) == np.arange(self.n)).tolist()
         fixes_zero = (self.lam[:, 0] == 0).tolist()
         cycles = np.sort(orbit_lengths(self.lam), axis=1).tolist()
@@ -154,9 +154,9 @@ def verify(add_rows, circ) -> SemiBrace:
     verified. If the circle identity is not at index 0, both tables are
     relabeled by the transposition moving it there before anything else.
 
-    Once the circle table is a group, validity is decided at every n on its
-    `generators` S (for rows, those of `check_group`'s Light test, moved
-    with the identity), by gathers in O(n**2 |S|) time and memory: lambda_0
+    Once the circle table is a group, validity is decided at every n on the
+    recorded `FiniteGroup.generators` S (the lemma below holds for any
+    generating set), by gathers in O(n**2 |S|) time and memory: lambda_0
     = id, lambda_(x o g) = lambda_x . lambda_g for every x and g in S, and
     lambda_g an endomorphism of + for every g in S (`is_morphism`).
 

@@ -86,23 +86,21 @@ def _dot_plus_E(
 def _nil_orders(d: np.ndarray, side: str) -> tuple[Optional[int], ...]:
     """Per element x, the least k with x^(k) = 0, where x^(1) = x and
     x^(k+1) = x^(k).x (right) or x.x^(k) (left) in the dot table d; None if
-    the sequence repeats first."""
+    the sequence repeats first.  x^(k+1) depends on x^(k) alone, so once a
+    term repeats the sequence cycles through terms already seen: a first 0
+    comes before the first repeat, at k <= n.  So n vector steps x^(k+1) =
+    step[x, x^(k)] over every x at once decide it, with step = d.T (right)
+    or d (left); they stop early once every x has reached 0."""
     n = d.shape[0]
-    orders: list[Optional[int]] = []
-    for x in range(n):
-        cur = x
-        seen = {cur}
-        order = None
-        for step in range(1, n + 2):
-            if cur == 0:
-                order = step
-                break
-            cur = int(d[cur, x]) if side == "right" else int(d[x, cur])
-            if cur in seen:
-                break
-            seen.add(cur)
-        orders.append(order)
-    return tuple(orders)
+    step = d.T if side == "right" else d
+    orders = np.zeros(n, dtype=np.int64)
+    cur, xs = np.arange(n), np.arange(n)
+    for k in range(1, n + 1):
+        orders[(cur == 0) & (orders == 0)] = k
+        if orders.all():
+            break
+        cur = step[xs, cur]
+    return tuple(int(k) if k else None for k in orders.tolist())
 
 
 def _series(b: SemiBrace, side: str) -> SeriesReport:

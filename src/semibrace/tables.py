@@ -67,7 +67,6 @@ class GroupReport(NamedTuple):
     identity: Optional[int]
     inverses: Optional[np.ndarray]
     failure: Optional[tuple]  # (kind, witness tuple)
-    generators: Optional[tuple[int, ...]] = None  # those of the Light test, for a group
 
 
 # Largest number of (x, y, z) triples a full associativity scan holds in one
@@ -185,8 +184,7 @@ def check_group(t: CayleyTable) -> GroupReport:
     identity e and the first x with x.e != x, or no witness when there is no
     left identity), no inverse (the first a whose first right inverse b,
     a.b = identity, is missing or has b.a != identity), or the
-    associativity triple of `first_nonassociative`.  A group's report
-    records the generators of that Light test, for `FiniteGroup.generators`."""
+    associativity triple of `first_nonassociative`."""
     tab = t.table
     arange = np.arange(t.n)
     left = (tab == arange).all(axis=1)  # e.x = x for every x
@@ -203,10 +201,10 @@ def check_group(t: CayleyTable) -> GroupReport:
     ok = hits[arange, inv] & (tab[inv, arange] == ident)
     if not ok.all():
         return GroupReport(False, ident, None, ("no-inverse", (int(np.argmin(ok)),)))
-    gens = left_nested_generators(tab)
-    if not _associative_on(tab, gens):
-        return GroupReport(False, ident, None, ("not-associative", _first_nonassociative(tab)))
-    return GroupReport(True, ident, _freeze(inv), None, tuple(gens))
+    triple = first_nonassociative(tab)
+    if triple is not None:
+        return GroupReport(False, ident, None, ("not-associative", triple))
+    return GroupReport(True, ident, _freeze(inv), None)
 
 
 def identity_swap(n: int, identity: int) -> np.ndarray:
@@ -217,14 +215,19 @@ def identity_swap(n: int, identity: int) -> np.ndarray:
 
 
 class FiniteGroup(NamedTuple):
-    """A finite group given by its Cayley table, identity at index 0, and generators."""
+    """A finite group given by its Cayley table, identity at index 0, with
+    its generators and element orders recorded once by `from_report`."""
 
     op: CayleyTable
     identity: int
     inverse: np.ndarray
-    # Read-only: `check_group`'s Light-test generators but the identity, for every
-    # law test.  Searches keep `generating_sequence()`, whose order fixes witnesses.
+    # Read-only: the greedy generating sequence, highest element order first,
+    # ties by index, without the identity.  The searches assign generator
+    # images in this order, which fixes their witnesses; the law tests hold
+    # on any generating set.
     generators: np.ndarray
+    # Read-only: orders[x] is the order of x.
+    orders: np.ndarray
 
     @classmethod
     def from_table(cls, t: CayleyTable) -> "FiniteGroup":
@@ -238,13 +241,26 @@ class FiniteGroup(NamedTuple):
     def from_report(cls, t: CayleyTable, report: GroupReport) -> "FiniteGroup":
         """Canonicalize a table that `check_group` accepted with `report`,
         without checking it again: the identity is relabeled to index 0 by
-        `identity_swap`, and the inverses and the generators move with it."""
-        inverse, swap = report.inverses, identity_swap(t.n, report.identity)
+        `identity_swap`, and the inverses move with it.  Then the element
+        orders are found by one walk x, x^2, ..., x^m = 0 over column x of
+        the table for each x not yet reached, as x^k has order m / gcd(k,
+        m), and the generators are the elements ranked by (-order, index)
+        that the earlier ones do not generate."""
+        inverse = report.inverses
         if report.identity != 0:
+            swap = identity_swap(t.n, report.identity)
             t = t.relabel(swap)
             inverse = _freeze(swap[inverse[swap]])
-        gens = _freeze(swap[[g for g in report.generators if g != report.identity]])
-        return cls(op=t, identity=0, inverse=inverse, generators=gens)
+        orders = [0] * t.n
+        for x in range(t.n):
+            if not orders[x]:
+                col, powers = t.table[:, x].tolist(), [x]
+                while powers[-1]:
+                    powers.append(col[powers[-1]])
+                for k, y in enumerate(powers, 1):
+                    orders[y] = len(powers) // math.gcd(k, len(powers))
+        gens = _greedy_generators(t.table, sorted(range(1, t.n), key=lambda a: (-orders[a], a)))
+        return cls(t, 0, inverse, generators=_freeze(gens), orders=_freeze(orders))
 
     @property
     def n(self) -> int:
@@ -257,20 +273,6 @@ class FiniteGroup(NamedTuple):
     def mul(self, a: int, b: int) -> int:
         return int(self.op.table[a, b])
 
-    def element_orders(self) -> np.ndarray:
-        """The order of every element, by one walk x, x^2, ..., x^m = 0 over
-        column x of the table for each x not yet reached; x^k has order
-        m / gcd(k, m)."""
-        orders = [0] * self.n
-        for x in range(self.n):
-            if not orders[x]:
-                col, powers = self.table[:, x].tolist(), [x]
-                while powers[-1]:
-                    powers.append(col[powers[-1]])
-                for k, y in enumerate(powers, 1):
-                    orders[y] = len(powers) // math.gcd(k, len(powers))
-        return np.array(orders, dtype=np.int64)
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
@@ -282,13 +284,6 @@ class FiniteGroup(NamedTuple):
         seen: set[int] = set()
         _reach(self.table.T[list(seed)].tolist(), [0], seen)
         return tuple(sorted(seen))
-
-    def generating_sequence(self) -> list[int]:
-        """Greedy generating sequence, highest element order first, ties by
-        index; the identity is never chosen."""
-        orders = self.element_orders().tolist()
-        ranked = sorted(range(1, self.n), key=lambda a: (-orders[a], a))
-        return _greedy_generators(self.table, ranked)
 
     def relabel(self, perm: np.ndarray) -> "FiniteGroup":
         return FiniteGroup.from_table(self.op.relabel(perm))
@@ -329,8 +324,8 @@ def checked_action(action, acting: FiniteGroup, kept: np.ndarray, error: type) -
     a (d, d) table or a stack (t, d, d) of them: integer entries in
     range(d), rows that are bijections preserving each table, action[0] =
     id, and action[x o g] = action[x] . action[g] for every x and every g
-    in `acting.generators`.  Raises `error`, the caller's exception class,
-    naming the first failure."""
+    in `acting.generators`, which suffices for any generating set.  Raises
+    `error`, the caller's exception class, naming the first failure."""
     k, d = acting.n, kept.shape[-1]
     try:
         arr = np.array(action)
@@ -531,12 +526,12 @@ def _bijections(
     src: FiniteGroup, tgt: FiniteGroup, sigs_src: Sequence, sigs_tgt: Sequence
 ) -> Iterator[np.ndarray]:
     """The isomorphisms src -> tgt, groups of one order, that send each
-    generator g of `src.generating_sequence()` to an element y with
-    sigs_tgt[y] == sigs_src[g], as blocks of image rows (rows, n) in search
-    order, which is lexicographic in the generators' images.  A signature
-    must be kept by every isomorphism for the search to find them all.  The
-    trivial group yields the identity row."""
-    gens = src.generating_sequence()
+    generator g of `src.generators` to an element y with sigs_tgt[y] ==
+    sigs_src[g], as blocks of image rows (rows, n) in search order, which is
+    lexicographic in the generators' images.  A signature must be kept by
+    every isomorphism for the search to find them all.  The trivial group
+    yields the identity row."""
+    gens = src.generators.tolist()
     if not gens:
         yield np.zeros((1, 1), dtype=np.int64)
         return
@@ -562,12 +557,12 @@ def homomorphisms(src: FiniteGroup, perms: np.ndarray) -> np.ndarray:
     perms = np.asarray(perms, dtype=np.int64)
     if not len(perms) or not np.array_equal(perms[0], np.arange(perms.shape[1])):
         raise MalformedTableError("permutation group must list the identity first")
-    gens = src.generating_sequence()
+    gens = src.generators.tolist()
     if not gens:
         return perms[:1][None]
     # f(g) is any row whose order divides ord g: f(g)^(ord g) = id
-    orders, ident = src.element_orders(), np.arange(perms.shape[1])
-    pools = [perms[(_row_powers(perms, orders[g], _compose_rows) == ident).all(axis=1)]
+    ident = np.arange(perms.shape[1])
+    pools = [perms[(_row_powers(perms, src.orders[g], _compose_rows) == ident).all(axis=1)]
              for g in gens]
     found = _search_morphisms(src, gens, pools, _compose_rows)
     labels = np.concatenate([np.zeros((0, src.n), dtype=np.int64), *map(_positions(perms), found)])
@@ -584,7 +579,7 @@ def isomorphisms(src: FiniteGroup, tgt: FiniteGroup, limit: Optional[int] = None
     if src.n != tgt.n:
         return none
     sigs = [
-        list(zip(g.element_orders().tolist(), (g.table == g.table.T).all(axis=1).tolist()))
+        list(zip(g.orders.tolist(), (g.table == g.table.T).all(axis=1).tolist()))
         for g in (src, tgt)
     ]
     if sorted(sigs[0]) != sorted(sigs[1]):

@@ -9,7 +9,8 @@ brace automorphisms and the first isomorphism search by a whole-table
 test of +, the conjugation action of a decomposition one element at a
 time, a cycle walk, the reference for the vectorised
 `tables.orbit_lengths`, the original two-sided closure of
-`nilpotency.set_dot_plus_E`, the regular-embedding sweep with every
+`nilpotency.set_dot_plus_E`, the first per-element walk of
+`nilpotency._nil_orders`, the regular-embedding sweep with every
 holomorph element and permutation in the first generator's pool, the
 unpruned sweep that tests every lambda map from Sym(n) (a route to the
 generic census independent of regular embeddings, for n <= 6) with its
@@ -306,6 +307,28 @@ def set_dot_plus_E(b, xs, ys):
     return tuple(sorted(out))
 
 
+def nil_orders(d, side):
+    """`nilpotency._nil_orders` by its first loop: per element x, the least
+    k with x^(k) = 0, walking x^(k+1) = x^(k).x (right) or x.x^(k) (left)
+    in the dot table d until 0 or a repeat."""
+    n = d.shape[0]
+    orders = []
+    for x in range(n):
+        cur = x
+        seen = {cur}
+        order = None
+        for step in range(1, n + 2):
+            if cur == 0:
+                order = step
+                break
+            cur = int(d[cur, x]) if side == "right" else int(d[x, cur])
+            if cur in seen:
+                break
+            seen.add(cur)
+        orders.append(order)
+    return tuple(orders)
+
+
 def regular_tables(circ, gens, orders, group, k):
     """`classify._regular_tables` with the full pool Hol(G) x {pi : ord pi
     divides ord c} for every generator c, the first one included: each
@@ -395,7 +418,7 @@ def unpruned_survivor_tables(circ, emin, esylow):
     allowed = np.array([e >= emin and (e in sylow or not esylow) for e in range(n + 1)])
     if n == 1:
         return [np.zeros((1, 1), dtype=np.int64)] if allowed[1] else []
-    gens = circ.generating_sequence()
+    gens = circ.generators.tolist()
     if len(_bfs_tree(circ, gens)) + 1 != n:
         raise InternalInvariantError("generating sequence fails to generate")
     arange_n = np.arange(n)

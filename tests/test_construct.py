@@ -130,18 +130,18 @@ def test_rump_brace_invalid_parameter():
 def test_brace_p2_shapes():
     g1 = brace_p2("G1", 3)
     assert np.array_equal(g1.add.table, g1.circ.table)
-    assert int(g1.circ.element_orders().max()) == 9
+    assert int(g1.circ.orders.max()) == 9
 
     g2 = brace_p2("G2", 3)
-    assert int(g2.circ.element_orders().max()) == 9
+    assert int(g2.circ.orders.max()) == 9
     assert not np.array_equal(g2.add.table, g2.circ.table)
 
     g3 = brace_p2("G3", 3)
     assert np.array_equal(g3.add.table, g3.circ.table)
-    assert int(g3.circ.element_orders().max()) == 3
+    assert int(g3.circ.orders.max()) == 3
 
     g4 = brace_p2("G4", 3)
-    assert int(g4.circ.element_orders().max()) == 3
+    assert int(g4.circ.orders.max()) == 3
     assert g4.circ.is_abelian()
     assert not np.array_equal(g4.add.table, g4.circ.table)
 
@@ -209,7 +209,7 @@ def test_2p2_families_build(p):
 def test_congruent_item4_is_s3_with_three_idempotents():
     b = family(FamilyId("pq-congruent", 4, 3, 2))
     assert not b.circ.is_abelian()
-    assert sorted(b.circ.element_orders().tolist()) == [1, 2, 2, 2, 3, 3]
+    assert sorted(b.circ.orders.tolist()) == [1, 2, 2, 2, 3, 3]
     assert b.e_elements == (0, 2, 4)
 
 

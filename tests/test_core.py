@@ -377,7 +377,7 @@ def test_kernel_example_parts(kernel_example):
     gp = skew_part(b)
     # the skew part here is the trivial brace on Z/3
     assert np.array_equal(gp.semibrace.add.table, gp.semibrace.circ.table)
-    assert sorted(gp.semibrace.circ.element_orders().tolist()) == [1, 3, 3]
+    assert sorted(gp.semibrace.circ.orders.tolist()) == [1, 3, 3]
 
 
 def test_factorize_frozen_oracle(kernel_example):
@@ -659,8 +659,9 @@ def test_verify_of_a_group_matches_verify_of_its_table():
 
 
 def test_verify_moves_the_circle_generators_with_the_identity():
-    # `check_group` reports generators of the circle table as given; with
-    # the identity away from 0, verify moves them along the swap first
+    # with the circle identity away from 0, verify relabels both tables by
+    # the swap first and decides the laws on the generators recorded for the
+    # canonical circle group; every verdict and witness is the full scan's
     for b in POOL:
         n = b.n
         perm = np.roll(np.arange(n), 1)  # the identity goes to n - 1

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from semibrace.classify import enumerate_generic, enumerate_structural
 from semibrace.construct import (
+    TWO_P2_THEOREMS,
     FamilyId,
+    applicable_items,
     brace_p2,
     family,
     left_nilpotent_example,
@@ -23,6 +25,7 @@ from semibrace.construct import (
 from semibrace.core import InternalInvariantError
 from semibrace.nilpotency import (
     NotASkewBraceError,
+    _nil_orders,
     check_rnilp1,
     dot_table,
     is_left_nil,
@@ -133,6 +136,17 @@ def test_series_follow_a_relabelling(data):
         assert after.chain == tuple(tuple(sorted(perm[list(m)].tolist())) for m in before.chain)
         assert after.verdict == before.verdict
         assert [after.nil_orders[y] for y in perm] == list(before.nil_orders)
+
+
+def test_nil_orders_match_the_per_element_walk():
+    # the n vector steps give the first loop's orders on both sides
+    structures = [e.semibrace for e in enumerate_generic(8)]
+    structures += [family(fid) for p in (3, 5) for t in TWO_P2_THEOREMS
+                   for fid in applicable_items(t, p)]
+    for b in structures:
+        d = dot_table(b)
+        for side in ("right", "left"):
+            assert _nil_orders(d, side) == full_scans.nil_orders(d, side), (b.n, side)
 
 
 def test_trivial_semibrace_right_chain():

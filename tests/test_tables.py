@@ -26,7 +26,6 @@ from semibrace.tables import (
     direct_product,
     first_nonassociative,
     homomorphisms,
-    identity_swap,
     is_morphism,
     isomorphisms,
     left_nested_generators,
@@ -172,7 +171,7 @@ def _actions_by_brute_force(k, auts):
     """Every tuple of generator images drawn from `auts`, extended along
     product words and kept when it is a homomorphism on the full table of
     k; sorted lexicographically by the image arrays."""
-    gens = k.generating_sequence()
+    gens = k.generators.tolist()
     words = {0: ()}
     frontier = [0]
     while frontier:
@@ -222,7 +221,7 @@ def test_homomorphisms_from_order_twelve_match_brute_force():
     # normalises the subgroup of the other, so the power and conjugation
     # relations the search prunes with are not a presentation of it; only
     # the final homomorphism check rejects the other maps
-    (a4,) = [k for k in small_groups(12) if k.element_orders().tolist().count(3) == 8]
+    (a4,) = [k for k in small_groups(12) if k.orders.tolist().count(3) == 8]
     assert len(automorphisms(a4)) == 24
     for k in small_groups(12):
         for m in range(1, 7):
@@ -241,7 +240,7 @@ def _sym3_rows():
     sym3 = np.array(list(itertools.permutations(range(3))))
     for m in range(2, 9):
         for k in small_groups(m):
-            gens = k.generating_sequence()
+            gens = k.generators.tolist()
             choice = np.array(list(itertools.product(range(6), repeat=len(gens))))
             images = [sym3[choice[:, i]] for i in range(len(gens))]
             yield k, tables._lambda_rows(k.n, tables._bfs_tree(k, gens), images, tables._compose_rows)
@@ -250,7 +249,7 @@ def _sym3_rows():
 def test_homomorphic_rows_match_the_full_table_check():
     # the row check keeps exactly the maps that are actions on the full table
     for k, f in _sym3_rows():
-        gens = k.generating_sequence()
+        gens = k.generators.tolist()
         tree = tables._bfs_tree(k, gens)
         got = tables._homomorphic_rows(f, k.table, gens, tree, tables._compose_rows)
         assert got.tolist() == [full_scans.is_action(row, k.table) for row in f]
@@ -351,13 +350,13 @@ def test_generating_sequence_is_the_greedy_one_and_its_trees_cover_each_prefix()
     # and admit an element unless the earlier ones already generate it
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
-            orders = g.element_orders()
+            orders = g.orders
             ranked = sorted(range(1, n), key=lambda a: (-orders[a], a))
             want: list[int] = []
             for a in ranked:
                 if a not in _two_sided_closure(g, want):
                     want.append(a)
-            gens = g.generating_sequence()
+            gens = g.generators.tolist()
             assert gens == want
             for k in range(len(gens) + 1):
                 tree = tables._bfs_tree(g, gens[:k])
@@ -395,7 +394,7 @@ def test_isomorphisms_match_a_search_over_every_bijection():
             assert len(want) == len(automorphisms(g))
             assert isomorphisms(g, copy).tolist() == want.tolist()
             # `limit` keeps the isomorphisms least by the generators' images
-            gens = g.generating_sequence()
+            gens = g.generators.tolist()
             by_gens = want[np.lexsort(want[:, gens].T[::-1])]
             for k in sorted({1, 2, len(want) // 2, len(want), len(want) + 1} - {0}):
                 least = by_gens[:k]
@@ -481,9 +480,9 @@ def test_dicyclic_table_matches_presentation():
 
 def test_dicyclic_groups():
     q8 = dicyclic_group(2)
-    assert sorted(q8.element_orders().tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(q8.orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
     q16 = dicyclic_group(4)
-    orders = sorted(q16.element_orders().tolist())
+    orders = sorted(q16.orders.tolist())
     assert orders.count(2) == 1  # unique involution marks generalized quaternion
 
 
@@ -492,7 +491,7 @@ def test_dicyclic_groups():
 def test_cyclic_group_element_orders(n, a):
     g = cyclic_group(n)
     a %= n
-    assert g.element_orders()[a] == full_scans.permutation_order(g.table[a]) == n // math.gcd(a, n)
+    assert g.orders[a] == full_scans.permutation_order(g.table[a]) == n // math.gcd(a, n)
 
 
 def test_element_orders_match_element_order():
@@ -500,31 +499,40 @@ def test_element_orders_match_element_order():
     groups = [g for n in sorted(SUPPORTED_GROUP_ORDERS) for g in small_groups(n)]
     for g in groups + [cyclic_group(242)]:
         want = [full_scans.permutation_order(g.table[a]) for a in range(g.n)]
-        assert g.element_orders().tolist() == want
+        assert g.orders.tolist() == want
 
 
 def test_check_group_generators_generate_the_group():
-    # the generators of Light's test, on each catalogue table and on a
-    # relabelling of it whose identity is n - 1; up to order 20 the group
-    # built from that relabelling records them, moved with the identity to 0
+    # Light's test runs on `left_nested_generators`, which generate each
+    # catalogue table and a relabelling of it whose identity is n - 1; up to
+    # order 20 the catalogue group and the group built from that relabelling
+    # record read-only generators, the greedy ones ranked by (-order, index),
+    # and the element orders
     for n in sorted(SUPPORTED_GROUP_ORDERS):
         for g in small_groups(n):
-            for t in (g.op, g.op.relabel(np.roll(np.arange(n), 1))):
-                report = check_group(t)
-                tab, gens = t.table.tolist(), report.generators
+            relabelled = g.op.relabel(np.roll(np.arange(n), 1))
+            for t in (g.op, relabelled):
+                tab, gens = t.table.tolist(), left_nested_generators(t.table)
                 reached, frontier = set(gens), list(gens)
                 while frontier:
                     x = frontier.pop()
                     new = {tab[x][s] for s in gens} - reached
                     reached |= new
                     frontier += new
-                assert reached == set(range(n)), (n, report.identity)
+                assert reached == set(range(n)), (n, t is relabelled)
             if 1 < n <= 20:
-                moved = FiniteGroup.from_table(t)
-                gens, swap = moved.generators, identity_swap(n, report.identity)
-                assert report.identity != 0 and not gens.flags.writeable and 0 not in gens
-                assert moved.closure(gens) == tuple(range(n))
-                assert gens.tolist() == [swap[s] for s in report.generators if s != report.identity]
+                assert check_group(relabelled).identity == n - 1
+                for h in (g, FiniteGroup.from_table(relabelled)):
+                    assert not h.generators.flags.writeable and not h.orders.flags.writeable
+                    gens = h.generators.tolist()
+                    assert 0 not in gens and h.closure(gens) == tuple(range(n))
+                    orders = [full_scans.permutation_order(row) for row in h.table]
+                    assert h.orders.tolist() == orders
+                    want: list[int] = []
+                    for a in sorted(range(1, n), key=lambda a: (-orders[a], a)):
+                        if a not in _two_sided_closure(h, want):
+                            want.append(a)
+                    assert gens == want
 
 
 @settings(max_examples=40, deadline=None)
